@@ -21,6 +21,7 @@ from .partition import (
     concentration_prob,
     estimate_z_naive,
     estimate_z_polar,
+    estimate_z_shifted,
     lasso_ball_volume,
     sphere_surface,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "direction_stats",
     "estimate_z_naive",
     "estimate_z_polar",
+    "estimate_z_shifted",
     "expansion_coeff",
     "falling_product",
     "gen_bernoulli_matrix",

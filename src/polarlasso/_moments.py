@@ -15,12 +15,15 @@ naive route (binomial expansion against incomplete gammas) loses
     gammas via erfcx (up to an order-dependent tilt where the alternation
     stays benign), a downward Miller recurrence (mid tilts), and the 1/beta
     asymptotic series (beta >= 100).
-  * G marches across the segment in bounded-width pieces anchored at the
-    dominant endpoint, so every partial sum has positive terms (or
-    alternation bounded by 2^m), finishing infinite tails with H.
+  * log G is one array kernel (log_gaussian_moment): a Gauss-Legendre rule
+    on each side of the log-concave integrand's clamped peak, evaluated
+    relative to the peak, so it holds for every order, tilt and segment and
+    H_m(beta) = G_m(0, inf, beta) comes from the same code.
+  * E (null directions) sums positive series, marching growing integrands
+    down from their dominant endpoint.
 
-Segment values are returned log-scaled as (log_scale, mantissa) pairs so
-piecewise densities with large linear offsets never overflow.
+Exponential-segment values are returned log-scaled as (log_scale, mantissa)
+pairs so piecewise densities with large linear offsets never overflow.
 """
 
 from __future__ import annotations
@@ -28,10 +31,23 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import erf, erfcx
 
 _LOG_TINY = -745.0
 _NEG_BETA_LIMIT = -37.0
+
+# segment kernel: Gauss-Legendre nodes per side of the peak, mapped to (0, 1)
+_GL_N = 32
+_GL_T, _GL_W = leggauss(_GL_N)
+_GL_T = 0.5 * (_GL_T + 1.0)
+_GL_W = 0.5 * _GL_W
+# integration stops where the integrand has fallen by e^-_DROP from its peak
+_DROP = 50.0
+_NEWTON_STEPS = 30
+_NEWTON_TOL = 1e-3
+# segments per block: the (block, 2 _GL_N) float64 temporaries stay near 1 MB
+_BLOCK = 2048
 
 
 def direct_beta_limit(m: int) -> float:
@@ -187,102 +203,77 @@ def _v_ladder(nmax: int, width: float, rate: float) -> np.ndarray:
     return V
 
 
-def _t_ladder(m: int, width: float, rate: float) -> np.ndarray:
-    """T[j] = int_0^width w^j e^(-w^2/2 - rate w) dw, j = 0..m; rate >= 0, width <= ~1.6.
+def log_gaussian_moment(m: int, a, b, beta) -> np.ndarray:
+    """log G_m(a, b, beta) = log int_a^b u^m e^(-u^2/2 - beta u) du, elementwise.
 
-    Expands the Gaussian factor; alternation is bounded by e^(width^2/2).
+    `a`, `b` and `beta` broadcast against each other; 0 <= a < b <= inf.
+    The log-integrand g(u) = m ln u - u^2/2 - beta u is concave with
+    curvature at least one, so its maximum over [a, b] sits at the clamped
+    peak c = clip(u*, a, b), u* = (-beta + sqrt(beta^2 + 4m))/2, and on each
+    side it falls by _DROP within a distance that a monotone Newton walk
+    finds from an outer bound.  A Gauss-Legendre rule then integrates
+    e^(g(u) - g(c)) over each side; every node value is at most one, so no
+    tilt or order can over- or underflow the result.
     """
-    depth = 40
-    V = _v_ladder(m + 1 + 2 * depth, width, rate)
-    T = np.empty(m + 1)
-    for j in range(m + 1):
-        s = V[j + 1]
-        term = 1.0
-        for i in range(1, depth):
-            term *= -1.0 / (2.0 * i)
-            d = term * V[j + 2 * i + 1]
-            s += d
-            if abs(d) < 1e-18 * abs(s):
-                break
-        T[j] = s
-    return T
-
-
-def tail_moment_log(m: int, a: float, beta: float) -> tuple[float, float]:
-    """int_a^inf u^m e^(-u^2/2 - beta u) du as (log_scale, mantissa); a >= 0."""
-    H = gaussian_moment_ladder(m, beta + a)
-    s = math.fsum(math.comb(m, q) * a ** (m - q) * H[q] for q in range(m + 1))
-    return -a * a / 2.0 - beta * a, s
-
-
-def segment_moment_log(m: int, a: float, b: float, beta: float) -> tuple[float, float]:
-    """int_a^b u^m e^(-u^2/2 - beta u) du as (log_scale, mantissa); 0 <= a < b <= inf.
-
-    The segment is split at the exponential peak u = -beta; each side is
-    marched in pieces whose partial sums cannot cancel below 2^-m of the
-    running total, and infinite tails finish through the H ladder.
-    """
-    if not 0.0 <= a < b:
+    if m < 0 or int(m) != m:
+        raise ValueError("m must be a nonnegative integer")
+    m = int(m)
+    a, b, beta = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, beta)))
+    if not np.all((a >= 0.0) & (a < b)):
         raise ValueError("need 0 <= a < b")
-    logs: list[float] = []
-    vals: list[float] = []
+    shape = a.shape
+    a, b, beta = a.ravel(), b.ravel(), beta.ravel()
+    out = np.empty(a.size)
+    for s in range(0, a.size, _BLOCK):
+        sl = slice(s, s + _BLOCK)
+        out[sl] = _log_moment_block(m, a[sl], b[sl], beta[sl])
+    return out.reshape(shape)
 
-    def push(lp: float, v: float) -> None:
-        if v > 0.0 and math.isfinite(lp):
-            logs.append(lp)
-            vals.append(v)
 
-    def running_max() -> float:
-        return max((lp + math.log(v) for lp, v in zip(logs, vals)), default=-math.inf)
+def _log_moment_block(m: int, a: np.ndarray, b: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    a, b, beta = a[:, None], b[:, None], beta[:, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        root = np.sqrt(beta * beta + 4.0 * m)
+        # u* in the form that avoids cancellation for either sign of beta
+        peak = np.where(beta > 0.0, 2.0 * m / (beta + root), 0.5 * (root - beta))
+    c = np.clip(peak, a, b)
 
-    peak = max(a, min(b, -beta))
+    def drop(d):
+        """g(c + d) - g(c) at node offsets d, arranged so that no large terms cancel."""
+        fall = d * (c + 0.5 * d + beta)
+        return m * np.log1p(d / c) - fall if m else -fall
 
-    # growing side [a, peak]: march down from the right end, halving toward zero
-    hi = peak
-    while hi > a:
-        width = min(1.5, hi / 2.0, hi - a)
-        if width <= 0.0 or hi - width <= a * (1.0 + 1e-15) + 1e-300:
-            width = hi - a
-        rate = max(0.0, -(beta + hi))
-        T = _t_ladder(m, width, rate)
-        v = math.fsum(
-            (-1) ** j * math.comb(m, j) * hi ** (m - j) * T[j] for j in range(m + 1)
-        )
-        lp = -hi * hi / 2.0 - beta * hi
-        push(lp, v)
-        hi -= width
-        if hi > a and hi > 0.0:
-            # remaining mass is below u = hi; integrand there is < e^(lp) (hi')^m
-            if lp + m * math.log(hi) < running_max() - 46.0:
-                rate2 = max(0.0, -(beta + hi))
-                if hi - a <= 1.6:
-                    T2 = _t_ladder(m, hi - a, rate2)
-                    v2 = math.fsum(
-                        (-1) ** j * math.comb(m, j) * hi ** (m - j) * T2[j]
-                        for j in range(m + 1)
-                    )
-                    push(-hi * hi / 2.0 - beta * hi, v2)
+    def excess(u):
+        """g(u) - g(c) + _DROP and its derivative; the walks need u, not d, near 0."""
+        value = _DROP - (u - c) * (0.5 * (u + c) + beta)
+        if not m:
+            return value, -u - beta
+        return value + m * np.log(u / c), m / u - u - beta
+
+    # outer bounds on where g has fallen by _DROP: curvature >= 1 gives a
+    # fall of at least d^2/2 on either side, and on the left m ln(u/c) + m
+    # bounds g(u) - g(c) from above
+    reach = math.sqrt(2.0 * _DROP)
+    start_left = np.maximum(a, c - reach)
+    if m:
+        start_left = np.maximum(start_left, c * math.exp(-1.0 - _DROP / m))
+    ends = []
+    for u in (start_left, np.minimum(b, c + reach)):
+        # Newton on the concave excess, started where it is <= 0, moves
+        # monotonically toward its root and never passes it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_NEWTON_STEPS):
+                phi, dphi = excess(u)
+                active = phi < -_NEWTON_TOL
+                if not np.any(active):
                     break
-                # fall through and keep marching (cheap; widths halve geometrically)
-
-    # decaying side [peak, b]: march up from the left end
-    lo = peak
-    while lo < b:
-        if math.isinf(b):
-            lp, v = tail_moment_log(m, lo, beta)
-            push(lp, v)
-            break
-        width = min(1.5, b - lo)
-        T = _t_ladder(m, width, beta + lo)
-        v = math.fsum(math.comb(m, j) * lo ** (m - j) * T[j] for j in range(m + 1))
-        push(-lo * lo / 2.0 - beta * lo, v)
-        lo += width
-        if lo < b:
-            lt, vt = tail_moment_log(m, lo, beta)
-            if vt <= 0.0 or lt + math.log(vt) < running_max() - 46.0:
-                break
-
-    return combine_log_pieces(logs, vals)
+                u = np.where(active, u - phi / dphi, u)
+        ends.append(u)
+    w_left, w_right = c - ends[0], ends[1] - c
+    vals = np.exp(drop(np.concatenate([-w_left * _GL_T, w_right * _GL_T], axis=1)))
+    total = w_left[:, 0] * (vals[:, :_GL_N] @ _GL_W) + w_right[:, 0] * (vals[:, _GL_N:] @ _GL_W)
+    g_c = (m * np.log(c[:, 0]) if m else 0.0) - c[:, 0] * (0.5 * c[:, 0] + beta[:, 0])
+    return g_c + np.log(total)
 
 
 def exp_segment_moment_log(m: int, a: float, b: float, rate: float) -> tuple[float, float]:
@@ -329,10 +320,7 @@ def exp_segment_moment_log(m: int, a: float, b: float, rate: float) -> tuple[flo
             mx = max(lp2 + math.log(v2) for lp2, v2 in zip(logs, vals))
             if hi > 0 and (-rate * hi) + m * math.log(hi) < mx - 46.0:
                 break
-    if not logs:
-        return 0.0, 0.0
-    mx = max(lp + math.log(v) for lp, v in zip(logs, vals))
-    return mx, math.fsum(v * math.exp(lp - mx) for lp, v in zip(logs, vals))
+    return combine_log_pieces(logs, vals)
 
 
 def combine_log_pieces(logs: list[float], vals: list[float]) -> tuple[float, float]:

@@ -13,17 +13,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
+import platform
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import lasso, mcmc, partition, problem, radial
 
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+# directions of the recentered (--shift) partition route
+SHIFT_DIRECTIONS = 2048
 
 
 def _fmt(x) -> str:
@@ -51,7 +54,8 @@ def _write_manifest(command: str, args: argparse.Namespace, outputs: list[str]) 
         "seed": cfg.get("seed"),
         "outputs": [os.path.abspath(o) for o in outputs],
         "argv": [command] + _args_to_argv(cfg),
-        "versions": f"polarlasso {__version__}",
+        "versions": {"polarlasso": __version__, "python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
     }
     base = outputs[0]
     root, _ = os.path.splitext(base)
@@ -138,21 +142,14 @@ def cmd_partition(args: argparse.Namespace) -> int:
         # single-method runs use the flat schema directly
         out = {**out[args.method]}
     if args.shift:
-        from . import shifted as shifted_mod
-
-        sol = lasso.solve_fista(prob, 20000, 1e-10)
-        l = sol.x
-        rng = np.random.default_rng(args.seed + 7)
-        logs = []
-        count = 2048
-        for _ in range(count):
-            theta = problem.sample_sphere(rng, prob.p)
-            ctx = shifted_mod.build_shift_context(prob, l, theta)
-            logs.append(shifted_mod.shifted_radial_mass(ctx, prob.p))
-        z_f = partition.sphere_surface(prob.p) * float(np.mean(logs))
-        h0 = -0.5 * float(np.linalg.norm(prob.y - prob.A @ l) ** 2) - float(np.abs(l).sum())
-        out["shift"] = {"z_f": z_f, "h0": h0, "z_from_shift": math.exp(h0) * z_f,
-                        "l": [float(v) for v in l], "n_samples": count}
+        l = lasso.solve_fista(prob, 20000, 1e-10).x
+        est = partition.estimate_z_shifted(prob, l, SHIFT_DIRECTIONS,
+                                           np.random.default_rng(args.seed + 7))
+        out["shift"] = {"z_f": est.z_f, "h0": est.h0, "z_from_shift": est.z,
+                        "std_err": est.std_err, "z_min": est.z_min, "z_max": est.z_max,
+                        "l": [float(v) for v in l], "n_samples": est.n_samples}
+        if not est.z_min <= est.z <= est.z_max:
+            failed = True
     _write_json(args.out, out)
     _write_manifest("partition", args, [args.out])
     print(f"wrote {args.out}")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemInstance, sample_sphere_batch
+from .problem import ProblemInstance, chunk_generators, sample_sphere_batch
 
 METHOD_POLAR = "polar"
 METHOD_FISTA = "fista"
@@ -82,14 +82,12 @@ def solve_polar(prob: ProblemInstance, n_samples: int, rng) -> LassoSolution:
     """
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
-    from .partition import _chunk_generators
-
     p = prob.p
     best_beta = None
     best_theta = None
     best_norm_A = None
     n_chunks = (n_samples + _SWEEP_CHUNK - 1) // _SWEEP_CHUNK
-    gens = _chunk_generators(rng, n_chunks)
+    gens = chunk_generators(rng, n_chunks)
     left = n_samples
     neg_count = 0
     for gen in gens:

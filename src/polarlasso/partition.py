@@ -7,12 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemInstance, sample_laplace, sample_sphere_batch
+from .problem import ProblemInstance, chunk_generators, sample_laplace, sample_sphere_batch
 from .radial import sweep_summaries
+from .shifted import build_shift_batch, shifted_log_masses, shifted_log_peak_modes
 from .special import upper_inc_gamma_int
 
 METHOD_POLAR = "polar_mc"
 METHOD_NAIVE = "naive_mc"
+METHOD_SHIFTED = "shifted_mc"
 
 # deterministic chunking of the seed stream: estimates are identical no matter
 # how many workers consume the chunks
@@ -29,19 +31,20 @@ class PartitionEstimate:
     z_max: float
 
 
+@dataclass(frozen=True)
+class ShiftedEstimate(PartitionEstimate):
+    """Z = e^(h(0)) Z_f from the density recentered at l; z, std_err and the
+    bracket are in units of Z, z_f is |S| times the mean shifted mass."""
+
+    z_f: float
+    h0: float
+
+
 def sphere_surface(p: int) -> float:
     """Surface area of the unit sphere in R^p: 2 pi^(p/2) / Gamma(p/2)."""
     if p < 1:
         raise ValueError("p must be positive")
     return 2.0 * math.pi ** (p / 2.0) / math.gamma(p / 2.0)
-
-
-def _chunk_generators(seed_or_rng, count: int) -> list[np.random.Generator]:
-    if isinstance(seed_or_rng, np.random.Generator):
-        # split the generator's state deterministically
-        children = seed_or_rng.bit_generator.seed_seq.spawn(count)  # type: ignore[union-attr]
-        return [np.random.default_rng(c) for c in children]
-    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed_or_rng).spawn(count)]
 
 
 def estimate_z_polar(prob: ProblemInstance, n_samples: int, rng) -> PartitionEstimate:
@@ -53,10 +56,9 @@ def estimate_z_polar(prob: ProblemInstance, n_samples: int, rng) -> PartitionEst
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
     p = prob.p
-    y_norm = prob.y_norm
     surface = sphere_surface(p)
     n_chunks = (n_samples + CHUNK - 1) // CHUNK
-    gens = _chunk_generators(rng, n_chunks)
+    gens = chunk_generators(rng, n_chunks)
     total = 0.0
     total_sq = 0.0
     mr_min = math.inf
@@ -85,6 +87,58 @@ def estimate_z_polar(prob: ProblemInstance, n_samples: int, rng) -> PartitionEst
     return PartitionEstimate(z, std_err, n_samples, METHOD_POLAR, z_min, z_max)
 
 
+def estimate_z_shifted(prob: ProblemInstance, l: np.ndarray, n_samples: int, rng) -> ShiftedEstimate:
+    """Recentered polar Monte Carlo: Z = e^(h(0)) |S| E[J_p(theta, l)].
+
+    Directions are uniform sphere draws taken in order from one stream of
+    `rng` (a Generator or a seed), evaluated CHUNK rows at a time.  Masses
+    are summed relative to a running log scale so that no shift overflows.
+    The bracket is the sample inf/sup of peak * mode times the log-concavity
+    constants, as in estimate_z_polar.
+    """
+    if n_samples < 1:
+        raise ValueError("need n_samples >= 1")
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    p = prob.p
+    scale = -math.inf
+    total = 0.0
+    total_sq = 0.0
+    lpm_min = math.inf
+    lpm_max = -math.inf
+    left = n_samples
+    while left:
+        take = min(CHUNK, left)
+        left -= take
+        batch = build_shift_batch(prob, l, sample_sphere_batch(rng, take, p))
+        log_j = shifted_log_masses(prob, batch, p)
+        top = float(log_j.max())
+        if top > scale:
+            total *= math.exp(scale - top)
+            total_sq *= math.exp(2.0 * (scale - top))
+            scale = top
+        w = np.exp(log_j - scale)
+        total += float(w.sum())
+        total_sq += float((w * w).sum())
+        log_pm = shifted_log_peak_modes(prob, batch, p)
+        lpm_min = min(lpm_min, float(log_pm.min()))
+        lpm_max = max(lpm_max, float(log_pm.max()))
+    h0 = batch.h0
+    mean = total / n_samples
+    var = max(0.0, total_sq / n_samples - mean * mean)
+    if n_samples > 1:
+        var *= n_samples / (n_samples - 1)
+    surface = sphere_surface(p)
+    unit = surface * math.exp(h0 + scale)
+    z_min = surface * math.exp(h0 + lpm_min) / p
+    if p == 1:
+        z_max = math.inf  # upper log-concavity constant degenerates at p = 1
+    else:
+        z_max = surface * math.factorial(p - 1) * math.exp(p - 1) / (p - 1) ** p * math.exp(h0 + lpm_max)
+    return ShiftedEstimate(unit * mean, unit * math.sqrt(var / n_samples), n_samples, METHOD_SHIFTED,
+                           z_min, z_max, z_f=surface * math.exp(scale) * mean, h0=h0)
+
+
 def estimate_z_naive(prob: ProblemInstance, n_samples: int, rng) -> PartitionEstimate:
     """Importance sampling with the l1 prior: 2^p E[exp(-||Ax - y||^2/2)], x ~ Laplace.
 
@@ -95,7 +149,7 @@ def estimate_z_naive(prob: ProblemInstance, n_samples: int, rng) -> PartitionEst
         raise ValueError("need n_samples >= 1")
     p = prob.p
     n_chunks = (n_samples + CHUNK - 1) // CHUNK
-    gens = _chunk_generators(rng, n_chunks)
+    gens = chunk_generators(rng, n_chunks)
     total = 0.0
     total_sq = 0.0
     left = n_samples

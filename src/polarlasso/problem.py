@@ -95,6 +95,8 @@ def make_problem(A: np.ndarray, y: np.ndarray | None = None) -> ProblemInstance:
     y = np.asarray(y, dtype=float)
     if y.shape != (n,):
         raise ValueError(f"y must have length {n}")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(y))):
+        raise ValueError("A and y must be finite")
     return ProblemInstance(A=A, y=y, op_norm=operator_norm(A))
 
 
@@ -181,6 +183,19 @@ def sample_sphere_batch(rng: np.random.Generator, count: int, p: int) -> np.ndar
         norms[bad] = np.linalg.norm(v[bad], axis=1)
         bad = norms == 0.0
     return v / norms[:, None]
+
+
+def chunk_generators(seed_or_rng, count: int) -> list[np.random.Generator]:
+    """`count` independent generators for the fixed-size chunks of a Monte Carlo sweep.
+
+    A seed is spawned through its SeedSequence, a Generator through the seed
+    sequence behind its bit generator, so a sweep's result never depends on
+    how many workers consume the chunks.
+    """
+    if isinstance(seed_or_rng, np.random.Generator):
+        children = seed_or_rng.bit_generator.seed_seq.spawn(count)  # type: ignore[union-attr]
+        return [np.random.default_rng(c) for c in children]
+    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed_or_rng).spawn(count)]
 
 
 def sample_laplace(rng: np.random.Generator, shape) -> np.ndarray:

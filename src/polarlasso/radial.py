@@ -22,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.special import erfcx
-
-from ._moments import direct_beta_limit, gaussian_moment_ladder
+from ._moments import gaussian_moment_ladder, log_gaussian_moment
 from .problem import NULL_TOL, DirectionStats, direction_stats, radial_potential, ray_energy
 from .special import ExpansionResult, expansion_coeff
 
@@ -149,7 +147,7 @@ def radial_summary(stats: DirectionStats, p: int, y_norm: float) -> RadialSummar
         mass = mass_expansion(stats.beta, stats.s, y_norm, p).value / l1**p
         method = METHOD_EXPANSION
     else:
-        mass = _mass_any_beta(stats.beta, stats.s, y_norm, p) / l1**p
+        mass = float(_exact_masses(np.array([stats.beta]), np.array([stats.norm_A_theta]), p, y_norm)[0])
         method = METHOD_EXACT
     inside = math.isfinite(mass) and mass >= lo * (1.0 - 1e-9)
     if inside and math.isfinite(hi):
@@ -163,15 +161,15 @@ def radial_summary(stats: DirectionStats, p: int, y_norm: float) -> RadialSummar
 def sweep_summaries(prob, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (mass, peak * mode) sweep over unit directions, one per row.
 
-    Matches radial_summary on every direction (same dispatch); the common
-    scaled-gamma branch runs as array arithmetic, everything else falls back
-    to the scalar path.  Feeds the polar partition estimator.
+    Matches radial_summary on every direction (same dispatch and kernel); the
+    exact branch (finite beta <= BETA_SWITCH, either sign) runs as array
+    arithmetic, the expansion branch and null directions take the scalar
+    path.  Feeds the polar partition estimator.
     """
     A = prob.A
     y = prob.y
     y_norm = prob.y_norm
     p = prob.p
-    m = p - 1
     count = thetas.shape[0]
     A_thetas = thetas @ A.T
     norms = np.linalg.norm(A_thetas, axis=1)
@@ -187,27 +185,11 @@ def sweep_summaries(prob, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mass = np.empty(count)
     peak_mode = np.empty(count)
 
-    limit = direct_beta_limit(m)
-    fast = (~null) & (beta >= 0.0) & (beta <= limit)
+    fast = (~null) & (beta <= BETA_SWITCH)
     if np.any(fast):
         b = beta[fast]
-        x = 0.5 * b * b
-        Q_prev2 = math.sqrt(math.pi) * erfcx(np.sqrt(x))  # order 1/2
-        Q_prev1 = np.ones_like(b)  # order 1
-        H = np.zeros_like(b)
-        for j in range(m + 1):
-            if j == 0:
-                Qj = Q_prev2
-            elif j == 1:
-                Qj = Q_prev1
-            else:
-                a = (j + 1) / 2.0
-                Qj = (a - 1.0) * Q_prev2 + x ** (a - 1.0)
-                Q_prev2 = Q_prev1
-                Q_prev1 = Qj
-            H += math.comb(m, j) * 2.0 ** ((j - 1) / 2.0) * (-b) ** (m - j) * Qj
         na = norms[fast]
-        mass[fast] = math.exp(-0.5 * y_norm * y_norm) * H / na**p
+        mass[fast] = _exact_masses(b, na, p, y_norm)
         mode = (-b + np.sqrt(b * b + 4.0 * (p - 1))) / (2.0 * na)
         pot = 0.5 * (mode * mode * na * na + 2.0 * mode * na * b + y_norm * y_norm)
         if p > 1:
@@ -220,6 +202,12 @@ def sweep_summaries(prob, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mass[i] = summ.mass
         peak_mode[i] = summ.peak * summ.mode_r
     return mass, peak_mode
+
+
+def _exact_masses(beta: np.ndarray, norm_A_theta: np.ndarray, p: int, y_norm: float) -> np.ndarray:
+    """J_p = e^(-||y||^2/2) H_(p-1)(beta) / ||A theta||^p through the log-domain segment kernel."""
+    log_h = log_gaussian_moment(p - 1, 0.0, math.inf, beta)
+    return np.exp(log_h - 0.5 * y_norm * y_norm - p * np.log(norm_A_theta))
 
 
 def _mass_quadrature(stats: DirectionStats, p: int, y_norm: float) -> float:

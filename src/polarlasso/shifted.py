@@ -10,9 +10,10 @@ therefore contributes a Gaussian-tilted moment, and
                   = sum_k e^(D_k) G_(p-1)(a_k, b_k, beta_k) / ||A theta||^p,
 
 with D_k = ||l||_1 - c_k, a_k/b_k the scaled breakpoints, and
-beta_k = l1_k/||A theta|| - b_l.  Null directions reduce to pure exponential
-segment moments.  All evaluation goes through the log-scaled positive-sum
-kernel, so the result is reliable for any placement of l.
+beta_k = l1_k/||A theta|| - b_l.  The moments G go through the log-domain
+segment kernel, one array call for a whole batch of directions
+(build_shift_batch), so the result is reliable for any placement of l.  Null
+directions reduce to pure exponential segment moments.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._moments import combine_log_pieces, exp_segment_moment_log, segment_moment_log
+from ._moments import combine_log_pieces, exp_segment_moment_log, log_gaussian_moment
 from .problem import NULL_TOL, ProblemInstance, sample_laplace
 
 
@@ -165,13 +166,143 @@ def shifted_potential(ctx: ShiftContext, r: float, p: int) -> float:
     return 0.5 * float(resid @ resid) + l1 + ctx.h0 - (p - 1) * math.log(r)
 
 
+@dataclass(frozen=True)
+class ShiftBatch:
+    """Segment geometry of the recentered density for a batch of directions.
+
+    Row i holds direction thetas[i]; its segments k = 0..q (q = support size
+    of l) span [lo[i, k], hi[i, k]], with c the intercept of
+    r -> ||r theta + l||_1 there and beta = slope/||A theta|| - b_l.  Rows
+    with fewer sign changes than q pad their tail with empty segments
+    lo = hi = inf.  beta is meaningless on null rows (A theta = 0).
+    """
+
+    l: np.ndarray
+    thetas: np.ndarray
+    A_thetas: np.ndarray
+    norm_A_theta: np.ndarray
+    y_l: np.ndarray
+    h0: float
+    lo: np.ndarray
+    hi: np.ndarray
+    c: np.ndarray
+    beta: np.ndarray
+
+    @property
+    def null(self) -> np.ndarray:
+        return self.norm_A_theta <= NULL_TOL
+
+
+def build_shift_batch(prob: ProblemInstance, l: np.ndarray, thetas: np.ndarray) -> ShiftBatch:
+    """build_shift_context for every row of `thetas` at once, as arrays."""
+    l = np.asarray(l, dtype=float)
+    if l.shape != (prob.p,):
+        raise ValueError(f"l must have length {prob.p}")
+    thetas = np.asarray(thetas, dtype=float)
+    norms = np.linalg.norm(thetas, axis=1)
+    if np.any(norms == 0.0):
+        raise ValueError("directions must be nonzero")
+    thetas = thetas / norms[:, None]
+    A_thetas = thetas @ prob.A.T
+    na = np.linalg.norm(A_thetas, axis=1)
+    y_l = prob.y - prob.A @ l
+    norm_y_l = float(np.linalg.norm(y_l))
+    h0 = -0.5 * norm_y_l**2 - float(np.abs(l).sum())
+    safe = np.where(na <= NULL_TOL, 1.0, na)
+    if norm_y_l == 0.0:
+        b_l = np.zeros(len(thetas))
+    else:
+        b_l = norm_y_l * np.clip((A_thetas @ y_l) / (safe * norm_y_l), -1.0, 1.0)
+
+    # only coordinates in the support of l can change sign along the ray (S_-)
+    support = np.flatnonzero(l)
+    abs_l = np.abs(l[support])
+    abs_t = np.abs(thetas)
+    minus = thetas[:, support] * l[support] < 0.0
+    with np.errstate(divide="ignore"):
+        ratios = np.where(minus, abs_l / abs_t[:, support], math.inf)
+    order = np.argsort(ratios, axis=1, kind="stable")
+    ratios = np.take_along_axis(ratios, order, axis=1)
+    l_minus = np.take_along_axis(np.where(minus, abs_l, 0.0), order, axis=1)
+    t_minus = np.take_along_axis(np.where(minus, abs_t[:, support], 0.0), order, axis=1)
+    minus_full = np.zeros(thetas.shape, dtype=bool)
+    minus_full[:, support] = minus
+    base_c = np.where(minus, 0.0, abs_l).sum(axis=1)
+    base_l1 = np.where(minus_full, 0.0, abs_t).sum(axis=1)
+    zero = np.zeros((len(thetas), 1))
+    cum_l = np.concatenate([zero, np.cumsum(l_minus, axis=1)], axis=1)
+    cum_t = np.concatenate([zero, np.cumsum(t_minus, axis=1)], axis=1)
+    c = base_c[:, None] - cum_l + (cum_l[:, -1:] - cum_l)
+    l1 = base_l1[:, None] + cum_t - (cum_t[:, -1:] - cum_t)
+    breakpoints = np.concatenate([zero, ratios, zero + math.inf], axis=1)
+    return ShiftBatch(
+        l=l, thetas=thetas, A_thetas=A_thetas, norm_A_theta=na, y_l=y_l, h0=h0,
+        lo=breakpoints[:, :-1], hi=breakpoints[:, 1:], c=c,
+        beta=l1 / safe[:, None] - b_l[:, None],
+    )
+
+
+def _log_masses(p: int, na: np.ndarray, lo, hi, beta, offset) -> np.ndarray:
+    """log J_p per row from its segments: log sum_k e^(offset_k) G_(p-1)(na lo_k, na hi_k, beta_k) - p log na."""
+    live = hi > lo
+    scale = np.broadcast_to(na[:, None], lo.shape)[live]
+    terms = np.full(lo.shape, -math.inf)
+    terms[live] = log_gaussian_moment(p - 1, scale * lo[live], scale * hi[live], beta[live]) + offset[live]
+    top = terms.max(axis=1)
+    return top + np.log(np.exp(terms - top[:, None]).sum(axis=1)) - p * np.log(na)
+
+
+def shifted_log_masses(prob: ProblemInstance, batch: ShiftBatch, p: int) -> np.ndarray:
+    """log J_p(theta, l) for every row of the batch."""
+    out = np.empty(len(batch.thetas))
+    null = batch.null
+    gen = ~null
+    if np.any(gen):
+        offset = float(np.abs(batch.l).sum()) - batch.c[gen]
+        out[gen] = _log_masses(p, batch.norm_A_theta[gen], batch.lo[gen], batch.hi[gen],
+                               batch.beta[gen], offset)
+    for i in np.flatnonzero(null):
+        lp, v = shifted_radial_mass_log(build_shift_context(prob, batch.l, batch.thetas[i]), p)
+        out[i] = lp + math.log(v) if v > 0.0 else -math.inf
+    return out
+
+
+def shifted_log_peak_modes(prob: ProblemInstance, batch: ShiftBatch, p: int) -> np.ndarray:
+    """log(peak * mode) of the shifted radial law for every row of the batch.
+
+    The mode is the walk of shifted_mode_radius, vectorized: the first live
+    segment whose closed-form root lies left of its right end holds the
+    mode, at max(root, left end).
+    """
+    out = np.empty(len(batch.thetas))
+    null = batch.null
+    gen = ~null
+    if np.any(gen):
+        na = batch.norm_A_theta[gen]
+        lo, hi, b = batch.lo[gen], batch.hi[gen], batch.beta[gen]
+        with np.errstate(invalid="ignore"):
+            root = (-b + np.sqrt(b * b + 4.0 * (p - 1))) / (2.0 * na[:, None])
+            k = np.argmax((hi > lo) & (root < hi), axis=1)[:, None]
+        r = np.maximum(np.take_along_axis(root, k, axis=1), np.take_along_axis(lo, k, axis=1))
+        resid = r * batch.A_thetas[gen] - batch.y_l
+        l1 = np.abs(r * batch.thetas[gen] + batch.l).sum(axis=1)
+        psi = 0.5 * np.einsum("ij,ij->i", resid, resid) + l1 + batch.h0
+        with np.errstate(divide="ignore"):
+            out[gen] = p * np.log(r[:, 0]) - psi
+    for i in np.flatnonzero(null):
+        ctx = build_shift_context(prob, batch.l, batch.thetas[i])
+        r = shifted_mode_radius(ctx, p)
+        out[i] = math.log(r) - shifted_potential(ctx, r, p)
+    return out
+
+
 def shifted_radial_mass_log(ctx: ShiftContext, p: int) -> tuple[float, float]:
     """J_p(theta, l) = int_0^inf f(r theta) r^(p-1) dr as (log_scale, mantissa)."""
     m = p - 1
-    logs: list[float] = []
-    vals: list[float] = []
     l1_full = float(np.abs(ctx.l).sum())
     if ctx.null_direction:
+        logs: list[float] = []
+        vals: list[float] = []
         for seg in ctx.segments:
             if seg.hi <= seg.lo:
                 continue
@@ -179,15 +310,11 @@ def shifted_radial_mass_log(ctx: ShiftContext, p: int) -> tuple[float, float]:
             logs.append(lp + (l1_full - seg.c))
             vals.append(v)
         return combine_log_pieces(logs, vals)
-    na = ctx.norm_A_theta
-    for seg in ctx.segments:
-        if seg.hi <= seg.lo:
-            continue
-        lp, v = segment_moment_log(m, na * seg.lo, na * seg.hi, seg.beta)
-        logs.append(lp + (l1_full - seg.c))
-        vals.append(v)
-    lp, v = combine_log_pieces(logs, vals)
-    return lp - p * math.log(na), v
+    # a batch of one through the array path
+    lo, hi, beta, offset = (
+        np.array([[getattr(seg, f) for seg in ctx.segments]]) for f in ("lo", "hi", "beta", "c")
+    )
+    return float(_log_masses(p, np.array([ctx.norm_A_theta]), lo, hi, beta, l1_full - offset)[0]), 1.0
 
 
 def shifted_radial_mass(ctx: ShiftContext, p: int) -> float:

@@ -36,6 +36,8 @@ class TestGen:
             m = json.load(fh)
         assert m["command"] == "gen"
         assert m["seed"] == 1
+        assert set(m["versions"]) == {"polarlasso", "python", "numpy", "scipy"}
+        assert m["versions"]["numpy"] == np.__version__
 
     def test_y_norm_flag(self, tmp_path):
         path = tmp_path / "p.json"
@@ -92,6 +94,32 @@ class TestPartition:
             z = json.load(fh)
         via_shift = z["shift"]["z_from_shift"]
         assert via_shift == pytest.approx(z["z"], rel=0.2)  # independent sweeps
+
+
+    def test_shift_bracket_and_error(self, tmp_path):
+        path = tmp_path / "py.json"
+        assert run(["gen", "--n", "4", "--p", "7", "--seed", "3", "--y-norm", "2.0",
+                    "--out", str(path)]) == 0
+        out = tmp_path / "zsy.json"
+        assert run(["partition", "--problem", str(path), "--method", "naive",
+                    "--n-samples", "2000", "--seed", "5", "--shift", "--out", str(out)]) == 0
+        with open(out) as fh:
+            sh = json.load(fh)["shift"]
+        assert set(sh) == {"z_f", "h0", "z_from_shift", "std_err", "z_min", "z_max", "l", "n_samples"}
+        assert sh["n_samples"] == 2048
+        assert sh["z_min"] <= sh["z_from_shift"] <= sh["z_max"]
+        assert sh["std_err"] > 0.0
+        assert sh["z_from_shift"] == pytest.approx(np.exp(sh["h0"]) * sh["z_f"], rel=1e-12)
+        assert any(v != 0.0 for v in sh["l"])  # a nonzero mode: several segments per ray
+
+    def test_non_finite_problem_exit_code(self, tmp_path):
+        for A, y in (([float("nan")] + [1.0] * 5, [0.0, 0.0]),
+                     ([1.0] * 6, [float("inf"), 0.0])):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({"n": 2, "p": 3, "A": A, "y": y, "seed": None}))
+            with pytest.raises(SystemExit) as exc:
+                run(["partition", "--problem", str(path), "--out", str(tmp_path / "z.json")])
+            assert exc.value.code == 2
 
 
 class TestCurves:

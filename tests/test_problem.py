@@ -29,6 +29,15 @@ class TestGeneration:
         with pytest.raises(ValueError):
             pl.gen_bernoulli_matrix(7, 4, 0)
 
+    def test_rejects_non_finite(self):
+        A = np.ones((2, 3))
+        bad_A = A.copy()
+        bad_A[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            pl.make_problem(bad_A)
+        with pytest.raises(ValueError, match="finite"):
+            pl.make_problem(A, np.array([0.0, np.inf]))
+
     def test_operator_norm_matches_svd(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
@@ -181,6 +190,17 @@ class TestProblemIO:
 
 
 class TestSamplers:
+    def test_chunk_generators_seed_and_generator(self):
+        from polarlasso.problem import chunk_generators
+
+        a = [g.standard_normal(3) for g in chunk_generators(5, 3)]
+        b = [g.standard_normal(3) for g in chunk_generators(5, 3)]
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a[0], a[1])
+        c = [g.standard_normal(3) for g in chunk_generators(np.random.default_rng(5), 3)]
+        d = [g.standard_normal(3) for g in chunk_generators(np.random.default_rng(5), 3)]
+        np.testing.assert_array_equal(c, d)
+
     def test_sphere_batch_unit_norm(self):
         rng = np.random.default_rng(7)
         thetas = sample_sphere_batch(rng, 500, 7)

@@ -353,3 +353,83 @@ class TestSampling:
         direct = pl.estimate_z_polar(prob, n, 23)
         combined = math.hypot(math.exp(h0) * se_f, direct.std_err)
         assert abs(math.exp(h0) * z_f - direct.z) <= 3.0 * combined
+
+
+def _instance_with_mode(n, p, seed, y_norm=3.0):
+    base = pl.gen_bernoulli_matrix(n, p, seed)
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(n)
+    prob = pl.make_problem(base.A, y * (y_norm / np.linalg.norm(y)))
+    return prob, pl.solve_fista(prob).x
+
+
+class TestShiftBatch:
+    @pytest.mark.parametrize("n, p", [(4, 7), (10, 20)])
+    def test_batch_matches_per_context(self, n, p, oracles):
+        from polarlasso.shifted import build_shift_batch, shifted_log_masses, shifted_log_peak_modes
+
+        prob, l = _instance_with_mode(n, p, 42)
+        assert np.count_nonzero(l) >= 2  # rays cross several l1 segments
+        rng = np.random.default_rng(24)
+        thetas = sample_sphere_batch(rng, 150, p)
+        thetas[7] = oracles.null_space_direction(prob.A, rng)  # null rows keep their own branch
+        batch = build_shift_batch(prob, l, thetas)
+        log_j = shifted_log_masses(prob, batch, p)
+        log_pm = shifted_log_peak_modes(prob, batch, p)
+        assert batch.null[7] and batch.null.sum() == 1
+        for i in range(len(thetas)):
+            ctx = pl.build_shift_context(prob, l, thetas[i])
+            assert math.exp(log_j[i]) == pytest.approx(pl.shifted_radial_mass(ctx, p), rel=1e-12)
+            r = pl.shifted_mode_radius(ctx, p)
+            assert log_pm[i] == pytest.approx(math.log(r) - shifted_potential(ctx, r, p),
+                                              rel=1e-12, abs=1e-12)
+
+    def test_zero_shift_matches_centered_sweep(self, desk_instance_y):
+        from polarlasso.radial import BETA_SWITCH, sweep_summaries
+        from polarlasso.shifted import build_shift_batch, shifted_log_masses
+
+        prob = desk_instance_y
+        thetas = sample_sphere_batch(np.random.default_rng(25), 400, 7)
+        log_j = shifted_log_masses(prob, build_shift_batch(prob, np.zeros(7), thetas), 7)
+        mass, _ = sweep_summaries(prob, thetas)
+        # where the centered sweep takes its exact branch, both use the same kernel
+        sel = np.array([pl.direction_stats(prob, t).beta <= BETA_SWITCH for t in thetas])
+        assert sel.sum() > 300
+        np.testing.assert_allclose(np.exp(log_j[sel] - 0.5 * prob.y_norm**2), mass[sel], rtol=1e-12)
+
+
+class TestEstimateZShifted:
+    def test_same_stream_as_per_direction_draws(self, desk_instance_y):
+        # one batch draw equals the per-direction sample_sphere stream
+        prob = desk_instance_y
+        l = pl.solve_fista(prob).x
+        n = 300
+        est = pl.estimate_z_shifted(prob, l, n, np.random.default_rng(31))
+        rng = np.random.default_rng(31)
+        masses = [pl.shifted_radial_mass(pl.build_shift_context(prob, l, pl.sample_sphere(rng, 7)), 7)
+                  for _ in range(n)]
+        surf = pl.sphere_surface(7)
+        assert est.z_f == pytest.approx(surf * float(np.mean(masses)), rel=1e-12)
+        assert est.z == pytest.approx(math.exp(est.h0) * est.z_f, rel=1e-12)
+        assert est.std_err == pytest.approx(
+            math.exp(est.h0) * surf * float(np.std(masses, ddof=1)) / math.sqrt(n), rel=1e-9)
+        assert est.n_samples == n and est.method == "shifted_mc"
+
+    def test_bracket_and_agreement_with_polar(self, desk_instance_y):
+        prob = desk_instance_y
+        l = pl.solve_fista(prob).x
+        est = pl.estimate_z_shifted(prob, l, 4000, 5)
+        assert est.z_min <= est.z <= est.z_max
+        direct = pl.estimate_z_polar(prob, 20000, 5)
+        assert abs(est.z - direct.z) <= 4.0 * math.hypot(est.std_err, direct.std_err)
+
+    def test_seed_and_generator_agree(self, desk_instance_y):
+        prob = desk_instance_y
+        l = pl.solve_fista(prob).x
+        a = pl.estimate_z_shifted(prob, l, 500, 9)
+        b = pl.estimate_z_shifted(prob, l, 500, np.random.default_rng(9))
+        assert a == b
+
+    def test_rejects_bad_sample_count(self, desk_instance_y):
+        with pytest.raises(ValueError):
+            pl.estimate_z_shifted(desk_instance_y, np.zeros(7), 0, 0)
