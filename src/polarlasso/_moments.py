@@ -11,10 +11,6 @@ naive route (binomial expansion against incomplete gammas) loses
 ~beta^(2m)/m! relative digits and cannot meet the oracle tolerances once
 |beta| grows past ~8, so:
 
-  * H uses four regimes: reflected gamma sums (beta < 0), scaled upper
-    gammas via erfcx (up to an order-dependent tilt where the alternation
-    stays benign), a downward Miller recurrence (mid tilts), and the 1/beta
-    asymptotic series (beta >= 100).
   * log G is one array kernel (log_gaussian_moment): a Gauss-Legendre rule
     on each side of the log-concave integrand's clamped peak, evaluated
     relative to the peak, so it holds for every order, tilt and segment and
@@ -32,10 +28,8 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erf, erfcx
 
 _LOG_TINY = -745.0
-_NEG_BETA_LIMIT = -37.0
 
 # segment kernel: Gauss-Legendre nodes per side of the peak, mapped to (0, 1)
 _GL_N = 32
@@ -48,125 +42,6 @@ _NEWTON_STEPS = 30
 _NEWTON_TOL = 1e-3
 # segments per block: the (block, 2 _GL_N) float64 temporaries stay near 1 MB
 _BLOCK = 2048
-
-
-def direct_beta_limit(m: int) -> float:
-    """Largest tilt for which the alternating scaled-gamma sum keeps ~1e-9
-    relative accuracy: amplification beta^(2m) 2^m / m! capped at 1e6."""
-    if m == 0:
-        return 99.0
-    return min(99.0, (1e6 * math.factorial(m) / 2.0**m) ** (1.0 / (2 * m)))
-
-
-def gaussian_moment_ladder(m: int, beta: float) -> np.ndarray:
-    """H_q(beta) for q = 0..m.  Requires beta > about -37 (e^(beta^2/2) overflow)."""
-    if beta < _NEG_BETA_LIMIT:
-        raise OverflowError("tilt too negative: exp(beta^2/2) overflows")
-    if beta < 0.0:
-        return _ladder_reflected(m, beta)
-    if beta <= direct_beta_limit(m):
-        return _ladder_scaled_gamma(m, beta)
-    if beta < 100.0:
-        return _ladder_miller(m, beta)
-    return _ladder_asymptotic(m, beta)
-
-
-def _ladder_scaled_gamma(m: int, beta: float) -> np.ndarray:
-    # H_q = sum_j C(q,j) (-beta)^(q-j) 2^((j-1)/2) Q_j,  Q_j = e^x Gamma((j+1)/2, x)
-    x = beta * beta / 2.0
-    Q = np.empty(m + 1)
-    Q[0] = math.sqrt(math.pi) * erfcx(math.sqrt(x))
-    if m >= 1:
-        Q[1] = 1.0
-    for j in range(2, m + 1):
-        a = (j + 1) / 2.0
-        Q[j] = (a - 1.0) * Q[j - 2] + x ** (a - 1.0)
-    H = np.empty(m + 1)
-    for q in range(m + 1):
-        H[q] = math.fsum(
-            math.comb(q, j) * (-beta) ** (q - j) * 2.0 ** ((j - 1) / 2.0) * Q[j]
-            for j in range(q + 1)
-        )
-    return H
-
-
-def _ladder_reflected(m: int, beta: float) -> np.ndarray:
-    # beta < 0: H_q = e^x sum_j C(q,j) |beta|^(q-j) 2^((j-1)/2) [Gamma_j + (-1)^j gamma_j]
-    # with Gamma_j = Gamma((j+1)/2), gamma_j = gamma((j+1)/2, x); all terms positive.
-    x = beta * beta / 2.0
-    G = np.empty(m + 1)
-    g = np.empty(m + 1)
-    G[0] = math.sqrt(math.pi)
-    if m >= 1:
-        G[1] = 1.0
-    for j in range(2, m + 1):
-        G[j] = ((j + 1) / 2.0 - 1.0) * G[j - 2]
-    if x < 2.0:
-        for j in range(m + 1):
-            a = (j + 1) / 2.0
-            term = 1.0 / a
-            s = term
-            n = 0
-            while n < 500:
-                n += 1
-                term *= x / (a + n)
-                s += term
-                if term < 1e-18 * s:
-                    break
-            g[j] = x**a * math.exp(-x) * s
-    else:
-        ex = math.exp(-x)
-        g[0] = math.sqrt(math.pi) * erf(math.sqrt(x))
-        if m >= 1:
-            g[1] = 1.0 - ex
-        for j in range(2, m + 1):
-            a = (j + 1) / 2.0
-            g[j] = (a - 1.0) * g[j - 2] - x ** (a - 1.0) * ex
-    ex_pos = math.exp(x)
-    H = np.empty(m + 1)
-    for q in range(m + 1):
-        H[q] = math.fsum(
-            math.comb(q, j) * (-beta) ** (q - j) * 2.0 ** ((j - 1) / 2.0)
-            * ex_pos * (G[j] + (-1) ** j * g[j])
-            for j in range(q + 1)
-        )
-    return H
-
-
-def _ladder_miller(m: int, beta: float) -> np.ndarray:
-    # downward recurrence H_{k-1} = (H_{k+1} + beta H_k) / k from trial values;
-    # all additions, normalized against the exact H_0 = sqrt(pi/2) erfcx(beta/sqrt(2)).
-    mmax = max(m + 8, math.ceil((math.sqrt(m + 1) + 22.0 / beta) ** 2) + 4)
-    t_hi = 0.0
-    t_lo = 1.0
-    out = np.empty(m + 1)
-    for k in range(mmax, 0, -1):
-        t_new = (t_hi + beta * t_lo) / k
-        t_hi = t_lo
-        t_lo = t_new
-        if t_lo > 1e280:
-            t_lo *= 1e-280
-            t_hi *= 1e-280
-            out[k:] *= 1e-280  # keep already-stored trial values proportional
-        if k - 1 <= m:
-            out[k - 1] = t_lo
-    h0 = math.sqrt(math.pi / 2.0) * erfcx(beta / math.sqrt(2.0))
-    return out * (h0 / t_lo)
-
-
-def _ladder_asymptotic(m: int, beta: float) -> np.ndarray:
-    # H_q = q!/beta^(q+1) [1 - (q+2)(q+1)/(2 beta^2) + ...]; beta >= 100 converges fast
-    H = np.empty(m + 1)
-    for q in range(m + 1):
-        term = math.factorial(q) / beta ** (q + 1)
-        s = term
-        for i in range(1, 60):
-            term *= -(q + 2 * i) * (q + 2 * i - 1) / (2.0 * i * beta * beta)
-            s += term
-            if abs(term) < 1e-18 * abs(s):
-                break
-        H[q] = s
-    return H
 
 
 def _v_ladder(nmax: int, width: float, rate: float) -> np.ndarray:

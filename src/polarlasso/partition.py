@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import ProblemInstance, chunk_generators, sample_laplace, sample_sphere_batch
-from .radial import sweep_summaries
+from .radial import log_concavity_bracket, sweep_summaries
 from .shifted import build_shift_batch, shifted_log_masses, shifted_log_peak_modes
 from .special import upper_inc_gamma_int
 
@@ -47,6 +47,23 @@ def sphere_surface(p: int) -> float:
     return 2.0 * math.pi ** (p / 2.0) / math.gamma(p / 2.0)
 
 
+def _mean_and_err(total: float, total_sq: float, n: int) -> tuple[float, float]:
+    """Sample mean and its standard error from the running sums of w and w^2."""
+    mean = total / n
+    var = max(0.0, total_sq / n - mean * mean)
+    if n > 1:
+        var *= n / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
+def _exp(x: float) -> float:
+    """e^x, inf past the float range instead of OverflowError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def estimate_z_polar(prob: ProblemInstance, n_samples: int, rng) -> PartitionEstimate:
     """Polar Monte Carlo: |S| times the mean closed-form mass over uniform directions.
 
@@ -73,18 +90,10 @@ def estimate_z_polar(prob: ProblemInstance, n_samples: int, rng) -> PartitionEst
         total_sq += float((mass * mass).sum())
         mr_min = min(mr_min, float(peak_mode.min()))
         mr_max = max(mr_max, float(peak_mode.max()))
-    mean = total / n_samples
-    var = max(0.0, total_sq / n_samples - mean * mean)
-    if n_samples > 1:
-        var *= n_samples / (n_samples - 1)
-    z = surface * mean
-    std_err = surface * math.sqrt(var / n_samples)
-    z_min = surface * mr_min / p
-    if p == 1:
-        z_max = math.inf  # upper log-concavity constant degenerates at p = 1
-    else:
-        z_max = surface * math.factorial(p - 1) * math.exp(p - 1) / (p - 1) ** p * mr_max
-    return PartitionEstimate(z, std_err, n_samples, METHOD_POLAR, z_min, z_max)
+    mean, err = _mean_and_err(total, total_sq, n_samples)
+    z_min = log_concavity_bracket(surface * mr_min, p)[0]
+    z_max = log_concavity_bracket(surface * mr_max, p)[1]
+    return PartitionEstimate(surface * mean, surface * err, n_samples, METHOD_POLAR, z_min, z_max)
 
 
 def estimate_z_shifted(prob: ProblemInstance, l: np.ndarray, n_samples: int, rng) -> ShiftedEstimate:
@@ -124,19 +133,13 @@ def estimate_z_shifted(prob: ProblemInstance, l: np.ndarray, n_samples: int, rng
         lpm_min = min(lpm_min, float(log_pm.min()))
         lpm_max = max(lpm_max, float(log_pm.max()))
     h0 = batch.h0
-    mean = total / n_samples
-    var = max(0.0, total_sq / n_samples - mean * mean)
-    if n_samples > 1:
-        var *= n_samples / (n_samples - 1)
+    mean, err = _mean_and_err(total, total_sq, n_samples)
     surface = sphere_surface(p)
-    unit = surface * math.exp(h0 + scale)
-    z_min = surface * math.exp(h0 + lpm_min) / p
-    if p == 1:
-        z_max = math.inf  # upper log-concavity constant degenerates at p = 1
-    else:
-        z_max = surface * math.factorial(p - 1) * math.exp(p - 1) / (p - 1) ** p * math.exp(h0 + lpm_max)
-    return ShiftedEstimate(unit * mean, unit * math.sqrt(var / n_samples), n_samples, METHOD_SHIFTED,
-                           z_min, z_max, z_f=surface * math.exp(scale) * mean, h0=h0)
+    unit = surface * _exp(h0 + scale)
+    z_min = log_concavity_bracket(surface * _exp(h0 + lpm_min), p)[0]
+    z_max = log_concavity_bracket(surface * _exp(h0 + lpm_max), p)[1]
+    z_f = _exp(scale + math.log(surface * mean))
+    return ShiftedEstimate(unit * mean, unit * err, n_samples, METHOD_SHIFTED, z_min, z_max, z_f=z_f, h0=h0)
 
 
 def estimate_z_naive(prob: ProblemInstance, n_samples: int, rng) -> PartitionEstimate:
@@ -161,14 +164,9 @@ def estimate_z_naive(prob: ProblemInstance, n_samples: int, rng) -> PartitionEst
         w = np.exp(-0.5 * np.einsum("ij,ij->i", resid, resid))
         total += float(w.sum())
         total_sq += float((w * w).sum())
-    mean = total / n_samples
-    var = max(0.0, total_sq / n_samples - mean * mean)
-    if n_samples > 1:
-        var *= n_samples / (n_samples - 1)
+    mean, err = _mean_and_err(total, total_sq, n_samples)
     scale = 2.0**p
-    return PartitionEstimate(
-        scale * mean, scale * math.sqrt(var / n_samples), n_samples, METHOD_NAIVE, 0.0, math.inf
-    )
+    return PartitionEstimate(scale * mean, scale * err, n_samples, METHOD_NAIVE, 0.0, math.inf)
 
 
 def concentration_prob(q: float, p: int) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._moments import gaussian_moment_ladder, log_gaussian_moment
+from ._moments import log_gaussian_moment
 from .problem import NULL_TOL, DirectionStats, direction_stats, radial_potential, ray_energy
 from .special import ExpansionResult, expansion_coeff
 
@@ -79,17 +79,13 @@ def mode_radius_times_l1(beta: float, p: int) -> float:
 def mass_closed_form(beta: float, s: float, y_norm: float, p: int) -> float:
     """Scaled mass Phi(beta) = ||theta||_1^p J_p(theta) for finite beta >= 0.
 
-    Evaluates e^(-||y||^2/2) (beta + s ||y||)^p H_(p-1)(beta); the H kernel is
-    the stable equivalent of the alternating incomplete-gamma sum.
+    Evaluates e^(-||y||^2/2) (beta + s ||y||)^p H_(p-1)(beta), with H taken
+    from the log-domain segment kernel on [0, inf), as every mass in use is.
     """
     if beta < 0:
         raise ValueError("mass_closed_form requires beta >= 0")
-    return _mass_any_beta(beta, s, y_norm, p)
-
-
-def _mass_any_beta(beta: float, s: float, y_norm: float, p: int) -> float:
-    H = gaussian_moment_ladder(p - 1, beta)
-    return math.exp(-0.5 * y_norm * y_norm) * (beta + s * y_norm) ** p * H[p - 1]
+    log_h = float(log_gaussian_moment(p - 1, 0.0, math.inf, beta))
+    return math.exp(log_h - 0.5 * y_norm * y_norm) * (beta + s * y_norm) ** p
 
 
 def mass_expansion(beta: float, s: float, y_norm: float, p: int, m_terms: int = EXPANSION_TERMS) -> ExpansionResult:
@@ -112,12 +108,14 @@ def mass_expansion(beta: float, s: float, y_norm: float, p: int, m_terms: int = 
     return ExpansionResult(value=prefactor * core, remainder_bound=prefactor * bound)
 
 
-def _bracket(peak: float, mode_r: float, p: int) -> tuple[float, float]:
-    lo = peak * mode_r / p
+def log_concavity_bracket(peak_mode: float, p: int) -> tuple[float, float]:
+    """Bracket [M r / p, M r (p-1)! e^(p-1) / (p-1)^p] on the mass of a
+    log-concave radial law from peak * mode M r (or on any positive multiple
+    of such masses from the same multiple of M r)."""
+    lo = peak_mode / p
     if p == 1:
         return lo, math.inf  # the log-concavity upper constant degenerates at p = 1
-    hi = peak * mode_r * math.factorial(p - 1) * math.exp(p - 1) / (p - 1) ** p
-    return lo, hi
+    return lo, peak_mode * math.factorial(p - 1) * math.exp(p - 1) / (p - 1) ** p
 
 
 def radial_summary(stats: DirectionStats, p: int, y_norm: float) -> RadialSummary:
@@ -133,7 +131,7 @@ def radial_summary(stats: DirectionStats, p: int, y_norm: float) -> RadialSummar
         mode_r = mode_radius_null(l1, p)
         peak = math.exp(-radial_potential(stats, mode_r, p, y_norm))
         mass = math.factorial(p - 1) * math.exp(-0.5 * y_norm * y_norm) / l1**p
-        lo, hi = _bracket(peak, mode_r, p)
+        lo, hi = log_concavity_bracket(peak * mode_r, p)
         return RadialSummary(mode_r, peak, mass, lo, hi, METHOD_NULL)
 
     mode_r = mode_radius(stats, p)
@@ -142,7 +140,7 @@ def radial_summary(stats: DirectionStats, p: int, y_norm: float) -> RadialSummar
     else:
         # only at p = 1 with beta >= 0: the radial density peaks at the origin
         peak = math.exp(-ray_energy(stats, 0.0, y_norm))
-    lo, hi = _bracket(peak, mode_r, p)
+    lo, hi = log_concavity_bracket(peak * mode_r, p)
     if stats.beta > BETA_SWITCH:
         mass = mass_expansion(stats.beta, stats.s, y_norm, p).value / l1**p
         method = METHOD_EXPANSION

@@ -25,6 +25,7 @@ import numpy as np
 
 from ._moments import combine_log_pieces, exp_segment_moment_log, log_gaussian_moment
 from .problem import NULL_TOL, ProblemInstance, sample_laplace
+from .radial import log_concavity_bracket
 
 
 @dataclass(frozen=True)
@@ -356,9 +357,7 @@ def shifted_mass_bounds(ctx: ShiftContext, p: int) -> tuple[float, float]:
     """Log-concavity bracket [M r / p, M r (p-1)! e^(p-1) / (p-1)^p] around the mass."""
     r_star = shifted_mode_radius(ctx, p)
     peak = math.exp(-shifted_potential(ctx, r_star, p))
-    lo = peak * r_star / p
-    hi = peak * r_star * math.factorial(p - 1) * math.exp(p - 1) / (p - 1) ** p
-    return lo, hi
+    return log_concavity_bracket(peak * r_star, p)
 
 
 def _psi_right_slope(ctx: ShiftContext, r: float) -> float:

@@ -36,6 +36,10 @@ class TestGen:
             m = json.load(fh)
         assert m["command"] == "gen"
         assert m["seed"] == 1
+
+    def test_manifest_records_versions(self, problem_file):
+        with open(problem_file.replace(".json", ".manifest.json")) as fh:
+            m = json.load(fh)
         assert set(m["versions"]) == {"polarlasso", "python", "numpy", "scipy"}
         assert m["versions"]["numpy"] == np.__version__
 
@@ -94,7 +98,6 @@ class TestPartition:
             z = json.load(fh)
         via_shift = z["shift"]["z_from_shift"]
         assert via_shift == pytest.approx(z["z"], rel=0.2)  # independent sweeps
-
 
     def test_shift_bracket_and_error(self, tmp_path):
         path = tmp_path / "py.json"

@@ -433,3 +433,14 @@ class TestEstimateZShifted:
     def test_rejects_bad_sample_count(self, desk_instance_y):
         with pytest.raises(ValueError):
             pl.estimate_z_shifted(desk_instance_y, np.zeros(7), 0, 0)
+
+    def test_large_observation_stays_finite(self, desk_instance):
+        # ||y|| = 60 and l = 0: log z_f = log Z - h(0) is far past the float range
+        y = np.random.default_rng(7).standard_normal(4)
+        prob = pl.make_problem(desk_instance.A, 60.0 * y / np.linalg.norm(y))
+        est = pl.estimate_z_shifted(prob, np.zeros(7), 512, 3)
+        assert math.isfinite(est.z) and est.z > 0.0
+        assert math.isfinite(est.std_err) and math.isfinite(est.z_max)
+        assert est.z_min <= est.z <= est.z_max
+        assert est.h0 == pytest.approx(-1800.0)
+        assert est.z_f == math.inf
