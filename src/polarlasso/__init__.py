@@ -46,7 +46,6 @@ from .radial import (
     mode_radius,
     mode_radius_times_l1,
     radial_summary,
-    sample_radius,
 )
 from .shifted import (
     ShiftContext,
@@ -56,14 +55,7 @@ from .shifted import (
     shifted_mode_radius,
     shifted_radial_mass,
 )
-from .special import (
-    ExpansionResult,
-    expansion_coeff,
-    falling_product,
-    lower_inc_gamma,
-    upper_gamma_asymptotic,
-    upper_inc_gamma,
-)
+from .special import ExpansionResult, expansion_coeff
 
 __all__ = [
     "ChainConfig",
@@ -85,11 +77,9 @@ __all__ = [
     "estimate_z_polar",
     "estimate_z_shifted",
     "expansion_coeff",
-    "falling_product",
     "gen_bernoulli_matrix",
     "lasso_ball_volume",
     "load_problem",
-    "lower_inc_gamma",
     "make_problem",
     "mass_closed_form",
     "mass_expansion",
@@ -101,7 +91,6 @@ __all__ = [
     "ray_energy",
     "run_chain",
     "sample_posterior",
-    "sample_radius",
     "sample_sphere",
     "save_problem",
     "shifted_mass_bounds",
@@ -111,7 +100,5 @@ __all__ = [
     "solve_polar",
     "sphere_surface",
     "tv_bound",
-    "upper_gamma_asymptotic",
-    "upper_inc_gamma",
     "zero_lasso_sufficient",
 ]

@@ -78,6 +78,20 @@ def _v_ladder(nmax: int, width: float, rate: float) -> np.ndarray:
     return V
 
 
+def tilted_peak(m: int, beta: float) -> float:
+    """Peak u* = (-beta + sqrt(beta^2 + 4m))/2 of u^m e^(-u^2/2 - beta u) on u >= 0,
+    in the form that avoids cancellation for either sign of beta."""
+    root = math.sqrt(beta * beta + 4.0 * m)
+    return 2.0 * m / (beta + root) if beta > 0.0 else 0.5 * (root - beta)
+
+
+def tilted_peaks(m: int, beta: np.ndarray) -> np.ndarray:
+    """tilted_peak elementwise over an array of tilts."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        root = np.sqrt(beta * beta + 4.0 * m)
+        return np.where(beta > 0.0, 2.0 * m / (beta + root), 0.5 * (root - beta))
+
+
 def log_gaussian_moment(m: int, a, b, beta) -> np.ndarray:
     """log G_m(a, b, beta) = log int_a^b u^m e^(-u^2/2 - beta u) du, elementwise.
 
@@ -107,11 +121,7 @@ def log_gaussian_moment(m: int, a, b, beta) -> np.ndarray:
 
 def _log_moment_block(m: int, a: np.ndarray, b: np.ndarray, beta: np.ndarray) -> np.ndarray:
     a, b, beta = a[:, None], b[:, None], beta[:, None]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        root = np.sqrt(beta * beta + 4.0 * m)
-        # u* in the form that avoids cancellation for either sign of beta
-        peak = np.where(beta > 0.0, 2.0 * m / (beta + root), 0.5 * (root - beta))
-    c = np.clip(peak, a, b)
+    c = np.clip(tilted_peaks(m, beta), a, b)
 
     def drop(d):
         """g(c + d) - g(c) at node offsets d, arranged so that no large terms cancel."""

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._moments import tilted_peak
 from .problem import ProblemInstance, sample_laplace
 from .shifted import build_shift_context, sample_posterior, shifted_mode_radius
 
@@ -128,8 +129,7 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig, z_estimate: float | None 
             return l2, cfg.q * (p - 1) * l2 / l1_rel
         s = 0.0 if y_norm == 0.0 else float(Ax_rel @ y) / (nAx * y_norm)
         beta = l1_rel / nAx - y_norm * s
-        r = (-beta + math.sqrt(beta * beta + 4.0 * (p - 1))) * l2 / (2.0 * nAx)
-        return l2, cfg.q * r
+        return l2, cfg.q * tilted_peak(p - 1, beta) * l2 / nAx
 
     cur_norm, cur_qr = diag_of_state()
 

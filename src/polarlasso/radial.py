@@ -1,5 +1,4 @@
-"""Per-direction radial law: closed-form mass, mode, peak, bracketing bounds,
-and exact sampling of the radius.
+"""Per-direction radial law: closed-form mass, mode, peak and bracketing bounds.
 
 Along a fixed unit direction theta the posterior restricted to the ray has
 density proportional to exp(-phi(r)) with
@@ -9,10 +8,12 @@ so the per-direction mass is
     J_p(theta) = int_0^inf e^(-g(r)) r^(p-1) dr
                = e^(-||y||^2/2) H_(p-1)(beta) / ||A theta||^p,
 
-where H is the Gaussian-tilted moment evaluated by the stable kernel.  The
-scaled mass Phi(beta) = ||theta||_1^p J_p(theta) depends on the direction
-only through (beta, s); for large beta it admits the inverse-power expansion
-Phi(beta, M) whose truncation error is certified by the coefficient c(p, M).
+where H is the Gaussian-tilted moment evaluated by the stable kernel.  Every
+mass, at any beta and any p, comes from that kernel on [0, inf); null
+directions (A theta = 0) have a closed form.  The scaled mass
+Phi(beta) = ||theta||_1^p J_p(theta) depends on the direction only through
+(beta, s); for large beta it admits the inverse-power expansion Phi(beta, M)
+whose truncation error is certified by the coefficient c(p, M).
 """
 
 from __future__ import annotations
@@ -22,20 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._moments import log_gaussian_moment
-from .problem import NULL_TOL, DirectionStats, direction_stats, radial_potential, ray_energy
+from ._moments import log_gaussian_moment, tilted_peak, tilted_peaks
+from .problem import NULL_TOL, DirectionStats
 from .special import ExpansionResult, expansion_coeff
 
-# switch from the exact closed form to the inverse-power expansion; the exact
-# form in naive double precision degrades past beta ~ 13.8 and the expansion
-# with EXPANSION_TERMS terms is certified well below target tolerance there
-BETA_SWITCH = 13.0
+# default number of terms M of the inverse-power expansion
 EXPANSION_TERMS = 17
 
 METHOD_EXACT = "exact_phi"
-METHOD_EXPANSION = "expansion_M"
 METHOD_NULL = "null_direction"
-METHOD_QUAD_FALLBACK = "quadrature_fallback"
 
 
 @dataclass(frozen=True)
@@ -51,23 +47,16 @@ class RadialSummary:
 
 
 def mode_radius(stats: DirectionStats, p: int) -> float:
-    """Unique stationary radius (-beta + sqrt(beta^2 + 4(p-1))) / (2 ||A theta||)."""
+    """Unique stationary radius (-beta + sqrt(beta^2 + 4(p-1))) / (2 ||A theta||),
+    evaluated without cancellation at large beta."""
     if stats.beta is None or stats.norm_A_theta == 0.0:
         raise ValueError("mode_radius needs A theta != 0; use mode_radius_null")
-    b = stats.beta
-    return (-b + math.sqrt(b * b + 4.0 * (p - 1))) / (2.0 * stats.norm_A_theta)
+    return tilted_peak(p - 1, stats.beta) / stats.norm_A_theta
 
 
 def mode_radius_null(l1_theta: float, p: int) -> float:
     """Mode of the pure exponential radial law on a null direction."""
     return (p - 1) / l1_theta
-
-
-def mode_radius_any(stats: DirectionStats, p: int) -> float:
-    """Mode radius with the null-direction case folded in."""
-    if stats.beta is None:
-        return mode_radius_null(stats.l1_theta, p)
-    return mode_radius(stats, p)
 
 
 def mode_radius_times_l1(beta: float, p: int) -> float:
@@ -121,145 +110,68 @@ def log_concavity_bracket(peak_mode: float, p: int) -> tuple[float, float]:
 def radial_summary(stats: DirectionStats, p: int, y_norm: float) -> RadialSummary:
     """Closed-form mass J_p(theta) with mode, peak, and log-concavity bracket.
 
-    Dispatch: null direction -> terminating factorial form; beta above the
-    switch -> certified expansion; otherwise exact closed form.  If the result
-    escapes its own bracket (float failure at extreme arguments), the mass is
-    recomputed by adaptive quadrature and flagged.
+    A batch of one through _summaries: the segment kernel gives the
+    mass at every finite beta, the terminating factorial form on a null
+    direction.
     """
-    l1 = stats.l1_theta
-    if stats.beta is None:
-        mode_r = mode_radius_null(l1, p)
-        peak = math.exp(-radial_potential(stats, mode_r, p, y_norm))
-        mass = math.factorial(p - 1) * math.exp(-0.5 * y_norm * y_norm) / l1**p
-        lo, hi = log_concavity_bracket(peak * mode_r, p)
-        return RadialSummary(mode_r, peak, mass, lo, hi, METHOD_NULL)
-
-    mode_r = mode_radius(stats, p)
-    if mode_r > 0.0:
-        peak = math.exp(-radial_potential(stats, mode_r, p, y_norm))
-    else:
-        # only at p = 1 with beta >= 0: the radial density peaks at the origin
-        peak = math.exp(-ray_energy(stats, 0.0, y_norm))
+    beta = math.nan if stats.beta is None else stats.beta
+    arrays = (np.array([v]) for v in (beta, stats.norm_A_theta, stats.l1_theta))
+    mass, mode_r, peak = (float(v[0]) for v in _summaries(*arrays, p, y_norm))
     lo, hi = log_concavity_bracket(peak * mode_r, p)
-    if stats.beta > BETA_SWITCH:
-        mass = mass_expansion(stats.beta, stats.s, y_norm, p).value / l1**p
-        method = METHOD_EXPANSION
-    else:
-        mass = float(_exact_masses(np.array([stats.beta]), np.array([stats.norm_A_theta]), p, y_norm)[0])
-        method = METHOD_EXACT
-    inside = math.isfinite(mass) and mass >= lo * (1.0 - 1e-9)
-    if inside and math.isfinite(hi):
-        inside = mass <= hi * (1.0 + 1e-9)
-    if not inside:
-        mass = _mass_quadrature(stats, p, y_norm)
-        method = METHOD_QUAD_FALLBACK
+    method = METHOD_NULL if stats.beta is None else METHOD_EXACT
     return RadialSummary(mode_r, peak, mass, lo, hi, method)
 
 
-def sweep_summaries(prob, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (mass, peak * mode) sweep over unit directions, one per row.
+def _summaries(
+    beta: np.ndarray, norm_A_theta: np.ndarray, l1_theta: np.ndarray, p: int, y_norm: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mass, mode, peak) of the radial law for a batch of directions, one per entry.
 
-    Matches radial_summary on every direction (same dispatch and kernel); the
-    exact branch (finite beta <= BETA_SWITCH, either sign) runs as array
-    arithmetic, the expansion branch and null directions take the scalar
-    path.  Feeds the polar partition estimator.
+    Rows with ||A theta|| <= NULL_TOL are null directions, whose beta is
+    ignored: mass (p-1)! e^(-||y||^2/2) / ||theta||_1^p, mode (p-1)/||theta||_1.
+    Every other row takes its mass from the segment kernel on [0, inf) and
+    its mode from the kernel's peak formula, free of cancellation at any beta.
     """
-    A = prob.A
-    y = prob.y
+    null = norm_A_theta <= NULL_TOL
+    gen = ~null
+    y2 = y_norm * y_norm
+    mass = np.empty(beta.shape)
+    mode = np.empty(beta.shape)
+    energy = np.empty(beta.shape)  # ray energy at the mode
+    b, na = beta[gen], norm_A_theta[gen]
+    mass[gen] = _exact_masses(b, na, p, y_norm)
+    r = tilted_peaks(p - 1, b) / na
+    mode[gen] = r
+    energy[gen] = 0.5 * (r * r * na * na + 2.0 * r * na * b + y2)
+    l1 = l1_theta[null]
+    mass[null] = math.factorial(p - 1) * math.exp(-0.5 * y2) / l1**p
+    mode[null] = (p - 1) / l1
+    energy[null] = 0.5 * y2 + mode[null] * l1
+    # at p = 1 the volume term vanishes and the mode may sit at the origin
+    potential = energy - (p - 1) * np.log(mode) if p > 1 else energy
+    return mass, mode, np.exp(-potential)
+
+
+def sweep_summaries(prob, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mass, peak * mode) over unit directions, one per row, through _summaries.
+
+    Equals radial_summary on every direction; feeds the polar partition
+    estimator.
+    """
     y_norm = prob.y_norm
-    p = prob.p
-    count = thetas.shape[0]
-    A_thetas = thetas @ A.T
+    A_thetas = thetas @ prob.A.T
     norms = np.linalg.norm(A_thetas, axis=1)
     l1s = np.abs(thetas).sum(axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
+    safe = np.where(norms > NULL_TOL, norms, 1.0)
     if y_norm == 0.0:
-        s = np.zeros(count)
+        s = np.zeros(thetas.shape[0])
     else:
-        s = np.clip((A_thetas @ y) / (safe * y_norm), -1.0, 1.0)
-    beta = l1s / safe - y_norm * s
-    null = norms <= NULL_TOL
-
-    mass = np.empty(count)
-    peak_mode = np.empty(count)
-
-    fast = (~null) & (beta <= BETA_SWITCH)
-    if np.any(fast):
-        b = beta[fast]
-        na = norms[fast]
-        mass[fast] = _exact_masses(b, na, p, y_norm)
-        mode = (-b + np.sqrt(b * b + 4.0 * (p - 1))) / (2.0 * na)
-        pot = 0.5 * (mode * mode * na * na + 2.0 * mode * na * b + y_norm * y_norm)
-        if p > 1:
-            pot = pot - (p - 1) * np.log(mode)
-        peak_mode[fast] = np.exp(-pot) * mode
-
-    rest = np.flatnonzero(~fast)
-    for i in rest:
-        summ = radial_summary(direction_stats(prob, thetas[i]), p, y_norm)
-        mass[i] = summ.mass
-        peak_mode[i] = summ.peak * summ.mode_r
-    return mass, peak_mode
+        s = np.clip((A_thetas @ prob.y) / (safe * y_norm), -1.0, 1.0)
+    mass, mode, peak = _summaries(l1s / safe - y_norm * s, norms, l1s, prob.p, y_norm)
+    return mass, peak * mode
 
 
 def _exact_masses(beta: np.ndarray, norm_A_theta: np.ndarray, p: int, y_norm: float) -> np.ndarray:
     """J_p = e^(-||y||^2/2) H_(p-1)(beta) / ||A theta||^p through the log-domain segment kernel."""
     log_h = log_gaussian_moment(p - 1, 0.0, math.inf, beta)
     return np.exp(log_h - 0.5 * y_norm * y_norm - p * np.log(norm_A_theta))
-
-
-def _mass_quadrature(stats: DirectionStats, p: int, y_norm: float) -> float:
-    """Adaptive-quadrature fallback for the per-direction mass."""
-    from scipy.integrate import quad
-
-    mode_r = mode_radius_any(stats, p)
-    pot0 = radial_potential(stats, mode_r, p, y_norm)
-
-    def density(r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        return math.exp(-(radial_potential(stats, r, p, y_norm) - pot0))
-
-    total = 0.0
-    for a, b in [(0.0, mode_r), (mode_r, 5.0 * mode_r), (5.0 * mode_r, np.inf)]:
-        val, _ = quad(density, a, b, limit=200)
-        total += val
-    return total * math.exp(-pot0)
-
-
-def sample_radius(stats: DirectionStats, p: int, y_norm: float, rng: np.random.Generator) -> float:
-    """Exact draw of the radius along theta, distributed as e^(-phi(r)).
-
-    Rejection sampling against the gamma envelope tangent to the ray energy at
-    the mode: proposals Gamma(p, scale r*/(p-1)) are accepted with probability
-    exp(-||A theta||^2 (r - r*)^2 / 2), which is exact.  If the envelope is
-    inefficient (large negative offsets) a monotone grid inverse CDF takes over.
-    """
-    if stats.beta is None:
-        # pure Gamma(p, rate ||theta||_1) law
-        return float(rng.gamma(p, 1.0 / stats.l1_theta))
-    r_star = mode_radius(stats, p)
-    rate = (p - 1) / r_star
-    na2 = stats.norm_A_theta**2
-    for _ in range(64):
-        g = float(rng.gamma(p, 1.0 / rate))
-        if math.log(rng.uniform()) <= -0.5 * na2 * (g - r_star) ** 2:
-            return g
-    return _sample_radius_grid(stats, p, y_norm, rng)
-
-
-def _sample_radius_grid(
-    stats: DirectionStats, p: int, y_norm: float, rng: np.random.Generator, n_grid: int = 4096
-) -> float:
-    """Tabulated inverse-CDF fallback on a grid spanning the mode and its tails."""
-    r_star = mode_radius_any(stats, p)
-    pot0 = radial_potential(stats, r_star, p, y_norm)
-    hi = r_star
-    while radial_potential(stats, hi, p, y_norm) - pot0 < 46.0:
-        hi *= 2.0
-    grid = np.linspace(1e-12 * r_star, hi, n_grid)
-    dens = np.array([math.exp(-(radial_potential(stats, r, p, y_norm) - pot0)) for r in grid])
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
-    cdf /= cdf[-1]
-    u = rng.uniform()
-    return float(np.interp(u, cdf, grid))

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._moments import combine_log_pieces, exp_segment_moment_log, log_gaussian_moment
+from ._moments import (
+    combine_log_pieces,
+    exp_segment_moment_log,
+    log_gaussian_moment,
+    tilted_peak,
+    tilted_peaks,
+)
 from .problem import NULL_TOL, ProblemInstance, sample_laplace
 from .radial import log_concavity_bracket
 
@@ -281,9 +287,8 @@ def shifted_log_peak_modes(prob: ProblemInstance, batch: ShiftBatch, p: int) -> 
     if np.any(gen):
         na = batch.norm_A_theta[gen]
         lo, hi, b = batch.lo[gen], batch.hi[gen], batch.beta[gen]
-        with np.errstate(invalid="ignore"):
-            root = (-b + np.sqrt(b * b + 4.0 * (p - 1))) / (2.0 * na[:, None])
-            k = np.argmax((hi > lo) & (root < hi), axis=1)[:, None]
+        root = tilted_peaks(p - 1, b) / na[:, None]
+        k = np.argmax((hi > lo) & (root < hi), axis=1)[:, None]
         r = np.maximum(np.take_along_axis(root, k, axis=1), np.take_along_axis(lo, k, axis=1))
         resid = r * batch.A_thetas[gen] - batch.y_l
         l1 = np.abs(r * batch.thetas[gen] + batch.l).sum(axis=1)
@@ -341,8 +346,7 @@ def shifted_mode_radius(ctx: ShiftContext, p: int) -> float:
                 continue  # potential decreasing across this segment
             root = (p - 1) / seg.l1
         else:
-            b = seg.beta
-            root = (-b + math.sqrt(b * b + 4.0 * (p - 1))) / (2.0 * na)
+            root = tilted_peak(p - 1, seg.beta) / na
         if seg.lo <= root < seg.hi:
             return root
         if root < seg.lo:

@@ -1,10 +1,8 @@
-"""Scalar special functions: incomplete gammas, asymptotic expansions, and
-the combinatorial coefficients of the large-offset mass expansion.
+"""Scalar special functions: the terminating integer-order upper incomplete
+gamma, and the combinatorial coefficients of the large-offset mass expansion.
 
-The incomplete gamma pair is evaluated with the classic series / continued
-fraction split.  The upper function is extended to all real orders for
-x > 0 (needed by the asymptotic machinery), using downward recursion from
-the series regime when x is small and the continued fraction otherwise.
+Every other special function the package needs is a Gaussian-tilted moment,
+which the log-domain kernel in _moments evaluates.
 """
 
 from __future__ import annotations
@@ -14,9 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-_EPS = 1e-16
-_MAX_ITER = 600
-
 
 @dataclass(frozen=True)
 class ExpansionResult:
@@ -24,109 +19,6 @@ class ExpansionResult:
 
     value: float
     remainder_bound: float
-
-
-def falling_product(a: float, r: int) -> float:
-    """Product (a-1)(a-2)...(a-r) for integer r >= 1."""
-    if r < 1:
-        raise ValueError("r must be a positive integer")
-    out = 1.0
-    for j in range(1, r + 1):
-        out *= a - j
-    return out
-
-
-def _lower_series(a: float, x: float) -> float:
-    """gamma(a, x) by power series; reliable for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    n = 0
-    while n < _MAX_ITER:
-        n += 1
-        term *= x / (a + n)
-        total += term
-        if abs(term) < _EPS * abs(total):
-            break
-    return total * math.exp(-x + a * math.log(x)) if x > 0 else 0.0
-
-
-def _upper_cf(a: float, x: float) -> float:
-    """Gamma(a, x) by modified Lentz continued fraction; reliable for x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return math.exp(-x + a * math.log(x)) * h
-
-
-def _exp1_small(x: float) -> float:
-    """E1(x) = Gamma(0, x) for 0 < x < 1 by the log series."""
-    euler = 0.5772156649015328606
-    total = -euler - math.log(x)
-    term = 1.0
-    for k in range(1, _MAX_ITER):
-        term *= -x / k
-        total -= term / k
-        if abs(term / k) < _EPS * max(abs(total), 1e-30):
-            break
-    return total
-
-
-def upper_inc_gamma(a: float, x: float) -> float:
-    """Gamma(a, x) = int_x^inf t^(a-1) e^-t dt, for any real a (x > 0 if a <= 0)."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if a <= 0 and x == 0:
-        raise ValueError("Gamma(a, 0) diverges for a <= 0")
-    if a > 0:
-        if x == 0:
-            return math.gamma(a)
-        if x < a + 1.0:
-            return math.gamma(a) - _lower_series(a, x)
-        return _upper_cf(a, x)
-    # a <= 0, x > 0
-    if x >= 1.0:
-        return _upper_cf(a, x)
-    # small x: recurse down from an order in (0, 1]; for integer a start at E1
-    if a == math.floor(a):
-        g = _exp1_small(x)  # order 0
-        b = 0.0
-    else:
-        m = math.ceil(-a)  # a + m + 1 in (0, 1]
-        b = a + m + 1
-        g = math.gamma(b) - _lower_series(b, x)
-    while b > a:
-        b -= 1.0
-        g = (g - math.exp(-x + b * math.log(x))) / b
-    return g
-
-
-def lower_inc_gamma(a: float, x: float) -> float:
-    """gamma(a, x) = int_0^x t^(a-1) e^-t dt, for a > 0, x >= 0."""
-    if a <= 0:
-        raise ValueError("order must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_series(a, x)
-    return math.gamma(a) - _upper_cf(a, x)
 
 
 def upper_inc_gamma_int(p: int, x: float) -> float:
@@ -138,27 +30,6 @@ def upper_inc_gamma_int(p: int, x: float) -> float:
         raise ValueError("p must be a positive integer")
     s = math.fsum(x**k / math.factorial(k) for k in range(p))
     return math.factorial(p - 1) * math.exp(-x) * s
-
-
-def upper_gamma_asymptotic(a: float, x: float, m_terms: int) -> ExpansionResult:
-    """Truncated large-x expansion of Gamma(a, x) with a certified error bound.
-
-    value = e^-x x^(a-1) + sum_{r=1}^{M-1} (a-1)...(a-r) e^-x x^(a-1-r).
-
-    The remainder after the r = M-1 term equals (a-1)...(a-M) Gamma(a-M, x)
-    exactly, and Gamma(a-M, x) <= x^(a-M-1) e^-x whenever M >= a - 1, so the
-    bound uses the falling product of length M.
-    """
-    if x <= 0:
-        raise ValueError("x must be positive")
-    if m_terms <= a - 1:
-        raise ValueError("need M > a - 1 for the expansion to be valid")
-    terms = [math.exp(-x) * x ** (a - 1.0)]
-    for r in range(1, m_terms):
-        terms.append(falling_product(a, r) * math.exp(-x) * x ** (a - 1.0 - r))
-    value = math.fsum(terms)
-    bound = abs(falling_product(a, m_terms)) * math.exp(-x) * x ** (a - 1.0 - m_terms)
-    return ExpansionResult(value=value, remainder_bound=bound)
 
 
 @functools.lru_cache(maxsize=4096)

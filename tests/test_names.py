@@ -5,6 +5,8 @@ not at import, so a path that no test reaches can carry one unnoticed.  The
 project has no linter dependency, so this walks each module's symbol table
 (stdlib ``symtable``) and flags every global that a nested scope reads but
 the module neither assigns, imports nor defines, and that is not a builtin.
+The symbol tables do not see ``__all__``, so its entries are checked against
+the imported package.
 """
 
 import builtins
@@ -37,3 +39,9 @@ def test_no_undefined_module_names():
     assert modules
     missing = sorted(m for path in modules for m in _undefined_globals(path))
     assert not missing, "undefined globals (module, scope, name): " + repr(missing)
+
+
+def test_every_exported_name_is_bound():
+    # a name deleted from a module but left in __all__ breaks `import *` only
+    missing = [name for name in polarlasso.__all__ if not hasattr(polarlasso, name)]
+    assert not missing, "names in __all__ not bound in polarlasso: " + repr(missing)

@@ -75,6 +75,16 @@ class TestPolarEstimator:
         with pytest.raises(ValueError):
             pl.estimate_z_polar(desk_instance, 0, 0)
 
+    @pytest.mark.parametrize("n, p", [(2, 18), (10, 41)])
+    def test_containment_past_order_seventeen(self, n, p):
+        # directions with beta > 13 take the same kernel path at every order
+        base = pl.gen_bernoulli_matrix(n, p, 7)
+        y = np.random.default_rng(p).standard_normal(n)
+        prob = pl.make_problem(base.A, 2.0 * y / np.linalg.norm(y))
+        est = pl.estimate_z_polar(prob, 20000, 3)
+        assert est.z_min <= est.z <= est.z_max
+        assert 0.0 < est.std_err < est.z
+
 
 class TestNaiveEstimator:
     def test_zero_design_normalization(self):

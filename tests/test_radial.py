@@ -2,19 +2,53 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import polarlasso as pl
 from polarlasso.problem import sample_sphere_batch
-from polarlasso.radial import (
-    BETA_SWITCH,
-    METHOD_EXACT,
-    METHOD_EXPANSION,
-    METHOD_NULL,
-    mode_radius_null,
-)
+from polarlasso.radial import METHOD_EXACT, METHOD_NULL, mode_radius_null, sweep_summaries
+from polarlasso.shifted import sample_shifted_radius
+
+
+def mp_log_radial_mass(na, beta, y_norm, p):
+    """log int_0^inf r^(p-1) exp(-(r^2 na^2 + 2 r na beta + ||y||^2)/2) dr at 40 digits.
+
+    The integrand is taken relative to its value at the mode and integrated
+    by tanh-sinh on each side, out to where it has fallen by e^-120 (found by
+    doubling steps from 1e-12 of the mode).
+    """
+    with mp.workdps(40):
+        na, beta, y = mp.mpf(na), mp.mpf(beta), mp.mpf(y_norm)
+        r_star = (mp.sqrt(beta * beta + 4 * (p - 1)) - beta) / (2 * na)
+
+        def g(r):
+            return (p - 1) * mp.log(r) - (r * r * na * na + 2 * r * na * beta + y * y) / 2
+
+        g_star = g(r_star)
+
+        def f(r):
+            return mp.exp(g(r) - g_star) if r > 0 else mp.mpf(0)
+
+        d = mp.mpf(1e-12) * r_star
+        while g(r_star + d) - g_star > -120:
+            d *= 2
+        total = mp.quad(f, [r_star, r_star + d / 8, r_star + d])
+        d = mp.mpf(1e-12) * r_star
+        while r_star - d > 0 and g(r_star - d) - g_star > -120:
+            d *= 2
+        start = max(r_star - d, mp.mpf(0))
+        total += mp.quad(f, [start, r_star - (r_star - start) / 8, r_star])
+        return g_star + mp.log(total)
+
+
+def mp_mode_radius(na, beta, p):
+    """Positive root of na^2 r^2 + na beta r - (p-1) = 0 at 40 digits."""
+    with mp.workdps(40):
+        na, beta = mp.mpf(na), mp.mpf(beta)
+        return (mp.sqrt(beta * beta + 4 * (p - 1)) - beta) / (2 * na)
 
 
 class TestModeRadius:
@@ -125,7 +159,7 @@ class TestMassExpansion:
         found = 0
         for theta in sample_sphere_batch(rng, 4000, 7):
             st = pl.direction_stats(prob, theta)
-            if st.beta is not None and st.beta > BETA_SWITCH and abs(st.s) > 0.05:
+            if st.beta is not None and st.beta > 13.0 and abs(st.s) > 0.05:
                 oracle = st.l1_theta**7 * oracles.quad_radial_mass(prob.A, prob.y, st.theta, 7)
                 val = pl.mass_expansion(st.beta, st.s, prob.y_norm, 7).value
                 assert val == pytest.approx(oracle, rel=1e-5)
@@ -181,23 +215,36 @@ class TestRadialSummary:
                 summ.peak * summ.mode_r * 720.0 * math.exp(6.0) / 6.0**7, rel=1e-12
             )
 
-    def test_method_switch(self, desk_instance):
+    def test_method_switch(self, desk_instance, oracles):
+        # one kernel path: every non-null direction is exact, at p = 7 and
+        # p = 20; past beta = 13 at p = 7 the exact mass agrees with the
+        # inverse-power expansion within its certified remainder
         rng = np.random.default_rng(7)
-        seen = set()
+        large = 0
         for theta in sample_sphere_batch(rng, 4000, 7):
             st = pl.direction_stats(desk_instance, theta)
             summ = pl.radial_summary(st, 7, 0.0)
-            seen.add(summ.method)
-            if st.beta is not None:
-                expected = METHOD_EXPANSION if st.beta > BETA_SWITCH else METHOD_EXACT
-                assert summ.method == expected
-        assert METHOD_EXACT in seen
-
-    def test_switch_boundary_continuity(self):
-        # the dispatch must be continuous across the switching offset
-        lo = pl.mass_closed_form(BETA_SWITCH - 1e-9, 0.0, 0.0, 7)
-        hi = pl.mass_expansion(BETA_SWITCH + 1e-9, 0.0, 0.0, 7).value
-        assert lo == pytest.approx(hi, rel=1e-4)
+            if st.beta is None:
+                continue
+            assert summ.method == METHOD_EXACT
+            if st.beta > 13.0:
+                res = pl.mass_expansion(st.beta, 0.0, 0.0, 7)
+                phi = summ.mass * st.l1_theta**7
+                assert abs(phi - res.value) <= res.remainder_bound + 1e-12 * res.value
+                large += 1
+        assert large >= 1
+        # near the null space beta grows past 13, where the p = 7 expansion
+        # used to raise at p = 20
+        prob = pl.gen_bernoulli_matrix(10, 20, 42)
+        thetas = sample_sphere_batch(rng, 1000, 20)
+        for i in range(0, 1000, 2):
+            thetas[i] = oracles.null_space_direction(prob.A, rng) + 0.05 * thetas[i]
+        betas = []
+        for theta in thetas:
+            st = pl.direction_stats(prob, theta)
+            assert pl.radial_summary(st, 20, 0.0).method == METHOD_EXACT
+            betas.append(st.beta)
+        assert sum(b > 13.0 for b in betas) >= 100
 
     def test_tail_bound(self, desk_instance_y):
         # per-direction tail bound with the concentration constant
@@ -232,11 +279,101 @@ class TestSweep:
             assert peak_mode[i] == pytest.approx(summ.peak * summ.mode_r, rel=1e-8)
 
 
+def _direction_at_offset(a, y_norm, beta, rng):
+    """Unit direction of R^p whose offset under the 1 x p design a and the
+    observation y = (y_norm,) equals beta (to bisection accuracy).
+
+    Along theta(phi) = cos(phi) a/||a|| + sin(phi) w, w a unit vector normal
+    to a, the offset runs from 1 - y_norm at phi = 0 (a has entries +-1) to
+    infinity as phi -> pi/2.
+    """
+    u = a / np.linalg.norm(a)
+    w = rng.standard_normal(a.size)
+    w -= (w @ u) * u
+    w /= np.linalg.norm(w)
+
+    def offset(phi):
+        theta = math.cos(phi) * u + math.sin(phi) * w
+        return np.abs(theta).sum() / abs(a @ theta) - y_norm
+
+    lo, hi = 0.0, math.pi / 2
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if offset(mid) < beta else (lo, mid)
+    return math.cos(lo) * u + math.sin(lo) * w
+
+
+class TestOneKernelPath:
+    @pytest.mark.parametrize("p", [2, 7, 20, 41, 100])
+    def test_masses_match_mpmath(self, p):
+        # beta from -60 to 200, across the old expansion switch at 13; a large
+        # observation is what makes strongly negative offsets reachable
+        rng = np.random.default_rng(p)
+        a = pl.gen_bernoulli_matrix(1, p, p).A[0]
+        for beta in (-60.0, -20.0, -1.0, 0.5, 3.8, 13.5, 40.0, 200.0):
+            y_norm = max(0.0, 1.0 - beta) + 0.5
+            prob = pl.make_problem(a[None, :], np.array([y_norm]))
+            theta = _direction_at_offset(a, y_norm, beta, rng)
+            st = pl.direction_stats(prob, theta)
+            assert st.beta == pytest.approx(beta, rel=1e-6, abs=1e-6)
+            want = float(mp.exp(mp_log_radial_mass(st.norm_A_theta, st.beta, y_norm, p)))
+            summ = pl.radial_summary(st, p, y_norm)
+            mass, peak_mode = sweep_summaries(prob, theta[None, :])
+            assert summ.method == METHOD_EXACT
+            assert summ.mass == pytest.approx(want, rel=1e-9)
+            assert mass[0] == pytest.approx(want, rel=1e-9)
+            assert peak_mode[0] == pytest.approx(summ.peak * summ.mode_r, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [1e-7, 1e-9])
+    def test_near_null_direction(self, oracles, t):
+        # beta ~ 1e7 and 1e9: the mode must not cancel to a wrong value or to 0
+        prob = pl.gen_bernoulli_matrix(4, 7, 42)
+        rng = np.random.default_rng(1)
+        theta = oracles.null_space_direction(prob.A, rng) + t * rng.standard_normal(7)
+        st = pl.direction_stats(prob, theta)
+        assert st.beta is not None and st.beta > 1e6
+        summ = pl.radial_summary(st, 7, 0.0)
+        root = float(mp_mode_radius(st.norm_A_theta, st.beta, 7))
+        ctx = pl.build_shift_context(prob, np.zeros(7), theta)
+        assert summ.mode_r == pytest.approx(root, rel=1e-12)
+        assert pl.shifted_mode_radius(ctx, 7) == pytest.approx(root, rel=1e-12)
+        assert summ.mass_lo <= summ.mass <= summ.mass_hi
+        _, peak_mode = sweep_summaries(prob, st.theta[None, :])
+        assert peak_mode[0] > 0.0
+        assert peak_mode[0] == pytest.approx(summ.peak * summ.mode_r, rel=1e-12)
+
+    def test_sweep_equals_summary_on_every_row(self, oracles):
+        # p = 20, a nonzero observation, and one null row
+        base = pl.gen_bernoulli_matrix(10, 20, 3)
+        prob = pl.make_problem(base.A, np.full(10, 0.6))
+        rng = np.random.default_rng(41)
+        thetas = sample_sphere_batch(rng, 300, 20)
+        for i in range(0, 300, 3):  # beta past 13 near the null space
+            thetas[i] = oracles.null_space_direction(prob.A, rng) + 0.05 * thetas[i]
+        thetas[5] = oracles.null_space_direction(prob.A, rng)
+        thetas /= np.linalg.norm(thetas, axis=1)[:, None]
+        mass, peak_mode = sweep_summaries(prob, thetas)
+        betas = []
+        for i, theta in enumerate(thetas):
+            st = pl.direction_stats(prob, theta)
+            summ = pl.radial_summary(st, 20, prob.y_norm)
+            assert mass[i] == pytest.approx(summ.mass, rel=1e-12)
+            assert peak_mode[i] == pytest.approx(summ.peak * summ.mode_r, rel=1e-12)
+            betas.append(math.nan if st.beta is None else st.beta)
+        assert np.isnan(betas[5]) and np.nanmax(betas) > 13.0
+
+
+def _draw_radii(prob, theta, count, rng):
+    """Exact radius draws along theta from the shifted sampler at l = 0."""
+    ctx = pl.build_shift_context(prob, np.zeros(prob.p), theta)
+    return np.array([sample_shifted_radius(ctx, prob.p, rng) for _ in range(count)])
+
+
 class TestSampleRadius:
     def test_empirical_mode_near_closed_form(self, desk_instance):
         st = pl.direction_stats(desk_instance, np.ones(7))
         rng = np.random.default_rng(9)
-        draws = np.array([pl.sample_radius(st, 7, 0.0, rng) for _ in range(100000)])
+        draws = _draw_radii(desk_instance, np.ones(7), 100000, rng)
         hist, edges = np.histogram(draws, bins=80)
         peak_bin = 0.5 * (edges[np.argmax(hist)] + edges[np.argmax(hist) + 1])
         r_star = pl.mode_radius(st, 7)
@@ -246,7 +383,7 @@ class TestSampleRadius:
         st = pl.direction_stats(desk_instance, np.ones(7))
         rng = np.random.default_rng(10)
         r_star = pl.mode_radius(st, 7)
-        draws = np.array([pl.sample_radius(st, 7, 0.0, rng) for _ in range(100000)])
+        draws = _draw_radii(desk_instance, np.ones(7), 100000, rng)
         frac = float(np.mean(draws <= 5.0 * r_star))
         assert frac >= 1.0 - math.exp(-12.0)  # e^-2(p-1), comfortably met at this scale
 
@@ -254,7 +391,7 @@ class TestSampleRadius:
         theta = oracles.null_space_direction(desk_instance.A, np.random.default_rng(11))
         st = pl.direction_stats(desk_instance, theta)
         rng = np.random.default_rng(12)
-        draws = np.array([pl.sample_radius(st, 7, 0.0, rng) for _ in range(50000)])
+        draws = _draw_radii(desk_instance, theta, 50000, rng)
         assert float(draws.mean()) == pytest.approx(7.0 / st.l1_theta, rel=0.02)
 
     def test_histogram_against_density(self, desk_instance_y):
@@ -262,7 +399,7 @@ class TestSampleRadius:
         prob = desk_instance_y
         st = pl.direction_stats(prob, np.ones(7))
         rng = np.random.default_rng(13)
-        draws = np.sort([pl.sample_radius(st, 7, prob.y_norm, rng) for _ in range(20000)])
+        draws = np.sort(_draw_radii(prob, np.ones(7), 20000, rng))
 
         grid = np.linspace(1e-6, float(draws[-1]) * 1.2, 4001)
         pot0 = min(pl.radial_potential(st, r, 7, prob.y_norm) for r in grid)

@@ -1,125 +1,13 @@
-"""Scalar special functions against quadrature and exact-arithmetic oracles."""
+"""Scalar special functions against scipy, quadrature and exact-arithmetic oracles."""
 
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaincc
 
-from polarlasso.special import (
-    expansion_coeff,
-    expansion_coeff_exact,
-    falling_product,
-    lower_inc_gamma,
-    upper_gamma_asymptotic,
-    upper_inc_gamma,
-    upper_inc_gamma_int,
-)
-
-
-def quad_upper(a, x):
-    """Oracle: direct adaptive quadrature of the tail integral."""
-    val, _ = quad(lambda t: math.exp(-t) * t ** (a - 1.0), x, np.inf,
-                  epsabs=0.0, epsrel=1e-12, limit=400)
-    return val
-
-
-def quad_lower(a, x):
-    val, _ = quad(lambda t: math.exp(-t) * t ** (a - 1.0), 0.0, x,
-                  epsabs=0.0, epsrel=1e-12, limit=400, points=None)
-    return val
-
-
-class TestFallingProduct:
-    def test_integer_case(self):
-        assert falling_product(3.0, 2) == 2.0  # 2 * 1
-
-    def test_zero_factor(self):
-        assert falling_product(1.0, 1) == 0.0
-
-    def test_half_integer(self):
-        # (-0.5)(-1.5)(-2.5) = -1.875, cross-checked by an explicit loop
-        expected = 1.0
-        for j in range(1, 4):
-            expected *= 0.5 - j
-        assert falling_product(0.5, 3) == pytest.approx(expected, rel=0, abs=0)
-        assert falling_product(0.5, 3) == pytest.approx(-1.875)
-
-    def test_rejects_nonpositive_r(self):
-        with pytest.raises(ValueError):
-            falling_product(2.0, 0)
-
-
-class TestUpperIncompleteGamma:
-    def test_order_one_is_exponential(self):
-        assert upper_inc_gamma(1.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
-
-    def test_half_order_at_zero(self):
-        assert upper_inc_gamma(0.5, 0.0) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-    def test_integer_series_value(self):
-        # Gamma(7, 12) = 6! e^-12 sum_{k<7} 12^k/k! ~ 32.99
-        series = 720.0 * math.exp(-12.0) * sum(12.0**k / math.factorial(k) for k in range(7))
-        assert upper_inc_gamma(7.0, 12.0) == pytest.approx(series, rel=1e-12)
-        assert upper_inc_gamma(7.0, 12.0) == pytest.approx(32.99, rel=1e-3)
-        assert upper_inc_gamma(7.0, 12.0) == pytest.approx(quad_upper(7.0, 12.0), rel=1e-10)
-
-    def test_against_quadrature_positive_orders(self):
-        rng = np.random.default_rng(1)
-        for _ in range(40):
-            a = rng.uniform(0.1, 9.0)
-            x = rng.uniform(0.0, 20.0)
-            assert upper_inc_gamma(a, x) == pytest.approx(quad_upper(a, x), rel=1e-10)
-
-    def test_against_quadrature_negative_orders(self):
-        rng = np.random.default_rng(2)
-        for _ in range(40):
-            a = rng.uniform(-4.0, 0.0)
-            x = rng.uniform(0.05, 15.0)
-            assert upper_inc_gamma(a, x) == pytest.approx(quad_upper(a, x), rel=1e-9)
-
-    def test_negative_integer_orders(self):
-        for a in (0.0, -1.0, -2.0, -3.0):
-            for x in (0.3, 0.7, 1.5, 4.0):
-                assert upper_inc_gamma(a, x) == pytest.approx(quad_upper(a, x), rel=1e-9)
-
-    def test_domain_error_at_zero_for_nonpositive_order(self):
-        with pytest.raises(ValueError):
-            upper_inc_gamma(-1.0, 0.0)
-
-    def test_recurrence(self):
-        # Gamma(a+1, x) = a Gamma(a, x) + x^a e^-x
-        rng = np.random.default_rng(3)
-        for _ in range(60):
-            a = rng.uniform(-3.0, 8.0)
-            x = rng.uniform(0.1, 20.0)
-            lhs = upper_inc_gamma(a + 1.0, x)
-            rhs = a * upper_inc_gamma(a, x) + x**a * math.exp(-x)
-            assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-280)
-
-
-class TestLowerIncompleteGamma:
-    def test_empty_integral(self):
-        assert lower_inc_gamma(1.0, 0.0) == 0.0
-
-    def test_order_one_complement(self):
-        assert lower_inc_gamma(1.0, 2.0) == pytest.approx(1.0 - math.exp(-2.0), rel=1e-14)
-
-    def test_against_quadrature(self):
-        assert lower_inc_gamma(3.5, 5.0) == pytest.approx(quad_lower(3.5, 5.0), rel=1e-10)
-
-    def test_rejects_nonpositive_order(self):
-        with pytest.raises(ValueError):
-            lower_inc_gamma(0.0, 1.0)
-
-    def test_complement_identity(self):
-        rng = np.random.default_rng(4)
-        for _ in range(60):
-            a = rng.uniform(0.1, 10.0)
-            x = rng.uniform(0.0, 20.0)
-            total = lower_inc_gamma(a, x) + upper_inc_gamma(a, x)
-            assert total == pytest.approx(math.gamma(a), rel=1e-10)
+from polarlasso.special import expansion_coeff, expansion_coeff_exact, upper_inc_gamma_int
 
 
 class TestIntegerUpperGamma:
@@ -127,7 +15,7 @@ class TestIntegerUpperGamma:
         for p in (1, 3, 7):
             for x in (0.5, 4.0, 15.0):
                 assert upper_inc_gamma_int(p, x) == pytest.approx(
-                    upper_inc_gamma(float(p), x), rel=1e-12
+                    math.factorial(p - 1) * gammaincc(p, x), rel=1e-12
                 )
 
     def test_negative_argument(self):
@@ -135,40 +23,6 @@ class TestIntegerUpperGamma:
         assert upper_inc_gamma_int(1, -1.0) == pytest.approx(math.e, rel=1e-14)
         val, _ = quad(lambda t: math.exp(-t) * t**2, -2.0, 40.0, epsrel=1e-12)
         assert upper_inc_gamma_int(3, -2.0) == pytest.approx(val, rel=1e-10)
-
-
-class TestAsymptoticExpansion:
-    def test_terminating_series(self):
-        res = upper_gamma_asymptotic(1.0, 10.0, 2)
-        assert res.value == pytest.approx(math.exp(-10.0), rel=1e-15)
-        assert res.remainder_bound == 0.0
-
-    def test_integer_order_bounded(self):
-        res = upper_gamma_asymptotic(4.0, 20.0, 5)
-        assert abs(res.value - upper_inc_gamma(4.0, 20.0)) <= res.remainder_bound + 1e-15 * res.value
-
-    def test_half_order_bounded(self):
-        res = upper_gamma_asymptotic(3.5, 30.0, 10)
-        true = quad_upper(3.5, 30.0)
-        assert abs(res.value - true) <= res.remainder_bound + 1e-15 * abs(true)
-
-    def test_bound_nonnegative_and_valid_randomized(self):
-        # float noise allowance: both sides are computed in double precision
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            a = rng.uniform(-2.0, 6.0)
-            m = int(rng.integers(max(2, math.ceil(a - 1) + 1), 12))
-            x = rng.uniform(a + m, a + m + 30.0)
-            if x <= 0:
-                continue
-            res = upper_gamma_asymptotic(a, x, m)
-            assert res.remainder_bound >= 0.0
-            true = upper_inc_gamma(a, x)
-            assert abs(res.value - true) <= res.remainder_bound + 8e-15 * abs(true)
-
-    def test_rejects_small_m(self):
-        with pytest.raises(ValueError):
-            upper_gamma_asymptotic(5.0, 10.0, 3)
 
 
 class TestExpansionCoeff:
