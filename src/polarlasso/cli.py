@@ -27,6 +27,8 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 # directions of the recentered (--shift) partition route
 SHIFT_DIRECTIONS = 2048
+# rows of the --emit-series CSV formatted per write
+SERIES_ROWS = 8192
 
 
 def _fmt(x) -> str:
@@ -34,12 +36,32 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_chunks(path: str, chunks) -> None:
+    """Write each string of the iterable `chunks` as soon as it is produced."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise SystemExit(f"polarlasso: cannot write {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    _write_chunks(path, (text,))
+
+
+def _series_chunks(trace: mcmc.ChainTrace):
+    """The --emit-series CSV, SERIES_ROWS rows per string; each float is
+    written as repr of its Python float, as _fmt does."""
+    yield "t,norm_x,q_times_r_theta,criterion\n"
+    n = len(trace.norm_x)
+    for s in range(0, n, SERIES_ROWS):
+        rows = slice(s, s + SERIES_ROWS)
+        yield "".join(
+            f"{t},{a!r},{b!r},{c:d}\n"
+            for t, a, b, c in zip(range(s, n), trace.norm_x[rows].tolist(),
+                                  trace.q_r_theta[rows].tolist(), trace.criterion[rows].tolist())
+        )
 
 
 def _write_json(path: str, payload) -> None:
@@ -192,12 +214,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     trace, diag = mcmc.run_chain(prob, cfg, z_estimate=z_est)
     outputs = [args.out]
     if args.emit_series:
-        rows = ["t,norm_x,q_times_r_theta,criterion"]
-        for t in range(args.iters):
-            rows.append(
-                f"{t},{_fmt(trace.norm_x[t])},{_fmt(trace.q_r_theta[t])},{int(trace.criterion[t])}"
-            )
-        _write_text(args.emit_series, "\n".join(rows) + "\n")
+        _write_chunks(args.emit_series, _series_chunks(trace))
         outputs.append(args.emit_series)
     summary = {
         "sampler": args.sampler,
@@ -211,6 +228,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         "mean_norm": diag.mean_norm,
         "acceptance_rate": diag.acceptance_rate,
         "tv_constant": diag.tv_constant,
+        "meta": diag.meta,
     }
     _write_json(args.out, summary)
     _write_manifest("diagnose", args, outputs)

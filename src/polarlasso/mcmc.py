@@ -16,19 +16,20 @@ the stationary law satisfy that bound with probability at least P(q, p).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._moments import tilted_peak
-from .problem import ProblemInstance, sample_laplace
-from .shifted import build_shift_context, sample_posterior, shifted_mode_radius
+from ._moments import tilted_peaks
+from .problem import NULL_TOL, ProblemInstance, sample_laplace
+from .shifted import build_shift_batch, sample_posterior, shifted_modes
 
 KIND_INDEPENDENT = "independent_laplace"
 KIND_RANDOM_WALK = "random_walk"
 
 _BLOCK = 65536
-_NULL_TOL = 1e-12
+# states diagnosed per array pass, so the temporaries stay near 1 MB
+_DIAG_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,10 @@ class ChainDiagnosis:
     acceptance_rate: float
     tv_bound: np.ndarray | None = None
     tv_constant: float | None = None
+    # states diagnosed (the initial one and each accepted one), those whose
+    # direction lies in the null space of A, those at the centre (q r = inf),
+    # and proposal blocks
+    meta: dict = field(default_factory=dict)
 
     @property
     def permanent_hit(self) -> int:
@@ -85,21 +90,22 @@ def tv_bound(t: int, z: float, p: int) -> float:
 
 
 def run_chain(prob: ProblemInstance, cfg: ChainConfig, z_estimate: float | None = None) -> tuple[ChainTrace, ChainDiagnosis]:
-    """Run one chain and diagnose it online.
+    """Run one chain and diagnose it.
 
-    Returns the per-iteration trace (norms, radial thresholds, criterion) and
-    the summary diagnosis.  Fixed seeds reproduce everything bit-exactly; the
+    The loop only decides accept or reject and records which iterations of
+    the block accepted.  After each block the accepted states are rebuilt
+    exactly (the random walk's as a running sum of its accepted steps, which
+    adds in the loop's order) and diagnosed in one batch.  Returns the
+    per-iteration trace (norms, radial thresholds, criterion) and the
+    summary diagnosis.  Fixed seeds reproduce everything bit-exactly; the
     proposal stream is consumed in fixed-size blocks independent of outcomes.
     """
     p = prob.p
     A = prob.A
     y = prob.y
-    y_norm = prob.y_norm
     n_iter = cfg.n_iter
     rng = np.random.default_rng(cfg.seed)
     l = np.zeros(p) if cfg.shift_l is None else np.asarray(cfg.shift_l, dtype=float)
-    use_shift = bool(np.any(l))
-    Al = A @ l
 
     x = np.zeros(p) if cfg.init is None else np.asarray(cfg.init, dtype=float).copy()
     Ax = A @ x
@@ -108,75 +114,71 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig, z_estimate: float | None 
 
     norm_x = np.empty(n_iter)
     q_r = np.empty(n_iter)
-    accepted = 0
-
     sum_x = np.zeros(p)
-    run_len = 0  # iterations recorded at the current state
+    accepted = 0
+    meta = {"states_diagnosed": 0, "null_states": 0, "centre_states": 0, "blocks": 0}
 
-    def diag_of_state() -> tuple[float, float]:
-        """(||x - l||, q r(theta, l)) for the current state."""
-        x_rel = x - l
-        l2 = float(np.linalg.norm(x_rel))
-        if l2 == 0.0:
-            return 0.0, math.inf  # bound holds trivially at the center
-        if use_shift:
-            ctx = build_shift_context(prob, l, x_rel)
-            return l2, cfg.q * shifted_mode_radius(ctx, p)
-        Ax_rel = Ax  # l = 0, so A x_rel = A x
-        nAx = math.sqrt(float(Ax_rel @ Ax_rel))
-        l1_rel = float(np.abs(x_rel).sum())
-        if nAx / l2 <= _NULL_TOL:
-            return l2, cfg.q * (p - 1) * l2 / l1_rel
-        s = 0.0 if y_norm == 0.0 else float(Ax_rel @ y) / (nAx * y_norm)
-        beta = l1_rel / nAx - y_norm * s
-        return l2, cfg.q * tilted_peak(p - 1, beta) * l2 / nAx
+    def diagnose(X: np.ndarray, AX: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        norm, qr, null = _state_diagnosis(prob, X, AX, l, cfg.q)
+        meta["states_diagnosed"] += len(X)
+        meta["null_states"] += int(np.count_nonzero(null))
+        meta["centre_states"] += int(np.count_nonzero(qr == math.inf))
+        return norm, qr
 
-    cur_norm, cur_qr = diag_of_state()
+    (cur_norm,), (cur_qr,) = diagnose(x[None], Ax[None])
 
     is_kind = cfg.kind == KIND_INDEPENDENT
+    # the kernels of x + s, v @ w and np.abs(v).sum() called directly, on
+    # float64 scalars: the same IEEE operations in the same order, so every
+    # accept decision is the same
+    add, dot, absolute, total = np.add, np.dot, np.abs, np.add.reduce
     done = 0
     while done < n_iter:
         block = min(_BLOCK, n_iter - done)
+        acc = []
         if is_kind:
             props = sample_laplace(rng, (block, p))
             prop_Ax = props @ A.T
             prop_mis = np.einsum("ij,ij->i", prop_Ax, prop_Ax) - 2.0 * (prop_Ax @ y)
             log_u = np.log(rng.uniform(size=block))
-            for i in range(block):
-                if log_u[i] <= -0.5 * (prop_mis[i] - mis):
-                    sum_x += run_len * x
-                    run_len = 0
-                    x = props[i]
-                    Ax = prop_Ax[i]
-                    mis = float(prop_mis[i])
-                    accepted += 1
-                    cur_norm, cur_qr = diag_of_state()
-                norm_x[done + i] = cur_norm
-                q_r[done + i] = cur_qr
-                run_len += 1
+            for i, (lu, mis_new) in enumerate(zip(log_u, prop_mis)):
+                if lu <= -0.5 * (mis_new - mis):
+                    mis = mis_new
+                    acc.append(i)
+            idx = np.array(acc, dtype=np.intp)
+            states = np.concatenate([x[None], props[idx]])
+            states_Ax = np.concatenate([Ax[None], prop_Ax[idx]])
         else:
             steps = rng.normal(0.0, math.sqrt(cfg.rw_variance), size=(block, p))
             step_Ax = steps @ A.T
             log_u = np.log(rng.uniform(size=block))
-            for i in range(block):
-                x_new = x + steps[i]
-                Ax_new = Ax + step_Ax[i]
-                mis_new = float(Ax_new @ Ax_new) - 2.0 * float(Ax_new @ y)
-                l1_new = float(np.abs(x_new).sum())
-                if log_u[i] <= -0.5 * (mis_new - mis) - (l1_new - l1x):
-                    sum_x += run_len * x
-                    run_len = 0
+            x0, Ax0 = x, Ax
+            for i, (step, step_A, lu) in enumerate(zip(steps, step_Ax, log_u)):
+                x_new = add(x, step)
+                Ax_new = add(Ax, step_A)
+                mis_new = dot(Ax_new, Ax_new) - 2.0 * dot(Ax_new, y)
+                l1_new = total(absolute(x_new))
+                if lu <= -0.5 * (mis_new - mis) - (l1_new - l1x):
                     x = x_new
                     Ax = Ax_new
                     mis = mis_new
                     l1x = l1_new
-                    accepted += 1
-                    cur_norm, cur_qr = diag_of_state()
-                norm_x[done + i] = cur_norm
-                q_r[done + i] = cur_qr
-                run_len += 1
+                    acc.append(i)
+            idx = np.array(acc, dtype=np.intp)
+            states = np.cumsum(np.concatenate([x0[None], steps[idx]]), axis=0)
+            states_Ax = np.cumsum(np.concatenate([Ax0[None], step_Ax[idx]]), axis=0)
+        # row 0 is the state the block started at, row k the k-th accepted one
+        norm, qr = diagnose(states[1:], states_Ax[1:])
+        runs = np.diff(idx, prepend=0, append=block)
+        norm_x[done:done + block] = np.repeat(np.concatenate(([cur_norm], norm)), runs)
+        q_r[done:done + block] = np.repeat(np.concatenate(([cur_qr], qr)), runs)
+        sum_x += runs @ states
+        accepted += idx.size
+        if idx.size:
+            x, Ax = states[-1].copy(), states_Ax[-1].copy()
+            cur_norm, cur_qr = norm[-1], qr[-1]
+        meta["blocks"] += 1
         done += block
-    sum_x += run_len * x
 
     crit = norm_x <= q_r
     viol = np.flatnonzero(~crit)
@@ -199,29 +201,64 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig, z_estimate: float | None 
         acceptance_rate=accepted / n_iter,
         tv_bound=tv_series,
         tv_constant=tv_const,
+        meta=meta,
     )
     return ChainTrace(norm_x=norm_x, q_r_theta=q_r, criterion=crit), diag
 
 
+def _state_diagnosis(prob: ProblemInstance, X: np.ndarray, AX: np.ndarray, l: np.ndarray,
+                     q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(||x - l||, q r(theta, l), null) for every state x in the rows of X.
+
+    AX holds the rows A x.  theta is the direction of x - l and r the mode
+    radius of the radial law along it: the centred law when l = 0, else the
+    shifted law through build_shift_batch and shifted_modes.  A state at
+    the centre gets r = inf; `null` marks states whose direction lies in the
+    null space of A.  At most _DIAG_ROWS rows are processed at a time.
+    """
+    p = prob.p
+    y = prob.y
+    y_norm = prob.y_norm
+    shifted = bool(np.any(l))
+    n = len(X)
+    norm = np.empty(n)
+    qr = np.full(n, math.inf)
+    null = np.zeros(n, dtype=bool)
+    for s in range(0, n, _DIAG_ROWS):
+        d = X[s:s + _DIAG_ROWS] - l if shifted else X[s:s + _DIAG_ROWS]
+        l2 = np.linalg.norm(d, axis=1)
+        norm[s:s + len(d)] = l2
+        live = np.flatnonzero(l2 > 0.0)
+        if not live.size:
+            continue
+        out = live + s
+        d, l2 = d[live], l2[live]
+        if shifted:
+            batch = build_shift_batch(prob, l, d)
+            qr[out] = q * shifted_modes(prob, batch, p)
+            null[out] = batch.null
+            continue
+        Ad = AX[out]  # = A (x - l), as l = 0
+        nA = np.sqrt(np.einsum("ij,ij->i", Ad, Ad))
+        l1 = np.abs(d).sum(axis=1)
+        flat = nA / l2 <= NULL_TOL
+        safe = np.where(flat, 1.0, nA)
+        cos = 0.0 if y_norm == 0.0 else (Ad @ y) / (safe * y_norm)
+        beta = l1 / safe - y_norm * cos
+        qr[out] = np.where(flat, q * (p - 1) * l2 / l1, q * tilted_peaks(p - 1, beta) * l2 / safe)
+        null[out] = flat
+    return norm, qr, null
+
+
 def criterion_coverage(prob: ProblemInstance, q: float, n_draws: int, rng,
                        l: np.ndarray | None = None) -> float:
-    """Empirical fraction of exact posterior draws with ||x - l|| <= q r(theta, l)."""
+    """Empirical fraction of exact posterior draws with ||x - l|| <= q r(theta, l),
+    the draws diagnosed in one batch."""
     if n_draws < 1:
         raise ValueError("need n_draws >= 1")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    p = prob.p
-    l = np.zeros(p) if l is None else np.asarray(l, dtype=float)
-    good = 0
-    for _ in range(n_draws):
-        x = sample_posterior(prob, l, rng)
-        x_rel = x - l
-        norm = float(np.linalg.norm(x_rel))
-        if norm == 0.0:
-            good += 1
-            continue
-        ctx = build_shift_context(prob, l, x_rel)
-        r = shifted_mode_radius(ctx, p)
-        if norm <= q * r:
-            good += 1
-    return good / n_draws
+    l = np.zeros(prob.p) if l is None else np.asarray(l, dtype=float)
+    X = np.array([sample_posterior(prob, l, rng) for _ in range(n_draws)])
+    norm, qr, _ = _state_diagnosis(prob, X, X @ prob.A.T, l, q)
+    return int(np.count_nonzero(norm <= qr)) / n_draws

@@ -67,8 +67,10 @@ def _exp(x: float) -> float:
 def estimate_z_polar(prob: ProblemInstance, n_samples: int, rng) -> PartitionEstimate:
     """Polar Monte Carlo: |S| times the mean closed-form mass over uniform directions.
 
-    The same sweep supplies the sample inf/sup of peak * mode feeding the
-    log-concavity bounds z_min, z_max; the estimate always lies between them.
+    The same sweep supplies the bracket: z_min is |S| times the sample
+    minimum of the per-direction lower bounds mass_lo, z_max the
+    log-concavity upper bound at the sample maximum of peak * mode; the
+    estimate always lies between them.
     """
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
@@ -78,22 +80,21 @@ def estimate_z_polar(prob: ProblemInstance, n_samples: int, rng) -> PartitionEst
     gens = chunk_generators(rng, n_chunks)
     total = 0.0
     total_sq = 0.0
-    mr_min = math.inf
+    lo_min = math.inf
     mr_max = -math.inf
     left = n_samples
     for gen in gens:
         take = min(CHUNK, left)
         left -= take
         thetas = sample_sphere_batch(gen, take, p)
-        mass, peak_mode = sweep_summaries(prob, thetas)
+        mass, peak_mode, mass_lo = sweep_summaries(prob, thetas)
         total += float(mass.sum())
         total_sq += float((mass * mass).sum())
-        mr_min = min(mr_min, float(peak_mode.min()))
+        lo_min = min(lo_min, float(mass_lo.min()))
         mr_max = max(mr_max, float(peak_mode.max()))
     mean, err = _mean_and_err(total, total_sq, n_samples)
-    z_min = log_concavity_bracket(surface * mr_min, p)[0]
     z_max = log_concavity_bracket(surface * mr_max, p)[1]
-    return PartitionEstimate(surface * mean, surface * err, n_samples, METHOD_POLAR, z_min, z_max)
+    return PartitionEstimate(surface * mean, surface * err, n_samples, METHOD_POLAR, surface * lo_min, z_max)
 
 
 def estimate_z_shifted(prob: ProblemInstance, l: np.ndarray, n_samples: int, rng) -> ShiftedEstimate:

@@ -108,29 +108,37 @@ def log_concavity_bracket(peak_mode: float, p: int) -> tuple[float, float]:
 
 
 def radial_summary(stats: DirectionStats, p: int, y_norm: float) -> RadialSummary:
-    """Closed-form mass J_p(theta) with mode, peak, and log-concavity bracket.
+    """Closed-form mass J_p(theta) with mode, peak, and bracket.
 
     A batch of one through _summaries: the segment kernel gives the
     mass at every finite beta, the terminating factorial form on a null
-    direction.
+    direction.  The upper bound is the log-concavity constant; the lower
+    bound is described in _summaries.
     """
     beta = math.nan if stats.beta is None else stats.beta
     arrays = (np.array([v]) for v in (beta, stats.norm_A_theta, stats.l1_theta))
-    mass, mode_r, peak = (float(v[0]) for v in _summaries(*arrays, p, y_norm))
-    lo, hi = log_concavity_bracket(peak * mode_r, p)
+    mass, mode_r, peak, lo = (float(v[0]) for v in _summaries(*arrays, p, y_norm))
+    hi = log_concavity_bracket(peak * mode_r, p)[1]
     method = METHOD_NULL if stats.beta is None else METHOD_EXACT
     return RadialSummary(mode_r, peak, mass, lo, hi, method)
 
 
 def _summaries(
     beta: np.ndarray, norm_A_theta: np.ndarray, l1_theta: np.ndarray, p: int, y_norm: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mass, mode, peak) of the radial law for a batch of directions, one per entry.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(mass, mode, peak, mass_lo) of the radial law for a batch of directions, one per entry.
 
     Rows with ||A theta|| <= NULL_TOL are null directions, whose beta is
     ignored: mass (p-1)! e^(-||y||^2/2) / ||theta||_1^p, mode (p-1)/||theta||_1.
     Every other row takes its mass from the segment kernel on [0, inf) and
     its mode from the kernel's peak formula, free of cancellation at any beta.
+
+    mass_lo is the log-concavity constant peak * mode / p where its proof
+    holds, on null rows and at beta >= 0 (the ray energy is nondecreasing
+    on [0, mode]).  At beta < 0 it is the half-Gaussian minorant
+    peak * sqrt(pi / (2K)): right of the mode the curvature
+    ||A theta||^2 + (p-1)/r^2 of the potential is at most
+    K = ||A theta||^2 + (p-1)/mode^2.
     """
     null = norm_A_theta <= NULL_TOL
     gen = ~null
@@ -149,11 +157,17 @@ def _summaries(
     energy[null] = 0.5 * y2 + mode[null] * l1
     # at p = 1 the volume term vanishes and the mode may sit at the origin
     potential = energy - (p - 1) * np.log(mode) if p > 1 else energy
-    return mass, mode, np.exp(-potential)
+    peak = np.exp(-potential)
+    lo = peak * mode / p
+    below = b < 0.0
+    neg = np.flatnonzero(gen)[below]
+    curv = na[below] ** 2 + (p - 1) / mode[neg] ** 2
+    lo[neg] = peak[neg] * np.sqrt(math.pi / (2.0 * curv))
+    return mass, mode, peak, lo
 
 
-def sweep_summaries(prob, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mass, peak * mode) over unit directions, one per row, through _summaries.
+def sweep_summaries(prob, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mass, peak * mode, mass_lo) over unit directions, one per row, through _summaries.
 
     Equals radial_summary on every direction; feeds the polar partition
     estimator.
@@ -167,8 +181,8 @@ def sweep_summaries(prob, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s = np.zeros(thetas.shape[0])
     else:
         s = np.clip((A_thetas @ prob.y) / (safe * y_norm), -1.0, 1.0)
-    mass, mode, peak = _summaries(l1s / safe - y_norm * s, norms, l1s, prob.p, y_norm)
-    return mass, peak * mode
+    mass, mode, peak, lo = _summaries(l1s / safe - y_norm * s, norms, l1s, prob.p, y_norm)
+    return mass, peak * mode, lo
 
 
 def _exact_masses(beta: np.ndarray, norm_A_theta: np.ndarray, p: int, y_norm: float) -> np.ndarray:

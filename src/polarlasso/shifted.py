@@ -274,14 +274,14 @@ def shifted_log_masses(prob: ProblemInstance, batch: ShiftBatch, p: int) -> np.n
     return out
 
 
-def shifted_log_peak_modes(prob: ProblemInstance, batch: ShiftBatch, p: int) -> np.ndarray:
-    """log(peak * mode) of the shifted radial law for every row of the batch.
+def shifted_modes(prob: ProblemInstance, batch: ShiftBatch, p: int) -> np.ndarray:
+    """Mode radius of the shifted radial law for every row of the batch.
 
-    The mode is the walk of shifted_mode_radius, vectorized: the first live
-    segment whose closed-form root lies left of its right end holds the
-    mode, at max(root, left end).
+    The walk of shifted_mode_radius, vectorized: the first live segment
+    whose closed-form root lies left of its right end holds the mode, at
+    max(root, left end).  Null rows take the scalar walk.
     """
-    out = np.empty(len(batch.thetas))
+    r = np.empty(len(batch.thetas))
     null = batch.null
     gen = ~null
     if np.any(gen):
@@ -289,17 +289,21 @@ def shifted_log_peak_modes(prob: ProblemInstance, batch: ShiftBatch, p: int) -> 
         lo, hi, b = batch.lo[gen], batch.hi[gen], batch.beta[gen]
         root = tilted_peaks(p - 1, b) / na[:, None]
         k = np.argmax((hi > lo) & (root < hi), axis=1)[:, None]
-        r = np.maximum(np.take_along_axis(root, k, axis=1), np.take_along_axis(lo, k, axis=1))
-        resid = r * batch.A_thetas[gen] - batch.y_l
-        l1 = np.abs(r * batch.thetas[gen] + batch.l).sum(axis=1)
-        psi = 0.5 * np.einsum("ij,ij->i", resid, resid) + l1 + batch.h0
-        with np.errstate(divide="ignore"):
-            out[gen] = p * np.log(r[:, 0]) - psi
+        r[gen] = np.maximum(np.take_along_axis(root, k, axis=1), np.take_along_axis(lo, k, axis=1))[:, 0]
     for i in np.flatnonzero(null):
-        ctx = build_shift_context(prob, batch.l, batch.thetas[i])
-        r = shifted_mode_radius(ctx, p)
-        out[i] = math.log(r) - shifted_potential(ctx, r, p)
-    return out
+        r[i] = shifted_mode_radius(build_shift_context(prob, batch.l, batch.thetas[i]), p)
+    return r
+
+
+def shifted_log_peak_modes(prob: ProblemInstance, batch: ShiftBatch, p: int) -> np.ndarray:
+    """log(peak * mode) of the shifted radial law for every row of the batch,
+    at the modes of shifted_modes."""
+    r = shifted_modes(prob, batch, p)[:, None]
+    resid = r * batch.A_thetas - batch.y_l
+    l1 = np.abs(r * batch.thetas + batch.l).sum(axis=1)
+    psi = 0.5 * np.einsum("ij,ij->i", resid, resid) + l1 + batch.h0
+    with np.errstate(divide="ignore"):
+        return p * np.log(r[:, 0]) - psi
 
 
 def shifted_radial_mass_log(ctx: ShiftContext, p: int) -> tuple[float, float]:

@@ -164,6 +164,25 @@ class TestDiagnose:
         assert lines[0] == "t,norm_x,q_times_r_theta,criterion"
         assert len(lines) == 2001
 
+    def test_series_bytes_match_per_row_format(self, tmp_path, problem_file):
+        # longer than one written chunk, and the chain starts at the centre,
+        # where q r(theta) is inf
+        from polarlasso import cli, mcmc, problem
+
+        iters = cli.SERIES_ROWS + 808
+        series = tmp_path / "series.csv"
+        assert run(["diagnose", "--problem", problem_file, "--sampler", "rw",
+                    "--iters", str(iters), "--seed", "6", "--emit-series", str(series),
+                    "--out", str(tmp_path / "diag.json")]) == 0
+        cfg = mcmc.ChainConfig(kind=mcmc.KIND_RANDOM_WALK, n_iter=iters, seed=6)
+        trace, _ = mcmc.run_chain(problem.load_problem(problem_file), cfg)
+        assert np.isinf(trace.q_r_theta).any()
+        rows = ["t,norm_x,q_times_r_theta,criterion"] + [
+            f"{t},{cli._fmt(trace.norm_x[t])},{cli._fmt(trace.q_r_theta[t])},{int(trace.criterion[t])}"
+            for t in range(iters)
+        ]
+        assert series.read_bytes() == ("\n".join(rows) + "\n").encode("utf-8")
+
     def test_is_sampler_has_tv_constant(self, tmp_path, problem_file):
         out = tmp_path / "diag_is.json"
         assert run(["diagnose", "--problem", problem_file, "--sampler", "is",
@@ -213,3 +232,18 @@ class TestManifestReplay:
         out.unlink()
         assert run(["rerun", manifest]) == 0
         assert out.read_bytes() == blob
+
+    def test_seeded_rerun_diagnose(self, tmp_path, problem_file):
+        out = tmp_path / "diag.json"
+        series = tmp_path / "series.csv"
+        assert run(["diagnose", "--problem", problem_file, "--sampler", "rw", "--iters", "3000",
+                    "--seed", "4", "--emit-series", str(series), "--out", str(out)]) == 0
+        blobs = out.read_bytes(), series.read_bytes()
+        meta = json.loads(blobs[0])["meta"]
+        assert set(meta) == {"states_diagnosed", "null_states", "centre_states", "blocks"}
+        assert meta["blocks"] == 1 and meta["centre_states"] == 1
+        manifest = str(out).replace(".json", ".manifest.json")
+        out.unlink()
+        series.unlink()
+        assert run(["rerun", manifest]) == 0
+        assert (out.read_bytes(), series.read_bytes()) == blobs

@@ -1,14 +1,18 @@
 """Chain mechanics, diagnosis series, and the ergodicity bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import null_space
 
 import polarlasso as pl
+from polarlasso import mcmc
 from polarlasso.mcmc import KIND_INDEPENDENT, KIND_RANDOM_WALK
 from polarlasso.problem import sample_laplace
+from polarlasso.radial import mode_radius_null
 
 
 class TestTvBound:
@@ -234,3 +238,125 @@ class TestCoverage:
             cfg = pl.ChainConfig(kind=kind, n_iter=100000, seed=21)
             _, diag = pl.run_chain(desk_instance, cfg)
             assert diag.mean_norm < 0.15
+
+
+def _brute_states(prob, kind, n_iter, seed, init, block):
+    """Every state of a literal chain with `block`-sized proposal blocks, and
+    the number of accepted proposals."""
+    rng = np.random.default_rng(seed)
+    A, y = prob.A, prob.y
+    x = np.zeros(prob.p) if init is None else np.array(init, dtype=float)
+    Ax = A @ x
+    mis = float(Ax @ Ax) - 2 * float(Ax @ y)
+    l1 = float(np.abs(x).sum())
+    states = []
+    acc = 0
+    for done in range(0, n_iter, block):
+        size = min(block, n_iter - done)
+        if kind == KIND_INDEPENDENT:
+            props = sample_laplace(rng, (size, prob.p))
+            pAx = props @ A.T
+            pmis = np.einsum("ij,ij->i", pAx, pAx) - 2 * (pAx @ y)
+            lu = np.log(rng.uniform(size=size))
+            for i in range(size):
+                if lu[i] <= -0.5 * (pmis[i] - mis):
+                    x, mis = props[i], float(pmis[i])
+                    acc += 1
+                states.append(x)
+        else:
+            st = rng.normal(0, math.sqrt(0.5), size=(size, prob.p))
+            sAx = st @ A.T
+            lu = np.log(rng.uniform(size=size))
+            for i in range(size):
+                xn, Axn = x + st[i], Ax + sAx[i]
+                misn = float(Axn @ Axn) - 2 * float(Axn @ y)
+                l1n = float(np.abs(xn).sum())
+                if lu[i] <= -0.5 * (misn - mis) - (l1n - l1):
+                    x, Ax, mis, l1 = xn, Axn, misn, l1n
+                    acc += 1
+                states.append(x)
+    return states, acc
+
+
+def _scalar_diagnosis(prob, x, l, q):
+    """(||x - l||, q r(theta, l)) of one state from the per-direction scalar APIs."""
+    x_rel = x - l
+    norm = float(np.linalg.norm(x_rel))
+    if norm == 0.0:
+        return 0.0, math.inf
+    if np.any(l):
+        return norm, q * pl.shifted_mode_radius(pl.build_shift_context(prob, l, x_rel), prob.p)
+    st = pl.direction_stats(prob, x_rel)
+    if st.beta is None:
+        return norm, q * mode_radius_null(st.l1_theta, prob.p)
+    return norm, q * pl.mode_radius(st, prob.p)
+
+
+class TestBatchedDiagnosis:
+    @pytest.mark.parametrize("kind", [KIND_INDEPENDENT, KIND_RANDOM_WALK])
+    @pytest.mark.parametrize("shift", [False, True])
+    @pytest.mark.parametrize("start", ["origin", "centre", "null"])
+    def test_matches_scalar_oracle(self, desk_instance_y, monkeypatch, kind, shift, start):
+        prob = desk_instance_y
+        l = pl.solve_fista(prob).x if shift else np.zeros(7)
+        init = {"origin": None, "centre": l,
+                "null": l + 0.5 * null_space(prob.A)[:, 0]}[start]
+        monkeypatch.setattr(mcmc, "_BLOCK", 1000)  # three blocks, the last one partial
+        n_iter = 2500
+        cfg = pl.ChainConfig(kind=kind, n_iter=n_iter, seed=9, shift_l=l if shift else None,
+                             init=init)
+        trace, diag = pl.run_chain(prob, cfg)
+
+        states, acc = _brute_states(prob, kind, n_iter, 9, init, 1000)
+        want = []
+        for t, x in enumerate(states):
+            same = t > 0 and x is states[t - 1]
+            want.append(want[-1] if same else _scalar_diagnosis(prob, x, l, cfg.q))
+        norm, q_r = (np.array(v) for v in zip(*want))
+        crit = norm <= q_r
+        assert diag.acceptance_rate == acc / n_iter
+        np.testing.assert_array_equal(trace.criterion, crit)
+        viol, hits = np.flatnonzero(~crit), np.flatnonzero(crit)
+        assert diag.first_hit == (int(hits[0]) if hits.size else None)
+        assert diag.last_violation == (int(viol[-1]) if viol.size else None)
+        np.testing.assert_allclose(trace.norm_x, norm, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(trace.q_r_theta, q_r, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(diag.running_mean, np.mean(states, axis=0), rtol=1e-12, atol=1e-15)
+
+        centre = start == "centre" or (start == "origin" and not shift)
+        assert np.isinf(trace.q_r_theta[0]) == centre
+        assert diag.meta == {"states_diagnosed": acc + 1, "null_states": int(start == "null"),
+                             "centre_states": int(centre), "blocks": 3}
+
+    @pytest.mark.parametrize("shift", [False, True])
+    def test_coverage_matches_scalar_loop(self, desk_instance_y, shift):
+        prob = desk_instance_y
+        l = pl.solve_fista(prob).x if shift else np.zeros(7)
+        q, n = 2.0, 400
+        rng = np.random.default_rng(31)
+        good = 0
+        for _ in range(n):
+            x = pl.sample_posterior(prob, l, rng)
+            norm = float(np.linalg.norm(x - l))
+            ctx = pl.build_shift_context(prob, l, x - l)
+            good += norm <= q * pl.shifted_mode_radius(ctx, 7)
+        frac = pl.criterion_coverage(prob, q, n, 31, l=l)
+        assert frac == good / n
+        assert 0.0 < frac < 1.0  # q = 2 separates draws
+
+    @pytest.mark.parametrize("kind, shift, limit_mib", [
+        (KIND_RANDOM_WALK, False, 16), (KIND_RANDOM_WALK, True, 16), (KIND_INDEPENDENT, False, 24),
+    ])
+    def test_memory_of_one_full_block(self, desk_instance_y, kind, shift, limit_mib):
+        # the diagnosis runs in chunks of rows, not over a whole block at once
+        prob = desk_instance_y
+        l = pl.solve_fista(prob).x if shift else None
+        cfg = pl.ChainConfig(kind=kind, n_iter=65536, seed=2, shift_l=l)
+        tracemalloc.start()
+        try:
+            pl.run_chain(prob, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20
+

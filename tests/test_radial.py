@@ -210,7 +210,12 @@ class TestRadialSummary:
             st = pl.direction_stats(prob, theta)
             summ = pl.radial_summary(st, 7, prob.y_norm)
             assert summ.mass_lo <= summ.mass <= summ.mass_hi
-            assert summ.mass_lo == pytest.approx(summ.peak * summ.mode_r / 7.0, rel=1e-12)
+            if st.beta >= 0.0:
+                assert summ.mass_lo == pytest.approx(summ.peak * summ.mode_r / 7.0, rel=1e-12)
+            else:  # the half-Gaussian minorant right of the mode
+                curv = st.norm_A_theta**2 + 6.0 / summ.mode_r**2
+                assert summ.mass_lo == pytest.approx(summ.peak * math.sqrt(math.pi / (2.0 * curv)),
+                                                     rel=1e-12)
             assert summ.mass_hi == pytest.approx(
                 summ.peak * summ.mode_r * 720.0 * math.exp(6.0) / 6.0**7, rel=1e-12
             )
@@ -272,11 +277,12 @@ class TestSweep:
         prob = desk_instance_y
         rng = np.random.default_rng(40)
         thetas = sample_sphere_batch(rng, 300, 7)
-        mass, peak_mode = sweep_summaries(prob, thetas)
+        mass, peak_mode, mass_lo = sweep_summaries(prob, thetas)
         for i in range(300):
             summ = pl.radial_summary(pl.direction_stats(prob, thetas[i]), 7, prob.y_norm)
             assert mass[i] == pytest.approx(summ.mass, rel=1e-8)
             assert peak_mode[i] == pytest.approx(summ.peak * summ.mode_r, rel=1e-8)
+            assert mass_lo[i] == pytest.approx(summ.mass_lo, rel=1e-8)
 
 
 def _direction_at_offset(a, y_norm, beta, rng):
@@ -318,7 +324,7 @@ class TestOneKernelPath:
             assert st.beta == pytest.approx(beta, rel=1e-6, abs=1e-6)
             want = float(mp.exp(mp_log_radial_mass(st.norm_A_theta, st.beta, y_norm, p)))
             summ = pl.radial_summary(st, p, y_norm)
-            mass, peak_mode = sweep_summaries(prob, theta[None, :])
+            mass, peak_mode, _ = sweep_summaries(prob, theta[None, :])
             assert summ.method == METHOD_EXACT
             assert summ.mass == pytest.approx(want, rel=1e-9)
             assert mass[0] == pytest.approx(want, rel=1e-9)
@@ -338,7 +344,7 @@ class TestOneKernelPath:
         assert summ.mode_r == pytest.approx(root, rel=1e-12)
         assert pl.shifted_mode_radius(ctx, 7) == pytest.approx(root, rel=1e-12)
         assert summ.mass_lo <= summ.mass <= summ.mass_hi
-        _, peak_mode = sweep_summaries(prob, st.theta[None, :])
+        _, peak_mode, _ = sweep_summaries(prob, st.theta[None, :])
         assert peak_mode[0] > 0.0
         assert peak_mode[0] == pytest.approx(summ.peak * summ.mode_r, rel=1e-12)
 
@@ -352,15 +358,30 @@ class TestOneKernelPath:
             thetas[i] = oracles.null_space_direction(prob.A, rng) + 0.05 * thetas[i]
         thetas[5] = oracles.null_space_direction(prob.A, rng)
         thetas /= np.linalg.norm(thetas, axis=1)[:, None]
-        mass, peak_mode = sweep_summaries(prob, thetas)
+        mass, peak_mode, mass_lo = sweep_summaries(prob, thetas)
         betas = []
         for i, theta in enumerate(thetas):
             st = pl.direction_stats(prob, theta)
             summ = pl.radial_summary(st, 20, prob.y_norm)
             assert mass[i] == pytest.approx(summ.mass, rel=1e-12)
             assert peak_mode[i] == pytest.approx(summ.peak * summ.mode_r, rel=1e-12)
+            assert mass_lo[i] == pytest.approx(summ.mass_lo, rel=1e-12)
             betas.append(math.nan if st.beta is None else st.beta)
         assert np.isnan(betas[5]) and np.nanmax(betas) > 13.0
+
+    @pytest.mark.parametrize("p, beta", [(7, -20.0), (7, -60.0), (2, -60.0), (20, -60.0), (2, -5.0)])
+    def test_bracket_at_negative_offset(self, p, beta):
+        # 1 x p design, theta = e1, y = 1 - beta: here peak * mode / p exceeds
+        # the mass (1.06x to 12x); the half-Gaussian minorant holds
+        y_norm = 1.0 - beta
+        prob = pl.make_problem(np.eye(1, p), np.array([y_norm]))
+        st = pl.direction_stats(prob, np.eye(1, p)[0])
+        assert st.beta == beta
+        want = float(mp.exp(mp_log_radial_mass(st.norm_A_theta, beta, y_norm, p)))
+        summ = pl.radial_summary(st, p, y_norm)
+        assert 0.25 * want <= summ.mass_lo <= want <= summ.mass_hi
+        _, _, mass_lo = sweep_summaries(prob, st.theta[None, :])
+        assert mass_lo[0] == summ.mass_lo
 
 
 def _draw_radii(prob, theta, count, rng):

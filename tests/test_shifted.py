@@ -391,7 +391,7 @@ class TestShiftBatch:
         prob = desk_instance_y
         thetas = sample_sphere_batch(np.random.default_rng(25), 400, 7)
         log_j = shifted_log_masses(prob, build_shift_batch(prob, np.zeros(7), thetas), 7)
-        mass, _ = sweep_summaries(prob, thetas)
+        mass, _, _ = sweep_summaries(prob, thetas)
         # every centered mass comes from the same kernel as the shifted one
         np.testing.assert_allclose(np.exp(log_j - 0.5 * prob.y_norm**2), mass, rtol=1e-12)
 
