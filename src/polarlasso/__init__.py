@@ -1,7 +1,7 @@
 """Polar geometry of the l1-penalized Gaussian posterior.
 
 Closed-form radial masses per direction, partition-function estimation with
-certified bounds, exact polar sampling, the two-route mode solver, and a
+certified bounds, exact posterior sampling, the two-route mode solver, and a
 radial-mode convergence diagnosis for Metropolis-Hastings chains.
 """
 
@@ -48,7 +48,6 @@ from .radial import (
     radial_summary,
 )
 from .shifted import (
-    ShiftContext,
     build_shift_context,
     sample_posterior,
     shifted_mass_bounds,
@@ -67,7 +66,6 @@ __all__ = [
     "PartitionEstimate",
     "ProblemInstance",
     "RadialSummary",
-    "ShiftContext",
     "beta_lower_bound",
     "build_shift_context",
     "concentration_prob",

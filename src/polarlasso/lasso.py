@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemInstance, chunk_generators, sample_sphere_batch
+from .problem import ProblemInstance, chunk_generators, direction_batch, sample_sphere_batch
 
 METHOD_POLAR = "polar"
 METHOD_FISTA = "fista"
@@ -94,21 +94,17 @@ def solve_polar(prob: ProblemInstance, n_samples: int, rng) -> LassoSolution:
         take = min(_SWEEP_CHUNK, left)
         left -= take
         thetas = sample_sphere_batch(gen, take, p)
-        A_thetas = thetas @ prob.A.T
-        norms = np.linalg.norm(A_thetas, axis=1)
-        l1s = np.abs(thetas).sum(axis=1)
-        with np.errstate(divide="ignore"):
-            betas = np.where(norms > 0, l1s / np.where(norms > 0, norms, 1.0), np.inf)
-        if prob.y_norm > 0:
-            s = np.where(norms > 0, (A_thetas @ prob.y) / (np.where(norms > 0, norms, 1.0) * prob.y_norm), 0.0)
-            betas = betas - prob.y_norm * s
-        for i in np.flatnonzero(betas <= 0.0):
-            neg_count += 1
+        st = direction_batch(prob.A, prob.y, thetas)
+        betas = st.beta  # inf on null rows
+        neg = np.flatnonzero(betas <= 0.0)
+        neg_count += neg.size
+        if neg.size:
+            i = neg[np.argmax(betas[neg] ** 2)]  # the first of equal squares
             b = float(betas[i])
             if best_beta is None or b * b > best_beta * best_beta:
                 best_beta = b
-                best_theta = thetas[i].copy()
-                best_norm_A = float(norms[i])
+                best_theta = thetas[i]
+                best_norm_A = float(st.norm_A[i])
     if best_beta is None:
         x = np.zeros(p)
         return LassoSolution(x, objective(prob, x), METHOD_POLAR,

@@ -235,7 +235,7 @@ def _state_diagnosis(prob: ProblemInstance, X: np.ndarray, AX: np.ndarray, l: np
         d, l2 = d[live], l2[live]
         if shifted:
             batch = build_shift_batch(prob, l, d)
-            qr[out] = q * shifted_modes(prob, batch, p)
+            qr[out] = q * shifted_modes(batch, p)
             null[out] = batch.null
             continue
         Ad = AX[out]  # = A (x - l), as l = 0

@@ -9,7 +9,7 @@ import numpy as np
 
 from .problem import ProblemInstance, chunk_generators, sample_laplace, sample_sphere_batch
 from .radial import log_concavity_bracket, sweep_summaries
-from .shifted import build_shift_batch, shifted_log_masses, shifted_log_peak_modes
+from .shifted import _exp, build_shift_batch, shifted_log_masses, shifted_log_peak_modes
 from .special import upper_inc_gamma_int
 
 METHOD_POLAR = "polar_mc"
@@ -54,14 +54,6 @@ def _mean_and_err(total: float, total_sq: float, n: int) -> tuple[float, float]:
     if n > 1:
         var *= n / (n - 1)
     return mean, math.sqrt(var / n)
-
-
-def _exp(x: float) -> float:
-    """e^x, inf past the float range instead of OverflowError."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def estimate_z_polar(prob: ProblemInstance, n_samples: int, rng) -> PartitionEstimate:
@@ -121,7 +113,7 @@ def estimate_z_shifted(prob: ProblemInstance, l: np.ndarray, n_samples: int, rng
         take = min(CHUNK, left)
         left -= take
         batch = build_shift_batch(prob, l, sample_sphere_batch(rng, take, p))
-        log_j = shifted_log_masses(prob, batch, p)
+        log_j = shifted_log_masses(batch, p)
         top = float(log_j.max())
         if top > scale:
             total *= math.exp(scale - top)
@@ -130,7 +122,7 @@ def estimate_z_shifted(prob: ProblemInstance, l: np.ndarray, n_samples: int, rng
         w = np.exp(log_j - scale)
         total += float(w.sum())
         total_sq += float((w * w).sum())
-        log_pm = shifted_log_peak_modes(prob, batch, p)
+        log_pm = shifted_log_peak_modes(batch, p)
         lpm_min = min(lpm_min, float(log_pm.min()))
         lpm_max = max(lpm_max, float(log_pm.max()))
     h0 = batch.h0

@@ -57,6 +57,22 @@ class DirectionStats:
     beta: float | None
 
 
+@dataclass(frozen=True)
+class DirectionBatch:
+    """The statistics of DirectionStats for a batch of unit directions, one per row.
+
+    ``null`` marks the rows with ||A theta|| <= NULL_TOL; they carry s = 0
+    and beta = inf.
+    """
+
+    A_thetas: np.ndarray
+    norm_A: np.ndarray
+    l1: np.ndarray
+    s: np.ndarray
+    beta: np.ndarray
+    null: np.ndarray
+
+
 def operator_norm(A: np.ndarray, tol: float = 1e-10, max_iter: int = 20000) -> float:
     """Spectral norm of A by power iteration on A^T A."""
     A = np.asarray(A, dtype=float)
@@ -110,25 +126,32 @@ def gen_bernoulli_matrix(n: int, p: int, seed: int, y: np.ndarray | None = None)
 
 
 def direction_stats(prob: ProblemInstance, theta: np.ndarray) -> DirectionStats:
-    """Cached statistics of a (not necessarily normalized) direction."""
+    """Cached statistics of a (not necessarily normalized) direction: a batch of one."""
     theta = np.asarray(theta, dtype=float)
     norm = np.linalg.norm(theta)
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
     theta = theta / norm
-    A_theta = prob.A @ theta
-    norm_A_theta = float(np.linalg.norm(A_theta))
-    l1_theta = float(np.abs(theta).sum())
-    y_norm = prob.y_norm
-    if norm_A_theta <= NULL_TOL:
-        return DirectionStats(theta, A_theta, norm_A_theta, l1_theta, s=0.0, beta=None)
+    st = direction_batch(prob.A, prob.y, theta[None, :])
+    beta = None if st.null[0] else float(st.beta[0])
+    return DirectionStats(theta, st.A_thetas[0], float(st.norm_A[0]), float(st.l1[0]),
+                          s=float(st.s[0]), beta=beta)
+
+
+def direction_batch(A: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> DirectionBatch:
+    """DirectionBatch of the unit directions in the rows of `thetas`, against the observation y."""
+    A_thetas = thetas @ A.T
+    norm_A = np.linalg.norm(A_thetas, axis=1)
+    l1 = np.abs(thetas).sum(axis=1)
+    null = norm_A <= NULL_TOL
+    safe = np.where(null, 1.0, norm_A)
+    y_norm = float(np.linalg.norm(y))
     if y_norm == 0.0:
-        s = 0.0
+        s = np.zeros(len(thetas))
     else:
-        s = float(A_theta @ prob.y) / (norm_A_theta * y_norm)
-        s = min(1.0, max(-1.0, s))
-    beta = l1_theta / norm_A_theta - y_norm * s
-    return DirectionStats(theta, A_theta, norm_A_theta, l1_theta, s=s, beta=beta)
+        s = np.where(null, 0.0, np.clip((A_thetas @ y) / (safe * y_norm), -1.0, 1.0))
+    beta = np.where(null, math.inf, l1 / safe - y_norm * s)
+    return DirectionBatch(A_thetas, norm_A, l1, s, beta, null)
 
 
 def ray_energy(stats: DirectionStats, r: float, y_norm: float) -> float:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._moments import log_gaussian_moment, tilted_peak, tilted_peaks
-from .problem import NULL_TOL, DirectionStats
+from ._moments import log_gaussian_moment, tilted_peaks
+from .problem import NULL_TOL, DirectionStats, direction_batch
 from .special import ExpansionResult, expansion_coeff
 
 # default number of terms M of the inverse-power expansion
@@ -50,13 +50,8 @@ def mode_radius(stats: DirectionStats, p: int) -> float:
     """Unique stationary radius (-beta + sqrt(beta^2 + 4(p-1))) / (2 ||A theta||),
     evaluated without cancellation at large beta."""
     if stats.beta is None or stats.norm_A_theta == 0.0:
-        raise ValueError("mode_radius needs A theta != 0; use mode_radius_null")
-    return tilted_peak(p - 1, stats.beta) / stats.norm_A_theta
-
-
-def mode_radius_null(l1_theta: float, p: int) -> float:
-    """Mode of the pure exponential radial law on a null direction."""
-    return (p - 1) / l1_theta
+        raise ValueError("mode_radius needs A theta != 0")
+    return float(tilted_peaks(p - 1, stats.beta)) / stats.norm_A_theta
 
 
 def mode_radius_times_l1(beta: float, p: int) -> float:
@@ -100,11 +95,13 @@ def mass_expansion(beta: float, s: float, y_norm: float, p: int, m_terms: int = 
 def log_concavity_bracket(peak_mode: float, p: int) -> tuple[float, float]:
     """Bracket [M r / p, M r (p-1)! e^(p-1) / (p-1)^p] on the mass of a
     log-concave radial law from peak * mode M r (or on any positive multiple
-    of such masses from the same multiple of M r)."""
+    of such masses from the same multiple of M r).  The upper constant is
+    formed in logs, so the bound is finite wherever it fits a float; the
+    product M r (p-1)! e^(p-1) overflows before the division."""
     lo = peak_mode / p
     if p == 1:
         return lo, math.inf  # the log-concavity upper constant degenerates at p = 1
-    return lo, peak_mode * math.factorial(p - 1) * math.exp(p - 1) / (p - 1) ** p
+    return lo, peak_mode * math.exp(math.lgamma(p) + p - 1 - p * math.log(p - 1))
 
 
 def radial_summary(stats: DirectionStats, p: int, y_norm: float) -> RadialSummary:
@@ -129,7 +126,8 @@ def _summaries(
     """(mass, mode, peak, mass_lo) of the radial law for a batch of directions, one per entry.
 
     Rows with ||A theta|| <= NULL_TOL are null directions, whose beta is
-    ignored: mass (p-1)! e^(-||y||^2/2) / ||theta||_1^p, mode (p-1)/||theta||_1.
+    ignored: mass (p-1)! e^(-||y||^2/2) / ||theta||_1^p, formed in logs so
+    that (p-1)! does not overflow from p = 172 on, and mode (p-1)/||theta||_1.
     Every other row takes its mass from the segment kernel on [0, inf) and
     its mode from the kernel's peak formula, free of cancellation at any beta.
 
@@ -152,7 +150,7 @@ def _summaries(
     mode[gen] = r
     energy[gen] = 0.5 * (r * r * na * na + 2.0 * r * na * b + y2)
     l1 = l1_theta[null]
-    mass[null] = math.factorial(p - 1) * math.exp(-0.5 * y2) / l1**p
+    mass[null] = np.exp(math.lgamma(p) - 0.5 * y2 - p * np.log(l1))
     mode[null] = (p - 1) / l1
     energy[null] = 0.5 * y2 + mode[null] * l1
     # at p = 1 the volume term vanishes and the mode may sit at the origin
@@ -172,16 +170,8 @@ def sweep_summaries(prob, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     Equals radial_summary on every direction; feeds the polar partition
     estimator.
     """
-    y_norm = prob.y_norm
-    A_thetas = thetas @ prob.A.T
-    norms = np.linalg.norm(A_thetas, axis=1)
-    l1s = np.abs(thetas).sum(axis=1)
-    safe = np.where(norms > NULL_TOL, norms, 1.0)
-    if y_norm == 0.0:
-        s = np.zeros(thetas.shape[0])
-    else:
-        s = np.clip((A_thetas @ prob.y) / (safe * y_norm), -1.0, 1.0)
-    mass, mode, peak, lo = _summaries(l1s / safe - y_norm * s, norms, l1s, prob.p, y_norm)
+    st = direction_batch(prob.A, prob.y, thetas)
+    mass, mode, peak, lo = _summaries(st.beta, st.norm_A, st.l1, prob.p, prob.y_norm)
     return mass, peak * mode, lo
 
 

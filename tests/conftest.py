@@ -72,6 +72,16 @@ def quad_radial_mass(A, y, theta, p, rtol=1e-11):
     return total * math.exp(-pot0)
 
 
+def shifted_potential(A, y, l, theta, r, p):
+    """Shifted radial potential ||A(r theta + l) - y||^2/2 + ||r theta + l||_1 + h(0) - (p-1) ln r,
+    h(0) = -||A l - y||^2/2 - ||l||_1, evaluated directly; theta a unit vector, r > 0."""
+    resid_l = A @ l - y
+    h0 = -0.5 * float(resid_l @ resid_l) - float(np.abs(l).sum())
+    x = r * theta + l
+    resid = A @ x - y
+    return 0.5 * float(resid @ resid) + float(np.abs(x).sum()) + h0 - (p - 1) * math.log(r)
+
+
 def quad_shifted_mass(A, y, l, theta, p, rtol=1e-10):
     """Oracle: int_0^inf f(r theta) r^(p-1) dr with f the recentered density."""
     theta = np.asarray(theta, dtype=float)

@@ -12,7 +12,6 @@ import polarlasso as pl
 from polarlasso import mcmc
 from polarlasso.mcmc import KIND_INDEPENDENT, KIND_RANDOM_WALK
 from polarlasso.problem import sample_laplace
-from polarlasso.radial import mode_radius_null
 
 
 class TestTvBound:
@@ -288,7 +287,7 @@ def _scalar_diagnosis(prob, x, l, q):
         return norm, q * pl.shifted_mode_radius(pl.build_shift_context(prob, l, x_rel), prob.p)
     st = pl.direction_stats(prob, x_rel)
     if st.beta is None:
-        return norm, q * mode_radius_null(st.l1_theta, prob.p)
+        return norm, q * (prob.p - 1) / st.l1_theta  # mode of the null-direction law
     return norm, q * pl.mode_radius(st, prob.p)
 
 

@@ -1,4 +1,6 @@
-"""The log-domain segment kernel against a 40-digit mpmath oracle."""
+"""The log-domain segment kernel against a 40-digit mpmath oracle, at
+curvature kappa = 1 (directions with A theta != 0) and kappa = 0 (null
+directions)."""
 
 import math
 
@@ -6,10 +8,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from polarlasso._moments import _BLOCK, log_gaussian_moment
+from polarlasso._moments import _BLOCK, log_gaussian_moment, tilted_peaks
 
 ORDERS = (0, 1, 6, 19, 40)
 BETAS = (-40.0, -5.0, 0.0, 3.8, 13.0, 50.0, 200.0, 1e6)
+# kappa = 0 rates; rates <= 0 diverge on unbounded segments
+RATES = (-40.0, -5.0, 0.0, 1e-3, 3.8, 13.0, 50.0, 200.0, 1e6)
 SEGMENTS = (
     (0.0, math.inf),
     (1e-8, math.inf),
@@ -22,8 +26,8 @@ SEGMENTS = (
 )
 
 
-def oracle_log_moment(m, a, b, beta):
-    """log int_a^b u^m e^(-u^2/2 - beta u) du at 40 digits.
+def oracle_log_moment(m, a, b, beta, kappa=1):
+    """log int_a^b u^m e^(-kappa u^2/2 - beta u) du at 40 digits.
 
     The integrand is taken relative to its value at the clamped peak and
     integrated by tanh-sinh on each side, out to where it has fallen by
@@ -32,11 +36,14 @@ def oracle_log_moment(m, a, b, beta):
     with mp.workdps(40):
         a, beta = mp.mpf(a), mp.mpf(beta)
         b = mp.inf if math.isinf(b) else mp.mpf(b)
-        peak = (mp.sqrt(beta * beta + 4 * m) - beta) / 2
+        if kappa:
+            peak = (mp.sqrt(beta * beta + 4 * m) - beta) / 2
+        else:
+            peak = m / beta if beta > 0 else mp.inf
         c = min(max(peak, a), b)
 
         def g(u):
-            return (m * mp.log(u) if m else 0) - u * u / 2 - beta * u
+            return (m * mp.log(u) if m else 0) - kappa * u * u / 2 - beta * u
 
         g_c = g(c)
 
@@ -72,6 +79,57 @@ def test_matches_mpmath_grid(m):
             worst = max(worst, err)
             assert err <= 1e-12, (m, a, b, beta, value, want)
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("m", ORDERS)
+def test_flat_matches_mpmath_grid(m):
+    # kappa = 0: u^m e^(-beta u), growing (beta <= 0) on bounded segments only.
+    # A gammainc difference would lose every digit on the width-1e-6 segments.
+    for a, b in SEGMENTS:
+        rates = [beta for beta in RATES if beta > 0.0 or math.isfinite(b)]
+        got = log_gaussian_moment(m, a, b, np.array(rates), 0.0)
+        for beta, value in zip(rates, got):
+            want = float(oracle_log_moment(m, a, b, beta, kappa=0))
+            err = abs(value - want) - 8.0 * np.spacing(abs(want))
+            assert err <= 1e-12, (m, a, b, beta, value, want)
+
+
+# values of the kernel before it took a curvature argument; at kappa = 1 the
+# added factors multiply by one, so each value must stay bit-identical
+CURVED_CASES = ((0.0, math.inf, -7.5), (0.0, math.inf, 2.25), (1e-8, 1e-8 + 1e-6, 3.8),
+                (0.5, 4.0, -40.0), (2.0, math.inf, 1e6), (1.25, 30.0, 0.0))
+CURVED_VALUES = {
+    0: (29.043938533204642, -0.9541268479485923, -13.815512495963844, 148.4157109394063,
+        -2000015.815512558, -1.3286871440096406),
+    1: (31.05884155374694, -2.0142806214963223, -28.304368228107194, 149.7950473814312,
+        -2000015.1223648773, -0.7812499999999961),
+    6: (41.38097673358307, -1.7687142739329924, -98.58483509708337, 156.69244623811144,
+        -2000011.6566264746, 2.9137068990567916),
+    19: (69.72197535244716, 10.246390327934575, -279.10694047101464, 174.63081517368997,
+         -2000002.6457066273, 19.04015209362269),
+}
+
+
+@pytest.mark.parametrize("m", sorted(CURVED_VALUES))
+def test_curved_values_unchanged(m):
+    a, b, beta = (np.array(v) for v in zip(*CURVED_CASES))
+    want = np.array(CURVED_VALUES[m])
+    np.testing.assert_array_equal(log_gaussian_moment(m, a, b, beta), want)
+    # an explicit per-element curvature of one takes the same path, as does
+    # a kappa = 0 element in the same call
+    kappa = np.ones(len(a))
+    np.testing.assert_array_equal(log_gaussian_moment(m, a, b, beta, kappa), want)
+    kappa[3] = 0.0
+    mixed = log_gaussian_moment(m, a, b, beta, kappa)
+    np.testing.assert_array_equal(np.delete(mixed, 3), np.delete(want, 3))
+    assert mixed[3] == log_gaussian_moment(m, a[3], b[3], beta[3], 0.0)
+
+
+def test_flat_peaks():
+    # kappa = 0: the root m/beta, or inf where the integrand never turns down
+    got = tilted_peaks(6, np.array([2.0, 1e6, 0.0, -3.0]), 0.0)
+    np.testing.assert_array_equal(got, [3.0, 6e-6, math.inf, math.inf])
+    assert tilted_peaks(0, np.array([5.0]), 0.0)[0] == 0.0
 
 
 def test_broadcast_and_blocks_match_elementwise():
@@ -114,3 +172,7 @@ def test_rejects_bad_segments():
         log_gaussian_moment(3, -1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         log_gaussian_moment(-1, 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="divergent"):
+        log_gaussian_moment(3, 1.0, math.inf, 0.0, 0.0)
+    with pytest.raises(ValueError, match="kappa"):
+        log_gaussian_moment(3, 0.0, 1.0, 1.0, 0.5)

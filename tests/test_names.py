@@ -6,9 +6,12 @@ project has no linter dependency, so this walks each module's symbol table
 (stdlib ``symtable``) and flags every global that a nested scope reads but
 the module neither assigns, imports nor defines, and that is not a builtin.
 The symbol tables do not see ``__all__``, so its entries are checked against
-the imported package.
+the imported package.  The same tables also guard the other way: a
+module-level function or class that nothing else in the package reads and
+that ``__all__`` does not export is reported as orphan code.
 """
 
+import ast
 import builtins
 import symtable
 from pathlib import Path
@@ -45,3 +48,36 @@ def test_every_exported_name_is_bound():
     # a name deleted from a module but left in __all__ breaks `import *` only
     missing = [name for name in polarlasso.__all__ if not hasattr(polarlasso, name)]
     assert not missing, "names in __all__ not bound in polarlasso: " + repr(missing)
+
+
+def _module_defs(path):
+    """Names of the functions and classes defined at the top level of a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def _referenced(table):
+    """Every name read in a symbol table or in any scope nested in it."""
+    names = {sym.get_name() for sym in table.get_symbols() if sym.is_referenced()}
+    for child in table.get_children():
+        names |= _referenced(child)
+    return names
+
+
+def test_no_orphan_definitions():
+    # a module-level function or class that no other scope of the package
+    # reads and that is not exported is code no pipeline path reaches
+    uses = []  # (module, defining scope or None, names read there)
+    defs = []
+    for path in sorted(SRC.glob("*.py")):
+        top = symtable.symtable(path.read_text(encoding="utf-8"), str(path), "exec")
+        uses.append((path.stem, None, {s.get_name() for s in top.get_symbols() if s.is_referenced()}))
+        uses.extend((path.stem, child.get_name(), _referenced(child)) for child in top.get_children())
+        defs.extend((path.stem, name) for name in _module_defs(path))
+    exported = set(polarlasso.__all__)
+    orphans = [
+        (module, name) for module, name in defs
+        if name not in exported
+        and not any(name in names for m, scope, names in uses if (m, scope) != (module, name))
+    ]
+    assert not orphans, "unreferenced and unexported (module, name): " + repr(orphans)

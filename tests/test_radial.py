@@ -1,4 +1,4 @@
-"""Radial law: closed-form masses vs. quadrature, modes, brackets, sampling."""
+"""Radial law: closed-form masses vs. quadrature, modes, brackets."""
 
 import math
 
@@ -9,8 +9,7 @@ from scipy.integrate import quad
 
 import polarlasso as pl
 from polarlasso.problem import sample_sphere_batch
-from polarlasso.radial import METHOD_EXACT, METHOD_NULL, mode_radius_null, sweep_summaries
-from polarlasso.shifted import sample_shifted_radius
+from polarlasso.radial import METHOD_EXACT, METHOD_NULL, sweep_summaries
 
 
 def mp_log_radial_mass(na, beta, y_norm, p):
@@ -92,7 +91,7 @@ class TestModeRadius:
         st = pl.direction_stats(desk_instance, theta)
         with pytest.raises(ValueError):
             pl.mode_radius(st, 7)
-        assert mode_radius_null(st.l1_theta, 7) == pytest.approx(6.0 / st.l1_theta)
+        assert pl.radial_summary(st, 7, 0.0).mode_r == pytest.approx(6.0 / st.l1_theta)
 
 
 class TestMassClosedForm:
@@ -383,51 +382,27 @@ class TestOneKernelPath:
         _, _, mass_lo = sweep_summaries(prob, st.theta[None, :])
         assert mass_lo[0] == summ.mass_lo
 
+    def test_upper_bound_finite_at_p100(self):
+        # 1 x 100 design, theta = e1, y = 61 (beta = -60): the factors
+        # (p-1)! e^(p-1) of the log-concavity constant overflow on their own
+        p, y_norm = 100, 61.0
+        prob = pl.make_problem(np.eye(1, p), np.array([y_norm]))
+        st = pl.direction_stats(prob, np.eye(1, p)[0])
+        assert st.beta == -60.0
+        summ = pl.radial_summary(st, p, y_norm)
+        want = float(mp.exp(mp_log_radial_mass(st.norm_A_theta, -60.0, y_norm, p)))
+        assert summ.mass == pytest.approx(want, rel=1e-12)
+        assert summ.mass <= summ.mass_hi < math.inf
 
-def _draw_radii(prob, theta, count, rng):
-    """Exact radius draws along theta from the shifted sampler at l = 0."""
-    ctx = pl.build_shift_context(prob, np.zeros(prob.p), theta)
-    return np.array([sample_shifted_radius(ctx, prob.p, rng) for _ in range(count)])
-
-
-class TestSampleRadius:
-    def test_empirical_mode_near_closed_form(self, desk_instance):
-        st = pl.direction_stats(desk_instance, np.ones(7))
-        rng = np.random.default_rng(9)
-        draws = _draw_radii(desk_instance, np.ones(7), 100000, rng)
-        hist, edges = np.histogram(draws, bins=80)
-        peak_bin = 0.5 * (edges[np.argmax(hist)] + edges[np.argmax(hist) + 1])
-        r_star = pl.mode_radius(st, 7)
-        assert abs(peak_bin - r_star) <= 2.5 * (edges[1] - edges[0])
-
-    def test_tail_fraction(self, desk_instance):
-        st = pl.direction_stats(desk_instance, np.ones(7))
-        rng = np.random.default_rng(10)
-        r_star = pl.mode_radius(st, 7)
-        draws = _draw_radii(desk_instance, np.ones(7), 100000, rng)
-        frac = float(np.mean(draws <= 5.0 * r_star))
-        assert frac >= 1.0 - math.exp(-12.0)  # e^-2(p-1), comfortably met at this scale
-
-    def test_null_direction_gamma_law(self, desk_instance, oracles):
-        theta = oracles.null_space_direction(desk_instance.A, np.random.default_rng(11))
-        st = pl.direction_stats(desk_instance, theta)
-        rng = np.random.default_rng(12)
-        draws = _draw_radii(desk_instance, theta, 50000, rng)
-        assert float(draws.mean()) == pytest.approx(7.0 / st.l1_theta, rel=0.02)
-
-    def test_histogram_against_density(self, desk_instance_y):
-        # draws vs the normalized density through the CDF (Kolmogorov distance)
-        prob = desk_instance_y
-        st = pl.direction_stats(prob, np.ones(7))
-        rng = np.random.default_rng(13)
-        draws = np.sort(_draw_radii(prob, np.ones(7), 20000, rng))
-
-        grid = np.linspace(1e-6, float(draws[-1]) * 1.2, 4001)
-        pot0 = min(pl.radial_potential(st, r, 7, prob.y_norm) for r in grid)
-        dens = np.array([math.exp(-(pl.radial_potential(st, r, 7, prob.y_norm) - pot0)) for r in grid])
-        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(grid))])
-        cdf /= cdf[-1]
-        model_cdf = np.interp(draws, grid, cdf)
-        emp = np.arange(1, len(draws) + 1) / len(draws)
-        ks = float(np.max(np.abs(model_cdf - emp)))
-        assert ks < 0.02
+    def test_null_row_past_factorial_range(self, oracles):
+        # p = 180: (p-1)! alone overflows a float, which made every sweep raise
+        p = 180
+        prob = pl.make_problem(pl.gen_bernoulli_matrix(3, p, 1).A, np.array([0.5, -0.2, 0.1]))
+        rng = np.random.default_rng(3)
+        thetas = np.vstack([oracles.null_space_direction(prob.A, rng), sample_sphere_batch(rng, 2, p)])
+        mass, _, _ = sweep_summaries(prob, thetas)
+        l1 = mp.mpf(float(np.abs(thetas[0]).sum()))
+        with mp.workdps(40):
+            want = mp.exp(mp.loggamma(p) - mp.mpf(prob.y_norm) ** 2 / 2 - p * mp.log(l1))
+        assert mass[0] == pytest.approx(float(want), rel=1e-12)
+        assert np.all(np.isfinite(mass)) and np.all(mass > 0.0)

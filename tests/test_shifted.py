@@ -1,4 +1,4 @@
-"""Recentered-density machinery: segments, closed-form masses, modes, sampling."""
+"""Recentered-density machinery: segment geometry, closed-form masses, modes, sampling."""
 
 import math
 
@@ -6,27 +6,33 @@ import numpy as np
 import pytest
 
 import polarlasso as pl
+from conftest import shifted_potential
 from polarlasso.problem import sample_sphere_batch
-from polarlasso.shifted import l1_on_segment, sample_shifted_radius, shifted_potential
+from polarlasso.shifted import build_shift_batch, shifted_log_masses, shifted_log_peak_modes
 
 
-def golden_section_mode(ctx, p, lo=1e-8, hi=1e4, tol=1e-11):
+def potential(prob, ctx, r, p):
+    """Oracle shifted radial potential along row 0 of a shift batch."""
+    return shifted_potential(prob.A, prob.y, ctx.l, ctx.theta, r, p)
+
+
+def golden_section_mode(prob, ctx, p, lo=1e-8, hi=1e4, tol=1e-11):
     """Oracle minimizer of the shifted radial potential by golden-section search."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = math.log(lo), math.log(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc = shifted_potential(ctx, math.exp(c), p)
-    fd = shifted_potential(ctx, math.exp(d), p)
+    fc = potential(prob, ctx, math.exp(c), p)
+    fd = potential(prob, ctx, math.exp(d), p)
     while b - a > tol:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = shifted_potential(ctx, math.exp(c), p)
+            fc = potential(prob, ctx, math.exp(c), p)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = shifted_potential(ctx, math.exp(d), p)
+            fd = potential(prob, ctx, math.exp(d), p)
     return math.exp(0.5 * (a + b))
 
 
@@ -36,88 +42,82 @@ def random_shift_pair(rng, p=7, scale_hi=2.0):
     return l, theta
 
 
+def random_batch(prob, rng, count, p=7):
+    """A batch of `count` random directions at one random shift."""
+    l, _ = random_shift_pair(rng, p)
+    return build_shift_batch(prob, l, rng.standard_normal((count, p)))
+
+
 class TestContext:
+    """The segment geometry of ShiftBatch, row by row."""
+
     def test_sign_classes_partition(self, desk_instance_y):
+        # finite breakpoints are the sorted ratios |l_i|/|theta_i| over the
+        # coordinates where theta_i l_i < 0, and only those
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            l, theta = random_shift_pair(rng)
-            ctx = pl.build_shift_context(desk_instance_y, l, theta)
-            all_idx = sorted([*ctx.S0, *ctx.S_plus, *ctx.S_minus])
-            assert all_idx == list(range(7))
+        for _ in range(10):
+            batch = random_batch(desk_instance_y, rng, 20)
+            for theta, lo in zip(batch.thetas, batch.lo):
+                minus = theta * batch.l < 0.0
+                want = np.sort(np.abs(batch.l[minus]) / np.abs(theta[minus]))
+                assert lo[0] == 0.0
+                np.testing.assert_array_equal(lo[1:1 + minus.sum()], want)
+                assert np.all(np.isinf(lo[1 + minus.sum():]))
 
     def test_final_slope_is_l1(self, desk_instance_y):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            l, theta = random_shift_pair(rng)
-            ctx = pl.build_shift_context(desk_instance_y, l, theta)
-            assert ctx.segments[-1].l1 == pytest.approx(
-                float(np.abs(ctx.theta).sum()), rel=1e-12
-            )
+        for _ in range(10):
+            batch = random_batch(desk_instance_y, rng, 20)
+            np.testing.assert_allclose(batch.slope[:, -1], np.abs(batch.thetas).sum(axis=1), rtol=1e-12)
 
     def test_hand_case_opposed_basis_vector(self, desk_instance_y):
         l = np.eye(7)[0]
-        theta = -np.eye(7)[0]
-        ctx = pl.build_shift_context(desk_instance_y, l, theta)
-        assert list(ctx.S_minus) == [0]
-        assert ctx.breakpoints[1] == pytest.approx(1.0)
+        batch = pl.build_shift_context(desk_instance_y, l, -np.eye(7)[0])
+        assert batch.lo[0, 1] == pytest.approx(1.0)
         for r in (0.0, 0.5, 0.99, 1.01, 3.0):
-            assert l1_on_segment(ctx, r) == pytest.approx(abs(1.0 - r), abs=1e-12)
+            k = int(np.searchsorted(batch.lo[0], r, side="right")) - 1
+            assert batch.slope[0, k] * r + batch.c[0, k] == pytest.approx(abs(1.0 - r), abs=1e-12)
 
     def test_piecewise_identity_randomized(self, desk_instance_y):
         rng = np.random.default_rng(2)
-        prob = desk_instance_y
-        for _ in range(1000):
-            l, theta = random_shift_pair(rng)
-            ctx = pl.build_shift_context(prob, l, theta)
-            finite = [b for b in ctx.breakpoints if math.isfinite(b)]
-            top = (finite[-1] + 1.0) * 2.0
-            for seg in ctx.segments:
-                hi = min(seg.hi, top)
-                if hi <= seg.lo:
-                    continue
-                for r in rng.uniform(seg.lo, hi, size=10):
-                    direct = float(np.abs(r * ctx.theta + ctx.l).sum())
-                    assert seg.l1 * r + seg.c == pytest.approx(direct, rel=1e-12, abs=1e-12)
+        for _ in range(10):
+            batch = random_batch(desk_instance_y, rng, 100)
+            for i, theta in enumerate(batch.thetas):
+                finite = batch.hi[i][np.isfinite(batch.hi[i])]
+                top = ((finite[-1] if finite.size else 0.0) + 1.0) * 2.0
+                for k in np.flatnonzero(batch.hi[i] > batch.lo[i]):
+                    for r in rng.uniform(batch.lo[i, k], min(batch.hi[i, k], top), size=10):
+                        direct = float(np.abs(r * theta + batch.l).sum())
+                        affine = batch.slope[i, k] * r + batch.c[i, k]
+                        assert affine == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
     def test_reduction_to_centered_offsets(self, desk_instance_y):
         rng = np.random.default_rng(3)
         prob = desk_instance_y
         theta = rng.standard_normal(7)
-        ctx = pl.build_shift_context(prob, np.zeros(7), theta)
+        batch = pl.build_shift_context(prob, np.zeros(7), theta)
         st = pl.direction_stats(prob, theta)
-        assert len(ctx.segments) == 1
-        seg = ctx.segments[0]
-        assert seg.c == 0.0
-        assert seg.l1 == pytest.approx(st.l1_theta, rel=1e-14)
-        assert seg.beta == pytest.approx(st.beta, rel=1e-12)
-
-    def test_crossing_indices_invariant(self, desk_instance_y):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            l, theta = random_shift_pair(rng)
-            ctx = pl.build_shift_context(desk_instance_y, l, theta)
-            assert ctx.k0 + 1 >= ctx.k1
-            # x_k, y_k increase with k
-            xs = [s.x for s in ctx.segments]
-            ys = [s.y for s in ctx.segments]
-            assert all(b >= a - 1e-12 for a, b in zip(xs, xs[1:]))
-            assert all(b >= a - 1e-12 for a, b in zip(ys, ys[1:]))
+        assert batch.lo.shape == (1, 1)
+        assert batch.c[0, 0] == 0.0
+        assert batch.slope[0, 0] == pytest.approx(st.l1_theta, rel=1e-14)
+        assert batch.beta[0, 0] == pytest.approx(st.beta, rel=1e-12)
 
     def test_last_offset_lower_bound(self, desk_instance_y):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            l, theta = random_shift_pair(rng)
-            ctx = pl.build_shift_context(desk_instance_y, l, theta)
-            norm_y_l = float(np.linalg.norm(ctx.y_l))
-            assert ctx.segments[-1].beta >= -norm_y_l - 1e-12
+        for _ in range(10):
+            batch = random_batch(desk_instance_y, rng, 20)
+            assert np.all(batch.beta[:, -1] >= -float(np.linalg.norm(batch.y_l)) - 1e-12)
 
     def test_null_direction_context(self, desk_instance, oracles):
+        # null rows take u = r and curvature 0: their tilt is the l1 slope itself
         rng = np.random.default_rng(6)
-        theta = oracles.null_space_direction(desk_instance.A, rng)
-        l = rng.standard_normal(7)
-        ctx = pl.build_shift_context(desk_instance, l, theta)
-        assert ctx.null_direction
-        assert all(seg.beta is None for seg in ctx.segments)
+        thetas = rng.standard_normal((3, 7))
+        thetas[1] = oracles.null_space_direction(desk_instance.A, rng)
+        batch = build_shift_batch(desk_instance, rng.standard_normal(7), thetas)
+        np.testing.assert_array_equal(batch.null, [False, True, False])
+        np.testing.assert_array_equal(batch.kappa, [1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(batch.scale[1], 1.0)
+        np.testing.assert_array_equal(batch.beta[1], batch.slope[1])
 
 
 class TestShiftedMass:
@@ -192,7 +192,7 @@ class TestShiftedMass:
         for t in (1e-2, 1e-3, 1e-4):
             theta_t = theta_ns + t * delta
             ctx_t = pl.build_shift_context(prob, l, theta_t)
-            assert not ctx_t.null_direction
+            assert not ctx_t.null[0]
             errs.append(abs(pl.shifted_radial_mass(ctx_t, 7) - limit) / limit)
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-3
@@ -214,9 +214,11 @@ class TestShiftedMass:
             ) * r ** 6
 
         total = 0.0
-        for seg in ctx.segments:
-            hi = seg.hi if math.isfinite(seg.hi) else seg.lo + 60.0
-            val, _ = quad(integrand, seg.lo, hi, epsrel=1e-11, limit=300)
+        for lo, hi in zip(ctx.lo[0], ctx.hi[0]):
+            if hi <= lo:
+                continue
+            hi = hi if math.isfinite(hi) else lo + 60.0
+            val, _ = quad(integrand, lo, hi, epsrel=1e-11, limit=300)
             total += val
         whole = oracles.quad_shifted_mass(prob.A, prob.y, l, ctx.theta, 7)
         assert total == pytest.approx(whole, rel=1e-8)
@@ -240,8 +242,24 @@ class TestShiftedMode:
             l, theta = random_shift_pair(rng)
             ctx = pl.build_shift_context(prob, l, theta)
             r_walk = pl.shifted_mode_radius(ctx, 7)
-            r_gold = golden_section_mode(ctx, 7)
+            r_gold = golden_section_mode(prob, ctx, 7)
             assert r_walk == pytest.approx(r_gold, rel=1e-6, abs=1e-8)
+
+    @pytest.mark.parametrize("optimal", [True, False])
+    def test_null_rows_against_golden_section(self, desk_instance, oracles, optimal):
+        # curvature-0 rows: the root m/slope of the first segment that turns
+        # down, or its left end; growing segments at a non-optimal l
+        prob = desk_instance
+        rng = np.random.default_rng(151)
+        for _ in range(10):
+            theta = oracles.null_space_direction(prob.A, rng)
+            l = pl.solve_fista(prob).x if optimal else -2.0 * theta + 0.3 * rng.standard_normal(7)
+            ctx = pl.build_shift_context(prob, l, theta)
+            assert ctx.null[0]
+            if not optimal:
+                assert np.any(ctx.slope[0] < 0.0)
+            r_gold = golden_section_mode(prob, ctx, 7)
+            assert pl.shifted_mode_radius(ctx, 7) == pytest.approx(r_gold, rel=1e-6, abs=1e-8)
 
     def test_convexity_probe(self, desk_instance_y):
         prob = desk_instance_y
@@ -250,10 +268,10 @@ class TestShiftedMode:
             l, theta = random_shift_pair(rng)
             ctx = pl.build_shift_context(prob, l, theta)
             r_star = pl.shifted_mode_radius(ctx, 7)
-            best = shifted_potential(ctx, r_star, 7)
+            best = potential(prob, ctx, r_star, 7)
             for eps in (1e-3, 1e-2):
-                assert shifted_potential(ctx, r_star * (1 + eps), 7) >= best - 1e-12
-                assert shifted_potential(ctx, r_star * (1 - eps), 7) >= best - 1e-12
+                assert potential(prob, ctx, r_star * (1 + eps), 7) >= best - 1e-12
+                assert potential(prob, ctx, r_star * (1 - eps), 7) >= best - 1e-12
 
 
 class TestShiftedBounds:
@@ -278,23 +296,27 @@ class TestShiftedBounds:
             mass = pl.shifted_radial_mass(ctx, 7)
             assert lo * (1 - 1e-9) <= mass <= hi * (1 + 1e-9)
 
+    def test_no_overflow_far_from_the_mode(self):
+        # 1 x 2 design, l = 0, theta = e1: beta = 1 - ||y||, and h(0) = -||y||^2/2
+        # is taken out in logs, so the recentered bracket passes the float
+        # range as inf instead of raising
+        far = pl.make_problem(np.eye(1, 2), np.array([61.0]))
+        ctx = pl.build_shift_context(far, np.zeros(2), np.eye(2)[0])
+        assert ctx.beta[0, 0] == -60.0
+        assert pl.shifted_mass_bounds(ctx, 2) == (math.inf, math.inf)
+        assert pl.shifted_radial_mass(ctx, 2) == math.inf
+        # where it stays finite it is the centred bracket times e^(||y||^2/2)
+        near = pl.make_problem(np.eye(1, 2), np.array([21.0]))
+        ctx = pl.build_shift_context(near, np.zeros(2), np.eye(2)[0])
+        lo, hi = pl.shifted_mass_bounds(ctx, 2)
+        summ = pl.radial_summary(pl.direction_stats(near, np.eye(2)[0]), 2, 21.0)
+        scale = math.exp(0.5 * 21.0**2)
+        assert hi == pytest.approx(summ.mass_hi * scale, rel=1e-10)
+        assert lo == pytest.approx(summ.peak * summ.mode_r * scale / 2, rel=1e-10)
+        assert pl.shifted_radial_mass(ctx, 2) <= hi
+
 
 class TestSampling:
-    def test_radius_law_matches_density(self, desk_instance_y):
-        prob = desk_instance_y
-        rng = np.random.default_rng(19)
-        l = pl.solve_fista(prob).x
-        theta = rng.standard_normal(7)
-        ctx = pl.build_shift_context(prob, l, theta)
-        draws = np.sort([sample_shifted_radius(ctx, 7, rng) for _ in range(20000)])
-        grid = np.linspace(1e-6, float(draws[-1]) * 1.2, 4001)
-        pot0 = min(shifted_potential(ctx, r, 7) for r in grid)
-        dens = np.array([math.exp(-(shifted_potential(ctx, r, 7) - pot0)) for r in grid])
-        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(grid))])
-        cdf /= cdf[-1]
-        ks = float(np.max(np.abs(np.interp(draws, grid, cdf) - np.arange(1, 20001) / 20000)))
-        assert ks < 0.02
-
     def test_posterior_mean_zero_observation(self, desk_instance):
         rng = np.random.default_rng(20)
         draws = np.array([pl.sample_posterior(desk_instance, np.zeros(7), rng) for _ in range(30000)])
@@ -366,31 +388,30 @@ def _instance_with_mode(n, p, seed, y_norm=3.0):
 class TestShiftBatch:
     @pytest.mark.parametrize("n, p", [(4, 7), (10, 20)])
     def test_batch_matches_per_context(self, n, p, oracles):
-        from polarlasso.shifted import build_shift_batch, shifted_log_masses, shifted_log_peak_modes
-
+        # a row's values do not depend on the batch around it, a null row
+        # included, and log(peak * mode) matches the oracle potential
         prob, l = _instance_with_mode(n, p, 42)
         assert np.count_nonzero(l) >= 2  # rays cross several l1 segments
         rng = np.random.default_rng(24)
         thetas = sample_sphere_batch(rng, 150, p)
-        thetas[7] = oracles.null_space_direction(prob.A, rng)  # null rows keep their own branch
+        thetas[7] = oracles.null_space_direction(prob.A, rng)  # a curvature-0 row in the same call
         batch = build_shift_batch(prob, l, thetas)
-        log_j = shifted_log_masses(prob, batch, p)
-        log_pm = shifted_log_peak_modes(prob, batch, p)
+        log_j = shifted_log_masses(batch, p)
+        log_pm = shifted_log_peak_modes(batch, p)
         assert batch.null[7] and batch.null.sum() == 1
         for i in range(len(thetas)):
             ctx = pl.build_shift_context(prob, l, thetas[i])
             assert math.exp(log_j[i]) == pytest.approx(pl.shifted_radial_mass(ctx, p), rel=1e-12)
             r = pl.shifted_mode_radius(ctx, p)
-            assert log_pm[i] == pytest.approx(math.log(r) - shifted_potential(ctx, r, p),
+            assert log_pm[i] == pytest.approx(math.log(r) - potential(prob, ctx, r, p),
                                               rel=1e-12, abs=1e-12)
 
     def test_zero_shift_matches_centered_sweep(self, desk_instance_y):
         from polarlasso.radial import sweep_summaries
-        from polarlasso.shifted import build_shift_batch, shifted_log_masses
 
         prob = desk_instance_y
         thetas = sample_sphere_batch(np.random.default_rng(25), 400, 7)
-        log_j = shifted_log_masses(prob, build_shift_batch(prob, np.zeros(7), thetas), 7)
+        log_j = shifted_log_masses(build_shift_batch(prob, np.zeros(7), thetas), 7)
         mass, _, _ = sweep_summaries(prob, thetas)
         # every centered mass comes from the same kernel as the shifted one
         np.testing.assert_allclose(np.exp(log_j - 0.5 * prob.y_norm**2), mass, rtol=1e-12)
