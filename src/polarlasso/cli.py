@@ -165,8 +165,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         out = {**out[args.method]}
     if args.shift:
         l = lasso.solve_fista(prob, 20000, 1e-10).x
-        est = partition.estimate_z_shifted(prob, l, SHIFT_DIRECTIONS,
-                                           np.random.default_rng(args.seed + 7))
+        est = partition.estimate_z_shifted(prob, l, SHIFT_DIRECTIONS, args.seed + 7)
         out["shift"] = {"z_f": est.z_f, "h0": est.h0, "z_from_shift": est.z,
                         "std_err": est.std_err, "z_min": est.z_min, "z_max": est.z_max,
                         "l": [float(v) for v in l], "n_samples": est.n_samples}

@@ -8,12 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemInstance, chunk_generators, direction_batch, sample_sphere_batch
+from .problem import ProblemInstance, direction_batch, sample_sphere_batch, sweep_chunks
 
 METHOD_POLAR = "polar"
 METHOD_FISTA = "fista"
-
-_SWEEP_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -77,23 +75,16 @@ def solve_polar(prob: ProblemInstance, n_samples: int, rng) -> LassoSolution:
     offset beta <= 0, and return l = -(beta/||A theta||) theta for the beta of
     largest square.  If no direction has beta <= 0 the mode is the origin.
 
-    The sweep is consumed in fixed-size seed chunks; ties in beta^2 keep the
-    first candidate in stream order.
+    The sweep is consumed in the chunks of sweep_chunks; ties in beta^2
+    keep the first candidate in stream order.
     """
-    if n_samples < 1:
-        raise ValueError("need n_samples >= 1")
     p = prob.p
     best_beta = None
     best_theta = None
     best_norm_A = None
-    n_chunks = (n_samples + _SWEEP_CHUNK - 1) // _SWEEP_CHUNK
-    gens = chunk_generators(rng, n_chunks)
-    left = n_samples
     neg_count = 0
-    for gen in gens:
-        take = min(_SWEEP_CHUNK, left)
-        left -= take
-        thetas = sample_sphere_batch(gen, take, p)
+    for gen, count in sweep_chunks(rng, n_samples):
+        thetas = sample_sphere_batch(gen, count, p)
         st = direction_batch(prob.A, prob.y, thetas)
         betas = st.beta  # inf on null rows
         neg = np.flatnonzero(betas <= 0.0)

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._moments import tilted_peaks
-from .problem import NULL_TOL, ProblemInstance, sample_laplace
+from .problem import ProblemInstance, sample_laplace
 from .shifted import build_shift_batch, sample_posterior, shifted_modes
 
 KIND_INDEPENDENT = "independent_laplace"
@@ -118,14 +117,14 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig, z_estimate: float | None 
     accepted = 0
     meta = {"states_diagnosed": 0, "null_states": 0, "centre_states": 0, "blocks": 0}
 
-    def diagnose(X: np.ndarray, AX: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        norm, qr, null = _state_diagnosis(prob, X, AX, l, cfg.q)
+    def diagnose(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        norm, qr, null = _state_diagnosis(prob, X, l, cfg.q)
         meta["states_diagnosed"] += len(X)
         meta["null_states"] += int(np.count_nonzero(null))
         meta["centre_states"] += int(np.count_nonzero(qr == math.inf))
         return norm, qr
 
-    (cur_norm,), (cur_qr,) = diagnose(x[None], Ax[None])
+    (cur_norm,), (cur_qr,) = diagnose(x[None])
 
     is_kind = cfg.kind == KIND_INDEPENDENT
     # the kernels of x + s, v @ w and np.abs(v).sum() called directly, on
@@ -147,12 +146,11 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig, z_estimate: float | None 
                     acc.append(i)
             idx = np.array(acc, dtype=np.intp)
             states = np.concatenate([x[None], props[idx]])
-            states_Ax = np.concatenate([Ax[None], prop_Ax[idx]])
         else:
             steps = rng.normal(0.0, math.sqrt(cfg.rw_variance), size=(block, p))
             step_Ax = steps @ A.T
             log_u = np.log(rng.uniform(size=block))
-            x0, Ax0 = x, Ax
+            x0 = x
             for i, (step, step_A, lu) in enumerate(zip(steps, step_Ax, log_u)):
                 x_new = add(x, step)
                 Ax_new = add(Ax, step_A)
@@ -166,16 +164,15 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig, z_estimate: float | None 
                     acc.append(i)
             idx = np.array(acc, dtype=np.intp)
             states = np.cumsum(np.concatenate([x0[None], steps[idx]]), axis=0)
-            states_Ax = np.cumsum(np.concatenate([Ax0[None], step_Ax[idx]]), axis=0)
         # row 0 is the state the block started at, row k the k-th accepted one
-        norm, qr = diagnose(states[1:], states_Ax[1:])
+        norm, qr = diagnose(states[1:])
         runs = np.diff(idx, prepend=0, append=block)
         norm_x[done:done + block] = np.repeat(np.concatenate(([cur_norm], norm)), runs)
         q_r[done:done + block] = np.repeat(np.concatenate(([cur_qr], qr)), runs)
         sum_x += runs @ states
         accepted += idx.size
         if idx.size:
-            x, Ax = states[-1].copy(), states_Ax[-1].copy()
+            x = states[-1].copy()
             cur_norm, cur_qr = norm[-1], qr[-1]
         meta["blocks"] += 1
         done += block
@@ -206,47 +203,29 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig, z_estimate: float | None 
     return ChainTrace(norm_x=norm_x, q_r_theta=q_r, criterion=crit), diag
 
 
-def _state_diagnosis(prob: ProblemInstance, X: np.ndarray, AX: np.ndarray, l: np.ndarray,
+def _state_diagnosis(prob: ProblemInstance, X: np.ndarray, l: np.ndarray,
                      q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(||x - l||, q r(theta, l), null) for every state x in the rows of X.
 
-    AX holds the rows A x.  theta is the direction of x - l and r the mode
-    radius of the radial law along it: the centred law when l = 0, else the
-    shifted law through build_shift_batch and shifted_modes.  A state at
-    the centre gets r = inf; `null` marks states whose direction lies in the
-    null space of A.  At most _DIAG_ROWS rows are processed at a time.
+    theta is the direction of x - l and r the mode radius of the shifted
+    radial law along it, through build_shift_batch and shifted_modes (at
+    l = 0 the centred law).  A state at the centre gets r = inf; `null`
+    marks states whose direction lies in the null space of A.  At most
+    _DIAG_ROWS rows are processed at a time.
     """
-    p = prob.p
-    y = prob.y
-    y_norm = prob.y_norm
-    shifted = bool(np.any(l))
     n = len(X)
     norm = np.empty(n)
     qr = np.full(n, math.inf)
     null = np.zeros(n, dtype=bool)
     for s in range(0, n, _DIAG_ROWS):
-        d = X[s:s + _DIAG_ROWS] - l if shifted else X[s:s + _DIAG_ROWS]
+        d = X[s:s + _DIAG_ROWS] - l
         l2 = np.linalg.norm(d, axis=1)
         norm[s:s + len(d)] = l2
         live = np.flatnonzero(l2 > 0.0)
-        if not live.size:
-            continue
-        out = live + s
-        d, l2 = d[live], l2[live]
-        if shifted:
-            batch = build_shift_batch(prob, l, d)
-            qr[out] = q * shifted_modes(batch, p)
-            null[out] = batch.null
-            continue
-        Ad = AX[out]  # = A (x - l), as l = 0
-        nA = np.sqrt(np.einsum("ij,ij->i", Ad, Ad))
-        l1 = np.abs(d).sum(axis=1)
-        flat = nA / l2 <= NULL_TOL
-        safe = np.where(flat, 1.0, nA)
-        cos = 0.0 if y_norm == 0.0 else (Ad @ y) / (safe * y_norm)
-        beta = l1 / safe - y_norm * cos
-        qr[out] = np.where(flat, q * (p - 1) * l2 / l1, q * tilted_peaks(p - 1, beta) * l2 / safe)
-        null[out] = flat
+        if live.size:
+            batch = build_shift_batch(prob, l, d[live])
+            qr[live + s] = q * shifted_modes(batch, prob.p)
+            null[live + s] = batch.null
     return norm, qr, null
 
 
@@ -260,5 +239,5 @@ def criterion_coverage(prob: ProblemInstance, q: float, n_draws: int, rng,
         rng = np.random.default_rng(rng)
     l = np.zeros(prob.p) if l is None else np.asarray(l, dtype=float)
     X = np.array([sample_posterior(prob, l, rng) for _ in range(n_draws)])
-    norm, qr, _ = _state_diagnosis(prob, X, X @ prob.A.T, l, q)
+    norm, qr, _ = _state_diagnosis(prob, X, l, q)
     return int(np.count_nonzero(norm <= qr)) / n_draws

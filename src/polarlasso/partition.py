@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .problem import ProblemInstance, chunk_generators, sample_laplace, sample_sphere_batch
+from .problem import ProblemInstance, sample_laplace, sample_sphere_batch, sweep_chunks
 from .radial import log_concavity_bracket, sweep_summaries
 from .shifted import _exp, build_shift_batch, shifted_log_masses, shifted_log_peak_modes
 from .special import upper_inc_gamma_int
@@ -15,10 +16,6 @@ from .special import upper_inc_gamma_int
 METHOD_POLAR = "polar_mc"
 METHOD_NAIVE = "naive_mc"
 METHOD_SHIFTED = "shifted_mc"
-
-# deterministic chunking of the seed stream: estimates are identical no matter
-# how many workers consume the chunks
-CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -40,99 +37,101 @@ class ShiftedEstimate(PartitionEstimate):
     h0: float
 
 
-def sphere_surface(p: int) -> float:
-    """Surface area of the unit sphere in R^p: 2 pi^(p/2) / Gamma(p/2)."""
+def _log_surface(p: int) -> float:
+    """log of the surface area of the unit sphere in R^p: log 2 + (p/2) log pi - lgamma(p/2)."""
     if p < 1:
         raise ValueError("p must be positive")
-    return 2.0 * math.pi ** (p / 2.0) / math.gamma(p / 2.0)
+    return math.log(2.0) + (p / 2.0) * math.log(math.pi) - math.lgamma(p / 2.0)
 
 
-def _mean_and_err(total: float, total_sq: float, n: int) -> tuple[float, float]:
-    """Sample mean and its standard error from the running sums of w and w^2."""
+def sphere_surface(p: int) -> float:
+    """Surface area of the unit sphere in R^p: 2 pi^(p/2) / Gamma(p/2), formed in logs."""
+    return math.exp(_log_surface(p))
+
+
+def _log_mean(chunks) -> tuple[float, float, float]:
+    """(scale, mean, std_err) of the weights e^w over every chunk of log weights w.
+
+    The weights are summed relative to the running maximum of w, so that no
+    weight or square overflows: the sample mean of the weights is
+    e^scale * mean and its standard error e^scale * std_err.
+    """
+    scale = -math.inf
+    total = total_sq = 0.0
+    n = 0
+    for w in chunks:
+        top = float(w.max())
+        if top > scale:
+            total *= math.exp(scale - top)
+            total_sq *= math.exp(2.0 * (scale - top))
+            scale = top
+        e = np.exp(w - scale)
+        total += float(e.sum())
+        total_sq += float((e * e).sum())
+        n += len(w)
     mean = total / n
     var = max(0.0, total_sq / n - mean * mean)
     if n > 1:
         var *= n / (n - 1)
-    return mean, math.sqrt(var / n)
+    return scale, mean, math.sqrt(var / n)
+
+
+def _polar_sweep(prob: ProblemInstance, n_samples: int, rng, rows, h0: float,
+                 method: str) -> tuple[PartitionEstimate, float]:
+    """Z = e^h0 |S| E[J] over uniform directions, and |S| E[J].
+
+    `rows(thetas)` gives (log J, log mass_lo, log(peak * mode)) of the radial
+    law along every row of `thetas`.  The bracket is e^h0 |S| times the
+    sample minimum of mass_lo below and the log-concavity upper bound at the
+    sample maximum of peak * mode above, so the estimate lies between them.
+    """
+    p = prob.p
+    lo_min, pm_max = math.inf, -math.inf
+
+    def log_masses():
+        nonlocal lo_min, pm_max
+        for gen, count in sweep_chunks(rng, n_samples):
+            # named, so a chunk's draws are freed only once the next exist: freed at
+            # once, they let malloc trim the heap and the kernel faults 60% more pages (p = 20)
+            thetas = sample_sphere_batch(gen, count, p)
+            log_j, log_lo, log_pm = rows(thetas)
+            lo_min = min(lo_min, float(log_lo.min()))
+            pm_max = max(pm_max, float(log_pm.max()))
+            yield log_j
+
+    scale, mean, err = _log_mean(log_masses())
+    log_s = _log_surface(p)
+    unit = _exp(h0 + log_s + scale)
+    z_max = log_concavity_bracket(_exp(h0 + log_s + pm_max), p)[1]
+    est = PartitionEstimate(unit * mean, unit * err, n_samples, method, _exp(h0 + log_s + lo_min), z_max)
+    return est, _exp(log_s + scale + math.log(mean))
 
 
 def estimate_z_polar(prob: ProblemInstance, n_samples: int, rng) -> PartitionEstimate:
-    """Polar Monte Carlo: |S| times the mean closed-form mass over uniform directions.
-
-    The same sweep supplies the bracket: z_min is |S| times the sample
-    minimum of the per-direction lower bounds mass_lo, z_max the
-    log-concavity upper bound at the sample maximum of peak * mode; the
-    estimate always lies between them.
-    """
-    if n_samples < 1:
-        raise ValueError("need n_samples >= 1")
-    p = prob.p
-    surface = sphere_surface(p)
-    n_chunks = (n_samples + CHUNK - 1) // CHUNK
-    gens = chunk_generators(rng, n_chunks)
-    total = 0.0
-    total_sq = 0.0
-    lo_min = math.inf
-    mr_max = -math.inf
-    left = n_samples
-    for gen in gens:
-        take = min(CHUNK, left)
-        left -= take
-        thetas = sample_sphere_batch(gen, take, p)
-        mass, peak_mode, mass_lo = sweep_summaries(prob, thetas)
-        total += float(mass.sum())
-        total_sq += float((mass * mass).sum())
-        lo_min = min(lo_min, float(mass_lo.min()))
-        mr_max = max(mr_max, float(peak_mode.max()))
-    mean, err = _mean_and_err(total, total_sq, n_samples)
-    z_max = log_concavity_bracket(surface * mr_max, p)[1]
-    return PartitionEstimate(surface * mean, surface * err, n_samples, METHOD_POLAR, surface * lo_min, z_max)
+    """Polar Monte Carlo: |S| times the mean closed-form mass over uniform
+    directions, with the bracket of _polar_sweep from the same sweep."""
+    return _polar_sweep(prob, n_samples, rng, partial(sweep_summaries, prob), 0.0, METHOD_POLAR)[0]
 
 
 def estimate_z_shifted(prob: ProblemInstance, l: np.ndarray, n_samples: int, rng) -> ShiftedEstimate:
     """Recentered polar Monte Carlo: Z = e^(h(0)) |S| E[J_p(theta, l)].
 
-    Directions are uniform sphere draws taken in order from one stream of
-    `rng` (a Generator or a seed), evaluated CHUNK rows at a time.  Masses
-    are summed relative to a running log scale so that no shift overflows.
-    The bracket is the sample inf/sup of peak * mode times the log-concavity
-    constants, as in estimate_z_polar.
+    The directions are those of estimate_z_polar for the same `rng`, so at
+    l = 0 both routes return the same estimate.  The bracket is the sample
+    inf/sup of peak * mode times the log-concavity constants.
     """
-    if n_samples < 1:
-        raise ValueError("need n_samples >= 1")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     p = prob.p
-    scale = -math.inf
-    total = 0.0
-    total_sq = 0.0
-    lpm_min = math.inf
-    lpm_max = -math.inf
-    left = n_samples
-    while left:
-        take = min(CHUNK, left)
-        left -= take
-        batch = build_shift_batch(prob, l, sample_sphere_batch(rng, take, p))
-        log_j = shifted_log_masses(batch, p)
-        top = float(log_j.max())
-        if top > scale:
-            total *= math.exp(scale - top)
-            total_sq *= math.exp(2.0 * (scale - top))
-            scale = top
-        w = np.exp(log_j - scale)
-        total += float(w.sum())
-        total_sq += float((w * w).sum())
+    l = np.asarray(l, dtype=float)
+    norm_y_l = float(np.linalg.norm(prob.y - prob.A @ l))
+    h0 = -0.5 * norm_y_l**2 - float(np.abs(l).sum())  # as in build_shift_batch
+
+    def rows(thetas):
+        batch = build_shift_batch(prob, l, thetas)
         log_pm = shifted_log_peak_modes(batch, p)
-        lpm_min = min(lpm_min, float(log_pm.min()))
-        lpm_max = max(lpm_max, float(log_pm.max()))
-    h0 = batch.h0
-    mean, err = _mean_and_err(total, total_sq, n_samples)
-    surface = sphere_surface(p)
-    unit = surface * _exp(h0 + scale)
-    z_min = log_concavity_bracket(surface * _exp(h0 + lpm_min), p)[0]
-    z_max = log_concavity_bracket(surface * _exp(h0 + lpm_max), p)[1]
-    z_f = _exp(scale + math.log(surface * mean))
-    return ShiftedEstimate(unit * mean, unit * err, n_samples, METHOD_SHIFTED, z_min, z_max, z_f=z_f, h0=h0)
+        return shifted_log_masses(batch, p), log_pm - math.log(p), log_pm
+
+    est, z_f = _polar_sweep(prob, n_samples, rng, rows, h0, METHOD_SHIFTED)
+    return ShiftedEstimate(**vars(est), z_f=z_f, h0=h0)
 
 
 def estimate_z_naive(prob: ProblemInstance, n_samples: int, rng) -> PartitionEstimate:
@@ -141,25 +140,17 @@ def estimate_z_naive(prob: ProblemInstance, n_samples: int, rng) -> PartitionEst
     Unbiased but heavy-variance at moderate dimension; the bound fields are
     copied as infinite (no per-direction geometry is available on this route).
     """
-    if n_samples < 1:
-        raise ValueError("need n_samples >= 1")
     p = prob.p
-    n_chunks = (n_samples + CHUNK - 1) // CHUNK
-    gens = chunk_generators(rng, n_chunks)
-    total = 0.0
-    total_sq = 0.0
-    left = n_samples
-    for gen in gens:
-        take = min(CHUNK, left)
-        left -= take
-        x = sample_laplace(gen, (take, p))
-        resid = x @ prob.A.T - prob.y
-        w = np.exp(-0.5 * np.einsum("ij,ij->i", resid, resid))
-        total += float(w.sum())
-        total_sq += float((w * w).sum())
-    mean, err = _mean_and_err(total, total_sq, n_samples)
-    scale = 2.0**p
-    return PartitionEstimate(scale * mean, scale * err, n_samples, METHOD_NAIVE, 0.0, math.inf)
+
+    def log_weights():
+        for gen, count in sweep_chunks(rng, n_samples):
+            x = sample_laplace(gen, (count, p))  # named, as in _polar_sweep
+            resid = x @ prob.A.T - prob.y
+            yield -0.5 * np.einsum("ij,ij->i", resid, resid)
+
+    scale, mean, err = _log_mean(log_weights())
+    unit = _exp(p * math.log(2.0) + scale)
+    return PartitionEstimate(unit * mean, unit * err, n_samples, METHOD_NAIVE, 0.0, math.inf)
 
 
 def concentration_prob(q: float, p: int) -> float:

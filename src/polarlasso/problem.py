@@ -18,6 +18,10 @@ import numpy as np
 # below this image norm a direction is treated as belonging to the null space
 NULL_TOL = 1e-12
 
+# rows per chunk of a Monte Carlo sweep; each chunk has its own generator, so
+# an estimate does not depend on how many workers consume the chunks
+CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class ProblemInstance:
@@ -208,17 +212,22 @@ def sample_sphere_batch(rng: np.random.Generator, count: int, p: int) -> np.ndar
     return v / norms[:, None]
 
 
-def chunk_generators(seed_or_rng, count: int) -> list[np.random.Generator]:
-    """`count` independent generators for the fixed-size chunks of a Monte Carlo sweep.
+def sweep_chunks(seed_or_rng, n_samples: int):
+    """The chunks of an n_samples-row Monte Carlo sweep, as (generator, rows) pairs.
 
-    A seed is spawned through its SeedSequence, a Generator through the seed
-    sequence behind its bit generator, so a sweep's result never depends on
-    how many workers consume the chunks.
+    Every chunk holds CHUNK rows but the last, and draws from its own
+    generator, spawned from the SeedSequence of a seed or from the one behind
+    a Generator's bit generator; a seed and a fresh Generator of that seed
+    give the same chunks.
     """
-    if isinstance(seed_or_rng, np.random.Generator):
-        children = seed_or_rng.bit_generator.seed_seq.spawn(count)  # type: ignore[union-attr]
-        return [np.random.default_rng(c) for c in children]
-    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed_or_rng).spawn(count)]
+    if n_samples < 1:
+        raise ValueError("need n_samples >= 1")
+    # default_rng returns a Generator unaltered, and makes a seed's SeedSequence
+    seq = np.random.default_rng(seed_or_rng).bit_generator.seed_seq  # type: ignore[attr-defined]
+    full, last = divmod(n_samples, CHUNK)
+    rows = [CHUNK] * full + ([last] if last else [])
+    # made up front: made between chunks, the generators cost 2% of a sweep
+    return list(zip(map(np.random.default_rng, seq.spawn(len(rows))), rows))
 
 
 def sample_laplace(rng: np.random.Generator, shape) -> np.ndarray:

@@ -107,14 +107,16 @@ def log_concavity_bracket(peak_mode: float, p: int) -> tuple[float, float]:
 def radial_summary(stats: DirectionStats, p: int, y_norm: float) -> RadialSummary:
     """Closed-form mass J_p(theta) with mode, peak, and bracket.
 
-    A batch of one through _summaries: the segment kernel gives the
-    mass at every finite beta, the terminating factorial form on a null
-    direction.  The upper bound is the log-concavity constant; the lower
-    bound is described in _summaries.
+    A batch of one through _summaries, exponentiated: the segment kernel
+    gives the mass at every finite beta, the terminating factorial form on a
+    null direction.  The upper bound is the log-concavity constant; the
+    lower bound is described in _summaries.
     """
     beta = math.nan if stats.beta is None else stats.beta
     arrays = (np.array([v]) for v in (beta, stats.norm_A_theta, stats.l1_theta))
-    mass, mode_r, peak, lo = (float(v[0]) for v in _summaries(*arrays, p, y_norm))
+    log_mass, mode, log_peak, log_lo = _summaries(*arrays, p, y_norm)
+    mass, peak, lo = (float(np.exp(v[0])) for v in (log_mass, log_peak, log_lo))
+    mode_r = float(mode[0])
     hi = log_concavity_bracket(peak * mode_r, p)[1]
     method = METHOD_NULL if stats.beta is None else METHOD_EXACT
     return RadialSummary(mode_r, peak, mass, lo, hi, method)
@@ -123,13 +125,15 @@ def radial_summary(stats: DirectionStats, p: int, y_norm: float) -> RadialSummar
 def _summaries(
     beta: np.ndarray, norm_A_theta: np.ndarray, l1_theta: np.ndarray, p: int, y_norm: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(mass, mode, peak, mass_lo) of the radial law for a batch of directions, one per entry.
+    """(log mass, mode, log peak, log mass_lo) of the radial law for a batch
+    of directions, one per entry.
 
     Rows with ||A theta|| <= NULL_TOL are null directions, whose beta is
-    ignored: mass (p-1)! e^(-||y||^2/2) / ||theta||_1^p, formed in logs so
-    that (p-1)! does not overflow from p = 172 on, and mode (p-1)/||theta||_1.
-    Every other row takes its mass from the segment kernel on [0, inf) and
-    its mode from the kernel's peak formula, free of cancellation at any beta.
+    ignored: mass (p-1)! e^(-||y||^2/2) / ||theta||_1^p and mode
+    (p-1)/||theta||_1.  Every other row takes its log mass from the segment
+    kernel on [0, inf), J_p = e^(-||y||^2/2) H_(p-1)(beta) / ||A theta||^p,
+    and its mode from the kernel's peak formula, free of cancellation at
+    any beta.
 
     mass_lo is the log-concavity constant peak * mode / p where its proof
     holds, on null rows and at beta >= 0 (the ray energy is nondecreasing
@@ -141,41 +145,38 @@ def _summaries(
     null = norm_A_theta <= NULL_TOL
     gen = ~null
     y2 = y_norm * y_norm
-    mass = np.empty(beta.shape)
+    log_mass = np.empty(beta.shape)
     mode = np.empty(beta.shape)
     energy = np.empty(beta.shape)  # ray energy at the mode
     b, na = beta[gen], norm_A_theta[gen]
-    mass[gen] = _exact_masses(b, na, p, y_norm)
+    log_mass[gen] = log_gaussian_moment(p - 1, 0.0, math.inf, b) - 0.5 * y2 - p * np.log(na)
     r = tilted_peaks(p - 1, b) / na
     mode[gen] = r
     energy[gen] = 0.5 * (r * r * na * na + 2.0 * r * na * b + y2)
     l1 = l1_theta[null]
-    mass[null] = np.exp(math.lgamma(p) - 0.5 * y2 - p * np.log(l1))
+    log_mass[null] = math.lgamma(p) - 0.5 * y2 - p * np.log(l1)
     mode[null] = (p - 1) / l1
     energy[null] = 0.5 * y2 + mode[null] * l1
-    # at p = 1 the volume term vanishes and the mode may sit at the origin
-    potential = energy - (p - 1) * np.log(mode) if p > 1 else energy
-    peak = np.exp(-potential)
-    lo = peak * mode / p
+    with np.errstate(divide="ignore"):  # at p = 1 the mode may sit at the origin
+        log_mode = np.log(mode)
+    # at p = 1 the volume term vanishes
+    log_peak = (p - 1) * log_mode - energy if p > 1 else -energy
+    log_lo = log_peak + log_mode - math.log(p)
     below = b < 0.0
     neg = np.flatnonzero(gen)[below]
     curv = na[below] ** 2 + (p - 1) / mode[neg] ** 2
-    lo[neg] = peak[neg] * np.sqrt(math.pi / (2.0 * curv))
-    return mass, mode, peak, lo
+    log_lo[neg] = log_peak[neg] + 0.5 * np.log(math.pi / (2.0 * curv))
+    return log_mass, mode, log_peak, log_lo
 
 
 def sweep_summaries(prob, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mass, peak * mode, mass_lo) over unit directions, one per row, through _summaries.
+    """(log mass, log mass_lo, log(peak * mode)) over unit directions, one
+    per row, through _summaries.
 
-    Equals radial_summary on every direction; feeds the polar partition
-    estimator.
+    Equals the logs of radial_summary on every direction; feeds the polar
+    partition estimator.
     """
     st = direction_batch(prob.A, prob.y, thetas)
-    mass, mode, peak, lo = _summaries(st.beta, st.norm_A, st.l1, prob.p, prob.y_norm)
-    return mass, peak * mode, lo
-
-
-def _exact_masses(beta: np.ndarray, norm_A_theta: np.ndarray, p: int, y_norm: float) -> np.ndarray:
-    """J_p = e^(-||y||^2/2) H_(p-1)(beta) / ||A theta||^p through the log-domain segment kernel."""
-    log_h = log_gaussian_moment(p - 1, 0.0, math.inf, beta)
-    return np.exp(log_h - 0.5 * y_norm * y_norm - p * np.log(norm_A_theta))
+    log_mass, mode, log_peak, log_lo = _summaries(st.beta, st.norm_A, st.l1, prob.p, prob.y_norm)
+    with np.errstate(divide="ignore"):
+        return log_mass, log_lo, log_peak + np.log(mode)

@@ -81,3 +81,25 @@ def test_no_orphan_definitions():
         and not any(name in names for m, scope, names in uses if (m, scope) != (module, name))
     ]
     assert not orphans, "unreferenced and unexported (module, name): " + repr(orphans)
+
+
+def _seed_splits(path):
+    """Lines of a module that name SeedSequence or call a `.spawn(` method."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and node.id == "SeedSequence":
+            hits.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "SeedSequence":
+            hits.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "spawn":
+            hits.append(node.lineno)
+    return hits
+
+
+def test_one_seed_splitter():
+    # problem.sweep_chunks is the only place a seed is split into chunk
+    # streams, so every Monte Carlo route consumes its seed the same way
+    assert _seed_splits(SRC / "problem.py"), "sweep_chunks no longer splits seeds"
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py")) if path.name != "problem.py"
+             for line in _seed_splits(path)]
+    assert not found, "seed splitting outside problem.sweep_chunks (module, line): " + repr(found)

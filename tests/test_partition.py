@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -26,6 +27,13 @@ class TestSphereSurface:
         # 2 pi^3.5 / Gamma(3.5) = 16 pi^3 / 15
         assert pl.sphere_surface(7) == pytest.approx(16 * math.pi**3 / 15, rel=1e-14)
         assert pl.sphere_surface(7) == pytest.approx(33.073, rel=1e-4)
+
+    @pytest.mark.parametrize("p", [344, 400])
+    def test_past_gamma_range(self, p):
+        # Gamma(p/2) alone overflows a float from p = 344 on
+        with mp.workdps(40):
+            want = 2 * mp.pi ** (mp.mpf(p) / 2) / mp.gamma(mp.mpf(p) / 2)
+        assert pl.sphere_surface(p) == pytest.approx(float(want), rel=1e-13)
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
@@ -84,6 +92,15 @@ class TestPolarEstimator:
         est = pl.estimate_z_polar(prob, 20000, 3)
         assert est.z_min <= est.z <= est.z_max
         assert 0.0 < est.std_err < est.z
+
+    @pytest.mark.parametrize("p", [300, 400])
+    def test_finite_past_float_range(self, p):
+        # at p = 300 (z ~ 1e78) the squared masses overflow a float, and
+        # Gamma(p/2) does from p = 344 on
+        est = pl.estimate_z_polar(pl.gen_bernoulli_matrix(3, p, 1), 10, 0)
+        assert math.isfinite(est.z)
+        assert 0.0 < est.std_err < math.inf
+        assert est.z_min <= est.z <= est.z_max
 
 
 class TestNaiveEstimator:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import polarlasso as pl
-from polarlasso.problem import sample_laplace, sample_sphere_batch
+from polarlasso.problem import CHUNK, sample_laplace, sample_sphere_batch, sweep_chunks
 
 
 class TestGeneration:
@@ -190,16 +190,25 @@ class TestProblemIO:
 
 
 class TestSamplers:
-    def test_chunk_generators_seed_and_generator(self):
-        from polarlasso.problem import chunk_generators
+    def test_sweep_chunks_rows(self):
+        rows = [count for _, count in sweep_chunks(3, 2 * CHUNK + 5)]
+        assert rows == [CHUNK, CHUNK, 5]  # they sum to n, and the last chunk is partial
+        assert [count for _, count in sweep_chunks(3, CHUNK)] == [CHUNK]
+        assert [count for _, count in sweep_chunks(3, 1)] == [1]
 
-        a = [g.standard_normal(3) for g in chunk_generators(5, 3)]
-        b = [g.standard_normal(3) for g in chunk_generators(5, 3)]
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a[0], a[1])
-        c = [g.standard_normal(3) for g in chunk_generators(np.random.default_rng(5), 3)]
-        d = [g.standard_normal(3) for g in chunk_generators(np.random.default_rng(5), 3)]
-        np.testing.assert_array_equal(c, d)
+    def test_sweep_chunks_seed_and_generator(self):
+        def draws(seed_or_rng):
+            return [gen.standard_normal(3) for gen, _ in sweep_chunks(seed_or_rng, 3 * CHUNK)]
+
+        a = draws(5)
+        np.testing.assert_array_equal(a, draws(5))
+        assert not np.array_equal(a[0], a[1])  # every chunk has its own generator
+        np.testing.assert_array_equal(a, draws(np.random.default_rng(5)))
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sweep_chunks_rejects_empty(self, n):
+        with pytest.raises(ValueError):
+            sweep_chunks(0, n)
 
     def test_sphere_batch_unit_norm(self):
         rng = np.random.default_rng(7)

@@ -276,7 +276,7 @@ class TestSweep:
         prob = desk_instance_y
         rng = np.random.default_rng(40)
         thetas = sample_sphere_batch(rng, 300, 7)
-        mass, peak_mode, mass_lo = sweep_summaries(prob, thetas)
+        mass, mass_lo, peak_mode = (np.exp(v) for v in sweep_summaries(prob, thetas))
         for i in range(300):
             summ = pl.radial_summary(pl.direction_stats(prob, thetas[i]), 7, prob.y_norm)
             assert mass[i] == pytest.approx(summ.mass, rel=1e-8)
@@ -323,7 +323,7 @@ class TestOneKernelPath:
             assert st.beta == pytest.approx(beta, rel=1e-6, abs=1e-6)
             want = float(mp.exp(mp_log_radial_mass(st.norm_A_theta, st.beta, y_norm, p)))
             summ = pl.radial_summary(st, p, y_norm)
-            mass, peak_mode, _ = sweep_summaries(prob, theta[None, :])
+            mass, _, peak_mode = (np.exp(v) for v in sweep_summaries(prob, theta[None, :]))
             assert summ.method == METHOD_EXACT
             assert summ.mass == pytest.approx(want, rel=1e-9)
             assert mass[0] == pytest.approx(want, rel=1e-9)
@@ -343,7 +343,7 @@ class TestOneKernelPath:
         assert summ.mode_r == pytest.approx(root, rel=1e-12)
         assert pl.shifted_mode_radius(ctx, 7) == pytest.approx(root, rel=1e-12)
         assert summ.mass_lo <= summ.mass <= summ.mass_hi
-        _, peak_mode, _ = sweep_summaries(prob, st.theta[None, :])
+        peak_mode = np.exp(sweep_summaries(prob, st.theta[None, :])[2])
         assert peak_mode[0] > 0.0
         assert peak_mode[0] == pytest.approx(summ.peak * summ.mode_r, rel=1e-12)
 
@@ -357,7 +357,7 @@ class TestOneKernelPath:
             thetas[i] = oracles.null_space_direction(prob.A, rng) + 0.05 * thetas[i]
         thetas[5] = oracles.null_space_direction(prob.A, rng)
         thetas /= np.linalg.norm(thetas, axis=1)[:, None]
-        mass, peak_mode, mass_lo = sweep_summaries(prob, thetas)
+        mass, mass_lo, peak_mode = (np.exp(v) for v in sweep_summaries(prob, thetas))
         betas = []
         for i, theta in enumerate(thetas):
             st = pl.direction_stats(prob, theta)
@@ -379,7 +379,7 @@ class TestOneKernelPath:
         want = float(mp.exp(mp_log_radial_mass(st.norm_A_theta, beta, y_norm, p)))
         summ = pl.radial_summary(st, p, y_norm)
         assert 0.25 * want <= summ.mass_lo <= want <= summ.mass_hi
-        _, _, mass_lo = sweep_summaries(prob, st.theta[None, :])
+        mass_lo = np.exp(sweep_summaries(prob, st.theta[None, :])[1])
         assert mass_lo[0] == summ.mass_lo
 
     def test_upper_bound_finite_at_p100(self):
@@ -400,7 +400,7 @@ class TestOneKernelPath:
         prob = pl.make_problem(pl.gen_bernoulli_matrix(3, p, 1).A, np.array([0.5, -0.2, 0.1]))
         rng = np.random.default_rng(3)
         thetas = np.vstack([oracles.null_space_direction(prob.A, rng), sample_sphere_batch(rng, 2, p)])
-        mass, _, _ = sweep_summaries(prob, thetas)
+        mass = np.exp(sweep_summaries(prob, thetas)[0])
         l1 = mp.mpf(float(np.abs(thetas[0]).sum()))
         with mp.workdps(40):
             want = mp.exp(mp.loggamma(p) - mp.mpf(prob.y_norm) ** 2 / 2 - p * mp.log(l1))

@@ -7,7 +7,7 @@ import pytest
 
 import polarlasso as pl
 from conftest import shifted_potential
-from polarlasso.problem import sample_sphere_batch
+from polarlasso.problem import CHUNK, sample_sphere_batch, sweep_chunks
 from polarlasso.shifted import build_shift_batch, shifted_log_masses, shifted_log_peak_modes
 
 
@@ -412,20 +412,22 @@ class TestShiftBatch:
         prob = desk_instance_y
         thetas = sample_sphere_batch(np.random.default_rng(25), 400, 7)
         log_j = shifted_log_masses(build_shift_batch(prob, np.zeros(7), thetas), 7)
-        mass, _, _ = sweep_summaries(prob, thetas)
+        log_mass, _, _ = sweep_summaries(prob, thetas)
         # every centered mass comes from the same kernel as the shifted one
-        np.testing.assert_allclose(np.exp(log_j - 0.5 * prob.y_norm**2), mass, rtol=1e-12)
+        np.testing.assert_allclose(np.exp(log_j - 0.5 * prob.y_norm**2), np.exp(log_mass), rtol=1e-12)
 
 
 class TestEstimateZShifted:
     def test_same_stream_as_per_direction_draws(self, desk_instance_y):
-        # one batch draw equals the per-direction sample_sphere stream
+        # one batch draw equals the per-direction sample_sphere stream of the
+        # one chunk of sweep_chunks
         prob = desk_instance_y
         l = pl.solve_fista(prob).x
         n = 300
-        est = pl.estimate_z_shifted(prob, l, n, np.random.default_rng(31))
-        rng = np.random.default_rng(31)
-        masses = [pl.shifted_radial_mass(pl.build_shift_context(prob, l, pl.sample_sphere(rng, 7)), 7)
+        est = pl.estimate_z_shifted(prob, l, n, 31)
+        ((gen, rows),) = sweep_chunks(31, n)
+        assert rows == n
+        masses = [pl.shifted_radial_mass(pl.build_shift_context(prob, l, pl.sample_sphere(gen, 7)), 7)
                   for _ in range(n)]
         surf = pl.sphere_surface(7)
         assert est.z_f == pytest.approx(surf * float(np.mean(masses)), rel=1e-12)
@@ -433,6 +435,16 @@ class TestEstimateZShifted:
         assert est.std_err == pytest.approx(
             math.exp(est.h0) * surf * float(np.std(masses, ddof=1)) / math.sqrt(n), rel=1e-9)
         assert est.n_samples == n and est.method == "shifted_mc"
+
+    @pytest.mark.parametrize("n", [300, CHUNK + 300])
+    def test_zero_shift_equals_polar(self, desk_instance_y, n):
+        # at l = 0 both routes sweep the same directions with the same kernel;
+        # z_min is left out, as only the centred route has the beta < 0 minorant
+        prob = desk_instance_y
+        shifted = pl.estimate_z_shifted(prob, np.zeros(7), n, 8)
+        polar = pl.estimate_z_polar(prob, n, 8)
+        for field in ("z", "std_err", "z_max"):
+            assert getattr(shifted, field) == pytest.approx(getattr(polar, field), rel=1e-12)
 
     def test_bracket_and_agreement_with_polar(self, desk_instance_y):
         prob = desk_instance_y
