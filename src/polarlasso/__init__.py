@@ -48,8 +48,10 @@ from .radial import (
     radial_summary,
 )
 from .shifted import (
+    ExactSamplerBudgetError,
     build_shift_context,
     sample_posterior,
+    sample_posterior_batch,
     shifted_mass_bounds,
     shifted_mode_radius,
     shifted_radial_mass,
@@ -61,6 +63,7 @@ __all__ = [
     "ChainDiagnosis",
     "ChainTrace",
     "DirectionStats",
+    "ExactSamplerBudgetError",
     "ExpansionResult",
     "LassoSolution",
     "PartitionEstimate",
@@ -89,6 +92,7 @@ __all__ = [
     "ray_energy",
     "run_chain",
     "sample_posterior",
+    "sample_posterior_batch",
     "sample_sphere",
     "save_problem",
     "shifted_mass_bounds",

@@ -232,6 +232,11 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     _write_json(args.out, summary)
     _write_manifest("diagnose", args, outputs)
     print(f"wrote {args.out}")
+    if diag.acceptance_rate == 0.0:
+        # every state is the initial one, so the criterion says nothing of convergence
+        print(f"polarlasso: acceptance_rate 0.0: the chain accepted none of {args.iters} proposals",
+              file=sys.stderr)
+        return EXIT_NUMERIC
     return 0
 
 

@@ -21,12 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problem import ProblemInstance, sample_laplace
-from .shifted import build_shift_batch, sample_posterior, shifted_modes
+from .shifted import build_shift_batch, sample_posterior_batch, shifted_modes
 
 KIND_INDEPENDENT = "independent_laplace"
 KIND_RANDOM_WALK = "random_walk"
 
 _BLOCK = 65536
+# random-walk proposals decided per array pass (see _random_walk_block)
+_RUN = 32
 # states diagnosed per array pass, so the temporaries stay near 1 MB
 _DIAG_ROWS = 4096
 
@@ -92,9 +94,11 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig, z_estimate: float | None 
     """Run one chain and diagnose it.
 
     The loop only decides accept or reject and records which iterations of
-    the block accepted.  After each block the accepted states are rebuilt
-    exactly (the random walk's as a running sum of its accepted steps, which
-    adds in the loop's order) and diagnosed in one batch.  Returns the
+    the block accepted: the independence sampler one proposal at a time, the
+    random walk a run of proposals per array pass (_random_walk_block).
+    After each block the accepted states are rebuilt exactly (the random
+    walk's as a running sum of its accepted steps, which adds in the order
+    the decisions did) and diagnosed in one batch.  Returns the
     per-iteration trace (norms, radial thresholds, criterion) and the
     summary diagnosis.  Fixed seeds reproduce everything bit-exactly; the
     proposal stream is consumed in fixed-size blocks independent of outcomes.
@@ -127,15 +131,11 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig, z_estimate: float | None 
     (cur_norm,), (cur_qr,) = diagnose(x[None])
 
     is_kind = cfg.kind == KIND_INDEPENDENT
-    # the kernels of x + s, v @ w and np.abs(v).sum() called directly, on
-    # float64 scalars: the same IEEE operations in the same order, so every
-    # accept decision is the same
-    add, dot, absolute, total = np.add, np.dot, np.abs, np.add.reduce
     done = 0
     while done < n_iter:
         block = min(_BLOCK, n_iter - done)
-        acc = []
         if is_kind:
+            acc = []
             props = sample_laplace(rng, (block, p))
             prop_Ax = props @ A.T
             prop_mis = np.einsum("ij,ij->i", prop_Ax, prop_Ax) - 2.0 * (prop_Ax @ y)
@@ -150,20 +150,8 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig, z_estimate: float | None 
             steps = rng.normal(0.0, math.sqrt(cfg.rw_variance), size=(block, p))
             step_Ax = steps @ A.T
             log_u = np.log(rng.uniform(size=block))
-            x0 = x
-            for i, (step, step_A, lu) in enumerate(zip(steps, step_Ax, log_u)):
-                x_new = add(x, step)
-                Ax_new = add(Ax, step_A)
-                mis_new = dot(Ax_new, Ax_new) - 2.0 * dot(Ax_new, y)
-                l1_new = total(absolute(x_new))
-                if lu <= -0.5 * (mis_new - mis) - (l1_new - l1x):
-                    x = x_new
-                    Ax = Ax_new
-                    mis = mis_new
-                    l1x = l1_new
-                    acc.append(i)
-            idx = np.array(acc, dtype=np.intp)
-            states = np.cumsum(np.concatenate([x0[None], steps[idx]]), axis=0)
+            Ax, l1x, idx = _random_walk_block(x, Ax, l1x, y, steps, step_Ax, log_u)
+            states = np.cumsum(np.concatenate([x[None], steps[idx]]), axis=0)
         # row 0 is the state the block started at, row k the k-th accepted one
         norm, qr = diagnose(states[1:])
         runs = np.diff(idx, prepend=0, append=block)
@@ -203,6 +191,36 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig, z_estimate: float | None 
     return ChainTrace(norm_x=norm_x, q_r_theta=q_r, criterion=crit), diag
 
 
+def _random_walk_block(x: np.ndarray, Ax: np.ndarray, l1x: float, y: np.ndarray, steps: np.ndarray,
+                       step_Ax: np.ndarray, log_u: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Metropolis decisions of one random-walk block, _RUN proposals per array pass.
+
+    From state x, step s_i is accepted iff
+        ||x + s_i||_1 + log u_i + (||A s_i||^2 - 2 A s_i . y)/2 + A s_i . Ax <= ||x||_1,
+    and all but the first and last terms on the left are fixed for the block.
+    While x does not move, one pass decides the next _RUN steps from it and
+    takes the first accepted one; the next pass starts right after that step.
+    Returns the final Ax and ||x||_1 and the indices of the accepted steps.
+    """
+    fixed = log_u + 0.5 * np.einsum("ij,ij->i", step_Ax, step_Ax - 2.0 * y)
+    acc = []
+    n = len(steps)
+    i = 0
+    while i < n:
+        run = slice(i, i + _RUN)  # the last run of a block may be shorter
+        x_new = x + steps[run]
+        l1_new = np.abs(x_new).sum(axis=1)
+        ok = l1_new + fixed[run] + step_Ax[run] @ Ax <= l1x
+        j = int(ok.argmax())
+        if ok[j]:
+            x, Ax, l1x = x_new[j], Ax + step_Ax[i + j], l1_new[j]
+            acc.append(i + j)
+            i += j + 1
+        else:
+            i += _RUN
+    return Ax, l1x, np.array(acc, dtype=np.intp)
+
+
 def _state_diagnosis(prob: ProblemInstance, X: np.ndarray, l: np.ndarray,
                      q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(||x - l||, q r(theta, l), null) for every state x in the rows of X.
@@ -232,12 +250,10 @@ def _state_diagnosis(prob: ProblemInstance, X: np.ndarray, l: np.ndarray,
 def criterion_coverage(prob: ProblemInstance, q: float, n_draws: int, rng,
                        l: np.ndarray | None = None) -> float:
     """Empirical fraction of exact posterior draws with ||x - l|| <= q r(theta, l),
-    the draws diagnosed in one batch."""
-    if n_draws < 1:
-        raise ValueError("need n_draws >= 1")
+    the draws of sample_posterior_batch diagnosed in one batch."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     l = np.zeros(prob.p) if l is None else np.asarray(l, dtype=float)
-    X = np.array([sample_posterior(prob, l, rng) for _ in range(n_draws)])
+    X = sample_posterior_batch(prob, n_draws, rng)
     norm, qr, _ = _state_diagnosis(prob, X, l, q)
     return int(np.count_nonzero(norm <= qr)) / n_draws

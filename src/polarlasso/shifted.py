@@ -185,28 +185,71 @@ def shifted_mass_bounds(ctx: ShiftBatch, p: int) -> tuple[float, float]:
     return log_concavity_bracket(_exp(float(shifted_log_peak_modes(ctx, p)[0])), p)
 
 
-def sample_posterior(prob: ProblemInstance, l: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Exact posterior draw.
+class ExactSamplerBudgetError(RuntimeError):
+    """The exact sampler rejected _REJECT_LIMIT proposals in a row.
 
-    In polar form around l the posterior factorizes as a direction marginal
-    proportional to the per-direction mass J_p(theta, l) times the radial law;
+    Carries the proposals made and accepted so far, the length of the
+    rejected run, and the rule-of-three bound 3/run: with no acceptance in
+    that many proposals, the acceptance rate Z/2^p lies below it at 95%
+    confidence.
+    """
+
+    def __init__(self, proposals: int, accepted: int, rejected_run: int):
+        self.proposals = proposals
+        self.accepted = accepted
+        self.rejected_run = rejected_run
+        self.accept_bound = 3.0 / rejected_run
+        super().__init__(f"exact sampler rejected {rejected_run} proposals in a row ({accepted} of "
+                         f"{proposals} accepted); its acceptance rate is below {self.accept_bound:.3g} at 95%")
+
+
+# prior proposals drawn per block, and the run of rejections that ends sampling
+_PROPOSAL_ROWS = 256
+_REJECT_LIMIT = 2**24
+
+
+def sample_posterior_batch(prob: ProblemInstance, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+    """n_draws exact posterior draws, the rows of an (n_draws, p) array.
+
+    In polar form the posterior factorizes as a direction marginal
+    proportional to the per-direction mass J_p(theta) times the radial law;
     the direction marginal is NOT uniform, so composing a uniform direction
     with the conditional radius would bias the draw (underweighting the heavy
     null-space lobes; the importance-sampling oracle rejects that construction
     at ~25 sigma).  Exactness is instead obtained by rejection against the
     separable l1 envelope: propose from the prior, accept with the Gaussian
     misfit factor, which is bounded by one.  The acceptance rate is Z/2^p.
-    The returned law does not depend on l; the argument is kept so callers can
-    phrase draws around a recentering point.
+    Proposals come in blocks of _PROPOSAL_ROWS (Laplace rows, then their
+    uniforms), and every accepted one is kept, in stream order, until there
+    are n_draws; accepted proposals are i.i.d. draws from the target.
+    Raises ExactSamplerBudgetError after _REJECT_LIMIT rejections in a row.
     """
-    del l  # the target law is the same for every recentering point
-    p = prob.p
-    block = 256
-    while True:
-        props = sample_laplace(rng, (block, p))
+    if n_draws < 1:
+        raise ValueError("need n_draws >= 1")
+    kept = []
+    got = proposals = run = 0
+    while got < n_draws:
+        props = sample_laplace(rng, (_PROPOSAL_ROWS, prob.p))
         resid = props @ prob.A.T - prob.y
         log_acc = -0.5 * np.einsum("ij,ij->i", resid, resid)
-        accept = np.log(rng.uniform(size=block)) <= log_acc
-        idx = np.flatnonzero(accept)
+        idx = np.flatnonzero(np.log(rng.uniform(size=_PROPOSAL_ROWS)) <= log_acc)
+        proposals += _PROPOSAL_ROWS
         if idx.size:
-            return props[idx[0]].copy()
+            kept.append(props[idx[:n_draws - got]])
+            got += len(kept[-1])
+            run = _PROPOSAL_ROWS - 1 - int(idx[-1])
+        else:
+            run += _PROPOSAL_ROWS
+            if run >= _REJECT_LIMIT:
+                raise ExactSamplerBudgetError(proposals, got, run)
+    return np.concatenate(kept)
+
+
+def sample_posterior(prob: ProblemInstance, l: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One exact posterior draw: a batch of one of sample_posterior_batch.
+
+    The law does not depend on l; the argument is kept so callers can phrase
+    draws around a recentering point.
+    """
+    del l  # the target law is the same for every recentering point
+    return sample_posterior_batch(prob, 1, rng)[0]

@@ -183,6 +183,24 @@ class TestDiagnose:
         ]
         assert series.read_bytes() == ("\n".join(rows) + "\n").encode("utf-8")
 
+    def test_chain_that_never_moved_exits_3(self, tmp_path, problem_file, capsys):
+        # at p = 20 the default variance 0.5 accepts no step of this seed
+        wide = tmp_path / "wide.json"
+        assert run(["gen", "--n", "10", "--p", "20", "--y-norm", "2", "--seed", "0",
+                    "--out", str(wide)]) == 0
+        out, series = tmp_path / "diag.json", tmp_path / "series.csv"
+        assert run(["diagnose", "--problem", str(wide), "--sampler", "rw", "--iters", "30000",
+                    "--seed", "0", "--emit-series", str(series), "--out", str(out)]) == 3
+        assert "acceptance_rate 0.0" in capsys.readouterr().err
+        summary = json.loads(out.read_text())
+        assert summary["acceptance_rate"] == 0.0 and summary["satisfaction_rate"] == 1.0
+        assert len(series.read_text().splitlines()) == 30001
+        assert os.path.exists(str(out).replace(".json", ".manifest.json"))
+        # a chain on the desk instance moves, and exits 0
+        assert run(["diagnose", "--problem", problem_file, "--sampler", "rw", "--iters", "30000",
+                    "--seed", "0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["acceptance_rate"] > 0.0
+
     def test_is_sampler_has_tv_constant(self, tmp_path, problem_file):
         out = tmp_path / "diag_is.json"
         assert run(["diagnose", "--problem", problem_file, "--sampler", "is",

@@ -239,9 +239,10 @@ class TestCoverage:
             assert diag.mean_norm < 0.15
 
 
-def _brute_states(prob, kind, n_iter, seed, init, block):
-    """Every state of a literal chain with `block`-sized proposal blocks, and
-    the number of accepted proposals."""
+def _brute_states(prob, kind, n_iter, seed, init, block, variance=0.5):
+    """Every state of a literal chain with `block`-sized proposal blocks (the
+    random walk's steps of the given variance), and the number of accepted
+    proposals."""
     rng = np.random.default_rng(seed)
     A, y = prob.A, prob.y
     x = np.zeros(prob.p) if init is None else np.array(init, dtype=float)
@@ -263,7 +264,7 @@ def _brute_states(prob, kind, n_iter, seed, init, block):
                     acc += 1
                 states.append(x)
         else:
-            st = rng.normal(0, math.sqrt(0.5), size=(size, prob.p))
+            st = rng.normal(0, math.sqrt(variance), size=(size, prob.p))
             sAx = st @ A.T
             lu = np.log(rng.uniform(size=size))
             for i in range(size):
@@ -291,51 +292,92 @@ def _scalar_diagnosis(prob, x, l, q):
     return norm, q * pl.mode_radius(st, prob.p)
 
 
+def _oracle_series(prob, states, l, q):
+    """(norms, q r) of every state of a brute chain, diagnosed per distinct state."""
+    want = []
+    for t, x in enumerate(states):
+        same = t > 0 and x is states[t - 1]
+        want.append(want[-1] if same else _scalar_diagnosis(prob, x, l, q))
+    return (np.array(v) for v in zip(*want))
+
+
+def _check_against_oracle(prob, monkeypatch, kind, shift, start):
+    """A 2500-iteration chain in blocks of 1000 against the brute chain and the scalar diagnosis."""
+    l = pl.solve_fista(prob).x if shift else np.zeros(7)
+    init = {"origin": None, "centre": l,
+            "null": l + 0.5 * null_space(prob.A)[:, 0]}[start]
+    monkeypatch.setattr(mcmc, "_BLOCK", 1000)  # three blocks, the last one partial
+    n_iter = 2500
+    cfg = pl.ChainConfig(kind=kind, n_iter=n_iter, seed=9, shift_l=l if shift else None,
+                         init=init)
+    trace, diag = pl.run_chain(prob, cfg)
+
+    states, acc = _brute_states(prob, kind, n_iter, 9, init, 1000)
+    norm, q_r = _oracle_series(prob, states, l, cfg.q)
+    crit = norm <= q_r
+    assert diag.acceptance_rate == acc / n_iter
+    np.testing.assert_array_equal(trace.criterion, crit)
+    viol, hits = np.flatnonzero(~crit), np.flatnonzero(crit)
+    assert diag.first_hit == (int(hits[0]) if hits.size else None)
+    assert diag.last_violation == (int(viol[-1]) if viol.size else None)
+    np.testing.assert_allclose(trace.norm_x, norm, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(trace.q_r_theta, q_r, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(diag.running_mean, np.mean(states, axis=0), rtol=1e-12, atol=1e-15)
+
+    centre = start == "centre" or (start == "origin" and not shift)
+    assert np.isinf(trace.q_r_theta[0]) == centre
+    assert diag.meta == {"states_diagnosed": acc + 1, "null_states": int(start == "null"),
+                         "centre_states": int(centre), "blocks": 3}
+
+
 class TestBatchedDiagnosis:
     @pytest.mark.parametrize("kind", [KIND_INDEPENDENT, KIND_RANDOM_WALK])
     @pytest.mark.parametrize("shift", [False, True])
     @pytest.mark.parametrize("start", ["origin", "centre", "null"])
     def test_matches_scalar_oracle(self, desk_instance_y, monkeypatch, kind, shift, start):
+        _check_against_oracle(desk_instance_y, monkeypatch, kind, shift, start)
+
+    @pytest.mark.parametrize("run", [1, 3])
+    @pytest.mark.parametrize("shift", [False, True])
+    @pytest.mark.parametrize("start", ["origin", "centre", "null"])
+    def test_short_runs_match_scalar_oracle(self, desk_instance_y, monkeypatch, shift, start, run):
+        # the random walk's decisions with runs shorter than _RUN, which then
+        # cross each other and block edges more often
+        monkeypatch.setattr(mcmc, "_RUN", run)
+        _check_against_oracle(desk_instance_y, monkeypatch, KIND_RANDOM_WALK, shift, start)
+
+    @pytest.mark.parametrize("run", [1, 3, mcmc._RUN])
+    @pytest.mark.parametrize("variance, start, accept_lo, accept_hi",
+                             [(1e-4, 0.0, 0.9, 1.0), (50.0, 4.0, 1e-3, 1e-2)])
+    def test_random_walk_extreme_acceptance(self, desk_instance_y, monkeypatch, variance, start,
+                                            accept_lo, accept_hi, run):
+        # almost every step accepted (runs of one proposal), and almost none:
+        # from a start out in the tail, a few long steps back toward the mode
         prob = desk_instance_y
-        l = pl.solve_fista(prob).x if shift else np.zeros(7)
-        init = {"origin": None, "centre": l,
-                "null": l + 0.5 * null_space(prob.A)[:, 0]}[start]
-        monkeypatch.setattr(mcmc, "_BLOCK", 1000)  # three blocks, the last one partial
+        monkeypatch.setattr(mcmc, "_BLOCK", 1000)
+        monkeypatch.setattr(mcmc, "_RUN", run)
         n_iter = 2500
-        cfg = pl.ChainConfig(kind=kind, n_iter=n_iter, seed=9, shift_l=l if shift else None,
+        init = np.full(7, start)
+        cfg = pl.ChainConfig(kind=KIND_RANDOM_WALK, n_iter=n_iter, rw_variance=variance, seed=9,
                              init=init)
         trace, diag = pl.run_chain(prob, cfg)
 
-        states, acc = _brute_states(prob, kind, n_iter, 9, init, 1000)
-        want = []
-        for t, x in enumerate(states):
-            same = t > 0 and x is states[t - 1]
-            want.append(want[-1] if same else _scalar_diagnosis(prob, x, l, cfg.q))
-        norm, q_r = (np.array(v) for v in zip(*want))
-        crit = norm <= q_r
+        states, acc = _brute_states(prob, KIND_RANDOM_WALK, n_iter, 9, init, 1000, variance)
+        assert accept_lo <= acc / n_iter <= accept_hi
         assert diag.acceptance_rate == acc / n_iter
-        np.testing.assert_array_equal(trace.criterion, crit)
-        viol, hits = np.flatnonzero(~crit), np.flatnonzero(crit)
-        assert diag.first_hit == (int(hits[0]) if hits.size else None)
-        assert diag.last_violation == (int(viol[-1]) if viol.size else None)
+        norm, q_r = _oracle_series(prob, states, np.zeros(7), cfg.q)
+        np.testing.assert_array_equal(trace.criterion, norm <= q_r)
         np.testing.assert_allclose(trace.norm_x, norm, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(trace.q_r_theta, q_r, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(diag.running_mean, np.mean(states, axis=0), rtol=1e-12, atol=1e-15)
-
-        centre = start == "centre" or (start == "origin" and not shift)
-        assert np.isinf(trace.q_r_theta[0]) == centre
-        assert diag.meta == {"states_diagnosed": acc + 1, "null_states": int(start == "null"),
-                             "centre_states": int(centre), "blocks": 3}
 
     @pytest.mark.parametrize("shift", [False, True])
     def test_coverage_matches_scalar_loop(self, desk_instance_y, shift):
         prob = desk_instance_y
         l = pl.solve_fista(prob).x if shift else np.zeros(7)
         q, n = 2.0, 400
-        rng = np.random.default_rng(31)
         good = 0
-        for _ in range(n):
-            x = pl.sample_posterior(prob, l, rng)
+        for x in pl.sample_posterior_batch(prob, n, np.random.default_rng(31)):
             norm = float(np.linalg.norm(x - l))
             ctx = pl.build_shift_context(prob, l, x - l)
             good += norm <= q * pl.shifted_mode_radius(ctx, 7)

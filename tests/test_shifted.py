@@ -7,7 +7,7 @@ import pytest
 
 import polarlasso as pl
 from conftest import shifted_potential
-from polarlasso.problem import CHUNK, sample_sphere_batch, sweep_chunks
+from polarlasso.problem import CHUNK, sample_laplace, sample_sphere_batch, sweep_chunks
 from polarlasso.shifted import build_shift_batch, shifted_log_masses, shifted_log_peak_modes
 
 
@@ -332,8 +332,6 @@ class TestSampling:
     def test_objective_histogram_against_weighted_prior(self, desk_instance):
         # distribution of ||Ax - y||^2/2 + ||x||_1 under exact draws vs
         # prior draws importance-weighted by the misfit factor
-        from polarlasso.problem import sample_laplace
-
         prob = desk_instance
         rng = np.random.default_rng(22)
         n = 100000
@@ -375,6 +373,85 @@ class TestSampling:
         direct = pl.estimate_z_polar(prob, n, 23)
         combined = math.hypot(math.exp(h0) * se_f, direct.std_err)
         assert abs(math.exp(h0) * z_f - direct.z) <= 3.0 * combined
+
+
+def _literal_block(prob, rng):
+    """256 prior proposals, then their uniforms, and which proposals are accepted."""
+    props = sample_laplace(rng, (256, prob.p))
+    resid = props @ prob.A.T - prob.y
+    return props, np.log(rng.uniform(size=256)) <= -0.5 * np.einsum("ij,ij->i", resid, resid)
+
+
+def _per_call_draw(prob, rng):
+    """One exact draw as a literal per-call loop: the first accepted proposal
+    of the first block that accepts one."""
+    while True:
+        props, accept = _literal_block(prob, rng)
+        if accept.any():
+            return props[np.flatnonzero(accept)[0]].copy()
+
+
+def _accepted_stream(prob, n, rng):
+    """The accepted proposals of the same literal stream, in order, until
+    there are n, and the number of blocks drawn."""
+    rows = []
+    blocks = 0
+    while len(rows) < n:
+        props, accept = _literal_block(prob, rng)
+        rows.extend(props[accept])
+        blocks += 1
+    return np.array(rows[:n]), blocks
+
+
+class TestExactBatch:
+    def test_single_draw_is_the_per_call_draw(self, desk_instance_y):
+        for seed in range(60):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):  # the generator is left where the per-call loop leaves it
+                np.testing.assert_array_equal(pl.sample_posterior(desk_instance_y, np.zeros(7), rng),
+                                              _per_call_draw(desk_instance_y, ref))
+
+    @pytest.mark.parametrize("n", [1, 5, 60])
+    def test_batch_is_the_accepted_stream(self, desk_instance, desk_instance_y, n):
+        for prob in (desk_instance, desk_instance_y):
+            for seed in (0, 1, 2):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = pl.sample_posterior_batch(prob, n, rng)
+                want, blocks = _accepted_stream(prob, n, ref)
+                assert got.shape == (n, 7)
+                np.testing.assert_array_equal(got, want)
+                assert rng.bit_generator.state == ref.bit_generator.state
+                assert blocks > 1 or n < 60  # 60 draws take several blocks
+
+    def test_rejects_no_draws(self, desk_instance):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                pl.sample_posterior_batch(desk_instance, n, np.random.default_rng(0))
+            with pytest.raises(ValueError):
+                pl.criterion_coverage(desk_instance, 5.0, n, 0)
+
+    def test_rejection_budget(self):
+        # 1 x 1, y = 40: Z/2 is about 1e-17, so no proposal is accepted
+        prob = pl.make_problem(np.eye(1), np.array([40.0]))
+        with pytest.raises(pl.ExactSamplerBudgetError) as exc:
+            pl.sample_posterior_batch(prob, 3, np.random.default_rng(0))
+        err = exc.value
+        assert isinstance(err, RuntimeError)
+        assert (err.proposals, err.accepted, err.rejected_run) == (2**24, 0, 2**24)
+        assert err.accept_bound == 3.0 / 2**24
+
+    def test_rejection_run_restarts_at_each_acceptance(self, monkeypatch):
+        # 1 x 1, y = 5: Z/2 is 0.014, so the 129 blocks of these 500 draws hold
+        # 5 without an acceptance, but no 768 rejections in a row (at most 495)
+        from polarlasso import shifted
+
+        monkeypatch.setattr(shifted, "_REJECT_LIMIT", 3 * 256)
+        prob = pl.make_problem(np.eye(1), np.array([5.0]))
+        assert pl.sample_posterior_batch(prob, 500, np.random.default_rng(0)).shape == (500, 1)
+        far = pl.make_problem(np.eye(1), np.array([40.0]))
+        with pytest.raises(pl.ExactSamplerBudgetError) as exc:
+            pl.sample_posterior_batch(far, 1, np.random.default_rng(0))
+        assert exc.value.proposals == 3 * 256
 
 
 def _instance_with_mode(n, p, seed, y_norm=3.0):
