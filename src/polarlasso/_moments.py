@@ -73,22 +73,20 @@ def log_gaussian_moment(m: int, a, b, beta, kappa=1.0) -> np.ndarray:
     shape = a.shape
     a, b, beta, kappa = a.ravel(), b.ravel(), beta.ravel(), kappa.ravel()
     out = np.empty(a.size)
+    # two node buffers for every block of the call: made per block, 1 MB arrays
+    # went back to the system after each block and faulted their pages in again
+    buf = np.empty((2, min(a.size, _BLOCK), 2 * _GL_N))
     for s in range(0, a.size, _BLOCK):
         sl = slice(s, s + _BLOCK)
-        out[sl] = _log_moment_block(m, a[sl], b[sl], beta[sl], kappa[sl])
+        out[sl] = _log_moment_block(m, a[sl], b[sl], beta[sl], kappa[sl], buf)
     return out.reshape(shape)
 
 
 def _log_moment_block(m: int, a: np.ndarray, b: np.ndarray, beta: np.ndarray,
-                      kappa: np.ndarray) -> np.ndarray:
+                      kappa: np.ndarray, buf: np.ndarray) -> np.ndarray:
     a, b, beta, kappa = a[:, None], b[:, None], beta[:, None], kappa[:, None]
     c = np.clip(tilted_peaks(m, beta, kappa), a, b)
     curved = kappa > 0.0
-
-    def drop(d):
-        """g(c + d) - g(c) at node offsets d, arranged so that no large terms cancel."""
-        fall = d * (kappa * (c + 0.5 * d) + beta)
-        return m * np.log1p(d / c) - fall if m else -fall
 
     def excess(u):
         """g(u) - g(c) + _DROP and its derivative; the walks need u, not d, near 0."""
@@ -126,7 +124,24 @@ def _log_moment_block(m: int, a: np.ndarray, b: np.ndarray, beta: np.ndarray,
                 u = np.where(active, u - phi / dphi, u)
         ends.append(u)
     w_left, w_right = c - ends[0], ends[1] - c
-    vals = np.exp(drop(np.concatenate([-w_left * _GL_T, w_right * _GL_T], axis=1)))
+    # g(c + d) - g(c) = m ln(1 + d/c) - d (kappa (c + d/2) + beta) at the node
+    # offsets d, arranged so that no large terms cancel, in place in `buf`
+    d, fall = buf[:, :len(c)]
+    np.multiply(-w_left, _GL_T, out=d[:, :_GL_N])
+    np.multiply(w_right, _GL_T, out=d[:, _GL_N:])
+    np.multiply(d, 0.5, out=fall)
+    fall += c
+    fall *= kappa
+    fall += beta
+    fall *= d
+    if m:
+        d /= c
+        np.log1p(d, out=d)
+        d *= m
+        d -= fall
+    else:
+        np.negative(fall, out=d)
+    vals = np.exp(d, out=d)
     total = w_left[:, 0] * (vals[:, :_GL_N] @ _GL_W) + w_right[:, 0] * (vals[:, _GL_N:] @ _GL_W)
     c, beta, kappa = c[:, 0], beta[:, 0], kappa[:, 0]
     g_c = (m * np.log(c) if m else 0.0) - c * (kappa * (0.5 * c) + beta)

@@ -98,6 +98,18 @@ def _args_to_argv(cfg: dict) -> list[str]:
     return argv
 
 
+def _positive(kind):
+    """argparse type: a `kind` number > 0, else an argument error (exit 2)."""
+    def convert(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    convert.__name__ = kind.__name__  # a malformed number reads "invalid int value"
+    return convert
+
+
 def _load_problem_or_exit(path: str) -> problem.ProblemInstance:
     try:
         return problem.load_problem(path)
@@ -313,8 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="compute the l1-penalized mode")
     s.add_argument("--problem", required=True)
     s.add_argument("--method", choices=("polar", "fista", "both"), default="both")
-    s.add_argument("--n-samples", type=int, default=100000)
-    s.add_argument("--max-iter", type=int, default=20000)
+    s.add_argument("--n-samples", type=_positive(int), default=100000)
+    s.add_argument("--max-iter", type=_positive(int), default=20000)
     s.add_argument("--tol", type=float, default=1e-10)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default="solution.json")
@@ -323,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     z = sub.add_parser("partition", help="estimate the partition function")
     z.add_argument("--problem", required=True)
     z.add_argument("--method", choices=("polar", "naive", "both"), default="polar")
-    z.add_argument("--n-samples", type=int, default=100000)
+    z.add_argument("--n-samples", type=_positive(int), default=100000)
     z.add_argument("--seed", type=int, default=0)
     z.add_argument("--shift", action="store_true",
                    help="also estimate through the recentered density")
@@ -342,11 +354,11 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("diagnose", help="run a chain and its convergence diagnosis")
     d.add_argument("--problem", required=True)
     d.add_argument("--sampler", choices=("is", "rw"), default="rw")
-    d.add_argument("--iters", type=int, default=1000000)
-    d.add_argument("--q", type=float, default=5.0)
-    d.add_argument("--rw-var", type=float, default=0.5)
+    d.add_argument("--iters", type=_positive(int), default=1000000)
+    d.add_argument("--q", type=_positive(float), default=5.0)
+    d.add_argument("--rw-var", type=_positive(float), default=0.5)
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--z-samples", type=int, default=20000,
+    d.add_argument("--z-samples", type=_positive(int), default=20000,
                    help="sweep size for the ergodicity constant (is sampler)")
     d.add_argument("--emit-series", default=None, metavar="FILE")
     d.add_argument("--out", default="diagnosis.json")
@@ -355,8 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("tables", help="write the reference tables")
     t.add_argument("--out-dir", default="tables")
     t.add_argument("--seed", type=int, default=1)
-    t.add_argument("--n-samples", type=int, default=100000)
-    t.add_argument("--iters", type=int, default=1000000)
+    t.add_argument("--n-samples", type=_positive(int), default=100000)
+    t.add_argument("--iters", type=_positive(int), default=1000000)
     t.set_defaults(func=cmd_tables)
 
     r = sub.add_parser("rerun", help="replay a run manifest byte-identically")

@@ -50,6 +50,8 @@ class ChainConfig:
             raise ValueError("n_iter must be positive")
         if self.rw_variance <= 0:
             raise ValueError("rw_variance must be positive")
+        if not self.q > 0:
+            raise ValueError("q must be positive")
 
 
 @dataclass(frozen=True)
@@ -82,9 +84,9 @@ class ChainDiagnosis:
         return 0 if self.last_violation is None else self.last_violation + 1
 
 
-def tv_bound(t: int, z: float, p: int) -> float:
+def tv_bound(t, z: float, p: int):
     """Uniform-ergodicity total-variation bound (1 - z/2^p)^t of the
-    independent sampler."""
+    independent sampler, elementwise over an array t."""
     if not 0.0 < z < 2.0**p:
         raise ValueError("z must lie in (0, 2^p)")
     return (1.0 - z / 2.0**p) ** t
@@ -175,8 +177,8 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig, z_estimate: float | None 
     tv_series = None
     tv_const = None
     if is_kind and z_estimate is not None:
-        tv_const = 1.0 - z_estimate / 2.0**p
-        tv_series = tv_const ** np.arange(1, n_iter + 1)
+        tv_const = tv_bound(1, z_estimate, p)
+        tv_series = tv_bound(np.arange(1, n_iter + 1), z_estimate, p)
     diag = ChainDiagnosis(
         first_hit=first_hit,
         last_violation=last_violation,

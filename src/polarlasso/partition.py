@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .problem import ProblemInstance, sample_laplace, sample_sphere_batch, sweep_chunks
-from .radial import log_concavity_bracket, sweep_summaries
-from .shifted import _exp, build_shift_batch, shifted_log_masses, shifted_log_peak_modes
+from .shifted import _exp, log_concavity_bracket, shifted_log_summaries, unit_shift_batch
 from .special import upper_inc_gamma_int
 
 METHOD_POLAR = "polar_mc"
@@ -76,25 +74,25 @@ def _log_mean(chunks) -> tuple[float, float, float]:
     return scale, mean, math.sqrt(var / n)
 
 
-def _polar_sweep(prob: ProblemInstance, n_samples: int, rng, rows, h0: float,
-                 method: str) -> tuple[PartitionEstimate, float]:
-    """Z = e^h0 |S| E[J] over uniform directions, and |S| E[J].
+def _polar_sweep(prob: ProblemInstance, l: np.ndarray, n_samples: int, rng,
+                 method: str) -> tuple[PartitionEstimate, float, float]:
+    """Z = e^h0 |S| E[J] over uniform directions for the density recentered
+    at l, with |S| E[J] and h0 = h(0).
 
-    `rows(thetas)` gives (log J, log mass_lo, log(peak * mode)) of the radial
-    law along every row of `thetas`.  The bracket is e^h0 |S| times the
-    sample minimum of mass_lo below and the log-concavity upper bound at the
-    sample maximum of peak * mode above, so the estimate lies between them.
+    Every row of a chunk comes from unit_shift_batch and
+    shifted_log_summaries.  The bracket is e^h0 |S| times the sample minimum
+    of mass_lo below and the log-concavity upper bound at the sample maximum
+    of peak * mode above, so the estimate lies between them.
     """
     p = prob.p
-    lo_min, pm_max = math.inf, -math.inf
+    lo_min, pm_max, h0 = math.inf, -math.inf, math.nan
 
     def log_masses():
-        nonlocal lo_min, pm_max
+        nonlocal lo_min, pm_max, h0
         for gen, count in sweep_chunks(rng, n_samples):
-            # named, so a chunk's draws are freed only once the next exist: freed at
-            # once, they let malloc trim the heap and the kernel faults 60% more pages (p = 20)
-            thetas = sample_sphere_batch(gen, count, p)
-            log_j, log_lo, log_pm = rows(thetas)
+            batch = unit_shift_batch(prob, l, sample_sphere_batch(gen, count, p))
+            log_j, log_lo, log_pm, _, _ = shifted_log_summaries(batch, p)
+            h0 = batch.h0
             lo_min = min(lo_min, float(log_lo.min()))
             pm_max = max(pm_max, float(log_pm.max()))
             yield log_j
@@ -102,35 +100,25 @@ def _polar_sweep(prob: ProblemInstance, n_samples: int, rng, rows, h0: float,
     scale, mean, err = _log_mean(log_masses())
     log_s = _log_surface(p)
     unit = _exp(h0 + log_s + scale)
-    z_max = log_concavity_bracket(_exp(h0 + log_s + pm_max), p)[1]
-    est = PartitionEstimate(unit * mean, unit * err, n_samples, method, _exp(h0 + log_s + lo_min), z_max)
-    return est, _exp(log_s + scale + math.log(mean))
+    z_min, z_max = log_concavity_bracket(h0 + log_s + lo_min, h0 + log_s + pm_max, p)
+    est = PartitionEstimate(unit * mean, unit * err, n_samples, method, z_min, z_max)
+    return est, _exp(log_s + scale + math.log(mean)), h0
 
 
 def estimate_z_polar(prob: ProblemInstance, n_samples: int, rng) -> PartitionEstimate:
     """Polar Monte Carlo: |S| times the mean closed-form mass over uniform
-    directions, with the bracket of _polar_sweep from the same sweep."""
-    return _polar_sweep(prob, n_samples, rng, partial(sweep_summaries, prob), 0.0, METHOD_POLAR)[0]
+    directions, with the bracket of _polar_sweep from the same sweep; the
+    recentered route at l = 0."""
+    return _polar_sweep(prob, np.zeros(prob.p), n_samples, rng, METHOD_POLAR)[0]
 
 
 def estimate_z_shifted(prob: ProblemInstance, l: np.ndarray, n_samples: int, rng) -> ShiftedEstimate:
     """Recentered polar Monte Carlo: Z = e^(h(0)) |S| E[J_p(theta, l)].
 
     The directions are those of estimate_z_polar for the same `rng`, so at
-    l = 0 both routes return the same estimate.  The bracket is the sample
-    inf/sup of peak * mode times the log-concavity constants.
+    l = 0 both routes return the same estimate and bracket.
     """
-    p = prob.p
-    l = np.asarray(l, dtype=float)
-    norm_y_l = float(np.linalg.norm(prob.y - prob.A @ l))
-    h0 = -0.5 * norm_y_l**2 - float(np.abs(l).sum())  # as in build_shift_batch
-
-    def rows(thetas):
-        batch = build_shift_batch(prob, l, thetas)
-        log_pm = shifted_log_peak_modes(batch, p)
-        return shifted_log_masses(batch, p), log_pm - math.log(p), log_pm
-
-    est, z_f = _polar_sweep(prob, n_samples, rng, rows, h0, METHOD_SHIFTED)
+    est, z_f, h0 = _polar_sweep(prob, l, n_samples, rng, METHOD_SHIFTED)
     return ShiftedEstimate(**vars(est), z_f=z_f, h0=h0)
 
 
@@ -144,7 +132,9 @@ def estimate_z_naive(prob: ProblemInstance, n_samples: int, rng) -> PartitionEst
 
     def log_weights():
         for gen, count in sweep_chunks(rng, n_samples):
-            x = sample_laplace(gen, (count, p))  # named, as in _polar_sweep
+            # named, so a chunk's draws are freed only once the next exist: freed
+            # at once, they let malloc trim the heap, and the next chunk faults
+            x = sample_laplace(gen, (count, p))
             resid = x @ prob.A.T - prob.y
             yield -0.5 * np.einsum("ij,ij->i", resid, resid)
 

@@ -16,7 +16,8 @@ direction (A theta = 0) the misfit is constant along the ray, and s = 1,
 kappa = 0, beta_k = l1_k.  Every row goes through the one log-domain
 segment kernel, a whole batch of directions per call (build_shift_batch),
 so the result is reliable for any placement of l; a single direction is a
-batch of one (build_shift_context).
+batch of one (build_shift_context).  At l = 0 this is the centred radial law
+of radial.py, which takes its mass, mode, peak and bracket from here.
 """
 
 from __future__ import annotations
@@ -27,16 +28,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._moments import log_gaussian_moment, tilted_peaks
-from .problem import ProblemInstance, direction_batch, sample_laplace
-from .radial import log_concavity_bracket
+from .problem import DirectionBatch, ProblemInstance, direction_batch, sample_laplace
 
 
 def _exp(x: float) -> float:
-    """e^x, inf past the float range instead of OverflowError."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+    """e^x by the numpy exp the batch functions use, inf past the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(x))
+
+
+def log_concavity_bracket(log_lo: float, log_peak_mode: float, p: int) -> tuple[float, float]:
+    """[lo, M r (p-1)! e^(p-1) / (p-1)^p] around the mass of a log-concave
+    radial law (or a positive multiple of such masses) from the logs of lo
+    and of its peak * mode M r; each end is formed in logs, inf past the
+    float range."""
+    if p == 1:
+        return _exp(log_lo), math.inf  # the log-concavity upper constant degenerates at p = 1
+    return _exp(log_lo), _exp(log_peak_mode + math.lgamma(p) + p - 1 - p * math.log(p - 1))
 
 
 @dataclass(frozen=True)
@@ -49,15 +57,13 @@ class ShiftBatch:
     in the kernel variable u = scale r.  Rows with fewer sign changes than q
     pad their tail with empty segments lo = hi = inf.  Null rows
     (A theta = 0) have scale = 1 and b_l = 0, so there beta = slope.
+    h0 = h(0) is the log of the factor that recenters the density.
     """
 
     l: np.ndarray
     thetas: np.ndarray
-    A_thetas: np.ndarray
-    norm_A_theta: np.ndarray
     null: np.ndarray
     scale: np.ndarray
-    y_l: np.ndarray
     h0: float
     lo: np.ndarray
     hi: np.ndarray
@@ -78,46 +84,48 @@ class ShiftBatch:
 
 def build_shift_batch(prob: ProblemInstance, l: np.ndarray, thetas: np.ndarray) -> ShiftBatch:
     """Segment decomposition of the recentered density along every row of `thetas`."""
-    l = np.asarray(l, dtype=float)
-    if l.shape != (prob.p,):
-        raise ValueError(f"l must have length {prob.p}")
     thetas = np.asarray(thetas, dtype=float)
     norms = np.linalg.norm(thetas, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("directions must be nonzero")
-    thetas = thetas / norms[:, None]
-    y_l = prob.y - prob.A @ l
-    norm_y_l = float(np.linalg.norm(y_l))
-    h0 = -0.5 * norm_y_l**2 - float(np.abs(l).sum())
-    st = direction_batch(prob.A, y_l, thetas)  # s = 0, so b_l = 0, on null rows
-    b_l = norm_y_l * st.s
+    return unit_shift_batch(prob, l, thetas / norms[:, None])
 
-    # only coordinates in the support of l can change sign along the ray
+
+def unit_shift_batch(prob: ProblemInstance, l: np.ndarray, thetas: np.ndarray) -> ShiftBatch:
+    """build_shift_batch of rows that are unit directions already (sphere draws)."""
+    l = np.asarray(l, dtype=float)
+    if l.shape != (prob.p,):
+        raise ValueError(f"l must have length {prob.p}")
+    y_l = prob.y - prob.A @ l
+    return segment_batch(direction_batch(prob.A, y_l, thetas), thetas, l, float(np.linalg.norm(y_l)))
+
+
+def segment_batch(st: DirectionBatch, thetas: np.ndarray, l: np.ndarray, norm_y_l: float) -> ShiftBatch:
+    """ShiftBatch of unit directions with statistics `st` against y - A l.
+
+    Only coordinates in the support of l change sign along a ray.  Between
+    the sign changes crossed and those ahead, ||r theta + l||_1 has slope
+    ||theta||_1 - 2 sum_ahead |theta_i| and intercept ||l||_1 - 2 sum_crossed |l_i|,
+    so the tilt is st.beta less 2 sum_ahead |theta_i| / ||A theta||.
+    """
     support = np.flatnonzero(l)
-    abs_l = np.abs(l[support])
-    abs_t = np.abs(thetas)
+    abs_l, abs_t = np.abs(l[support]), np.abs(thetas[:, support])
     minus = thetas[:, support] * l[support] < 0.0
     with np.errstate(divide="ignore"):
-        ratios = np.where(minus, abs_l / abs_t[:, support], math.inf)
+        ratios = np.where(minus, abs_l / abs_t, math.inf)
     order = np.argsort(ratios, axis=1, kind="stable")
-    ratios = np.take_along_axis(ratios, order, axis=1)
-    l_minus = np.take_along_axis(np.where(minus, abs_l, 0.0), order, axis=1)
-    t_minus = np.take_along_axis(np.where(minus, abs_t[:, support], 0.0), order, axis=1)
-    minus_full = np.zeros(thetas.shape, dtype=bool)
-    minus_full[:, support] = minus
-    base_c = np.where(minus, 0.0, abs_l).sum(axis=1)
-    base_l1 = np.where(minus_full, 0.0, abs_t).sum(axis=1)
     zero = np.zeros((len(thetas), 1))
-    cum_l = np.concatenate([zero, np.cumsum(l_minus, axis=1)], axis=1)
-    cum_t = np.concatenate([zero, np.cumsum(t_minus, axis=1)], axis=1)
-    c = base_c[:, None] - cum_l + (cum_l[:, -1:] - cum_l)
-    slope = base_l1[:, None] + cum_t - (cum_t[:, -1:] - cum_t)
-    breakpoints = np.concatenate([zero, ratios, zero + math.inf], axis=1)
+    crossed_l, crossed_t = (np.concatenate([zero, np.cumsum(np.take_along_axis(
+        np.where(minus, v, 0.0), order, axis=1), axis=1)], axis=1) for v in (abs_l, abs_t))
+    ahead_t = crossed_t[:, -1:] - crossed_t
+    slope = st.l1[:, None] - 2.0 * ahead_t
     scale = np.where(st.null, 1.0, st.norm_A)
+    breakpoints = np.concatenate([zero, np.take_along_axis(ratios, order, axis=1), zero + math.inf], axis=1)
+    l1_l = float(np.abs(l).sum())
     return ShiftBatch(
-        l=l, thetas=thetas, A_thetas=st.A_thetas, norm_A_theta=st.norm_A, null=st.null,
-        scale=scale, y_l=y_l, h0=h0, lo=breakpoints[:, :-1], hi=breakpoints[:, 1:], c=c, slope=slope,
-        beta=slope / scale[:, None] - b_l[:, None],
+        l=l, thetas=thetas, null=st.null, scale=scale, h0=-0.5 * norm_y_l**2 - l1_l,
+        lo=breakpoints[:, :-1], hi=breakpoints[:, 1:], c=l1_l - 2.0 * crossed_l, slope=slope,
+        beta=np.where(st.null[:, None], slope, st.beta[:, None] - 2.0 * ahead_t / scale[:, None]),
     )
 
 
@@ -141,8 +149,9 @@ def shifted_log_masses(batch: ShiftBatch, p: int) -> np.ndarray:
     return top + np.log(np.exp(terms - top[:, None]).sum(axis=1)) - p * np.log(batch.scale)
 
 
-def shifted_modes(batch: ShiftBatch, p: int) -> np.ndarray:
-    """Unique minimizer of the shifted radial potential for every row of the batch.
+def _mode_segments(batch: ShiftBatch, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, r*) per row: the index k (a column) of the segment holding the
+    unique minimizer r* of the shifted radial potential, and r*.
 
     Within each segment the stationarity condition is the centred one with
     tilt beta_k, so a segment either contains its closed-form root, or the
@@ -155,18 +164,46 @@ def shifted_modes(batch: ShiftBatch, p: int) -> np.ndarray:
     """
     root = tilted_peaks(p - 1, batch.beta, batch.kappa[:, None]) / batch.scale[:, None]
     k = np.argmax((batch.hi > batch.lo) & (root < batch.hi), axis=1)[:, None]
-    return np.maximum(np.take_along_axis(root, k, axis=1), np.take_along_axis(batch.lo, k, axis=1))[:, 0]
+    return k, np.maximum(np.take_along_axis(root, k, axis=1), np.take_along_axis(batch.lo, k, axis=1))[:, 0]
 
 
-def shifted_log_peak_modes(batch: ShiftBatch, p: int) -> np.ndarray:
-    """log(peak * mode) of the shifted radial law for every row of the batch,
-    at the modes of shifted_modes."""
-    r = shifted_modes(batch, p)[:, None]
-    resid = r * batch.A_thetas - batch.y_l
-    l1 = np.abs(r * batch.thetas + batch.l).sum(axis=1)
-    psi = 0.5 * np.einsum("ij,ij->i", resid, resid) + l1 + batch.h0
-    with np.errstate(divide="ignore"):
-        return p * np.log(r[:, 0]) - psi
+def shifted_modes(batch: ShiftBatch, p: int) -> np.ndarray:
+    """Mode radius of the shifted radial law for every row of the batch."""
+    return _mode_segments(batch, p)[1]
+
+
+def shifted_log_summaries(batch: ShiftBatch, p: int) -> tuple[np.ndarray, ...]:
+    """(log J, log mass_lo, log(peak * mode), mode, log peak) along every
+    row of the batch, masses and peak in units of e^h0.
+
+    In the mode's segment k, with u = scale r*, the potential is
+    psi(r*) - h(0) = kappa u^2/2 + beta_k u + c_k - ||l||_1, and the peak
+    e^(h(0) - psi(r*)) r*^(p-1).  mass_lo is one rule for every l: where
+    the first tilt beta_0 >= 0 the ray energy is nondecreasing up to the
+    mode, so mass >= peak * mode / p.  Otherwise, on [r*, b], b the right
+    end of the mode's segment, the potential's curvature is at most
+    K = kappa scale^2 + (p-1)/r*^2 and its right slope at r* is d >= 0
+    (0 at an interior mode, so rounding is clamped at 0), hence
+    mass >= peak int_0^(b - r*) e^(-d t - K t^2/2) dt; an l1 kink past b
+    would break that quadratic majorant.  At l = 0 (one segment, d = 0,
+    b = inf) this is the half-Gaussian minorant peak sqrt(pi / (2K)).
+    """
+    k, mode = _mode_segments(batch, p)
+    beta, hi, c = (np.take_along_axis(a, k, axis=1)[:, 0] for a in (batch.beta, batch.hi, batch.c))
+    kappa, scale = batch.kappa, batch.scale
+    u = scale * mode
+    with np.errstate(divide="ignore"):  # at p = 1 the mode may sit at the origin
+        log_mode = np.log(mode)
+    energy = u * (0.5 * kappa * u + beta) + c - float(np.abs(batch.l).sum())
+    log_peak = (p - 1) * log_mode - energy if p > 1 else -energy  # no volume term at p = 1
+    log_pm = log_peak + log_mode
+    log_lo = log_pm - math.log(p)
+    neg = np.flatnonzero(batch.beta[:, 0] < 0.0)  # there the mode is positive
+    r, u, beta, hi, kappa, scale = (v[neg] for v in (mode, u, beta, hi, kappa, scale))
+    rate = np.sqrt(kappa * scale**2 + (p - 1) / r**2)
+    d = np.maximum(scale * (kappa * u + beta) - (p - 1) / r, 0.0)
+    log_lo[neg] = log_peak[neg] - np.log(rate) + log_gaussian_moment(0, 0.0, rate * (hi - r), d / rate)
+    return shifted_log_masses(batch, p), log_lo, log_pm, mode, log_peak
 
 
 def shifted_radial_mass(ctx: ShiftBatch, p: int) -> float:
@@ -180,9 +217,10 @@ def shifted_mode_radius(ctx: ShiftBatch, p: int) -> float:
 
 
 def shifted_mass_bounds(ctx: ShiftBatch, p: int) -> tuple[float, float]:
-    """Log-concavity bracket [M r / p, M r (p-1)! e^(p-1) / (p-1)^p] around the
-    mass of row 0 from its peak * mode M r; inf past the float range."""
-    return log_concavity_bracket(_exp(float(shifted_log_peak_modes(ctx, p)[0])), p)
+    """log_concavity_bracket of row 0 of the batch from its mass_lo and
+    peak * mode (shifted_log_summaries); inf past the float range."""
+    _, log_lo, log_pm, _, _ = shifted_log_summaries(ctx, p)
+    return log_concavity_bracket(float(log_lo[0]), float(log_pm[0]), p)
 
 
 class ExactSamplerBudgetError(RuntimeError):

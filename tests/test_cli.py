@@ -212,6 +212,24 @@ class TestDiagnose:
         assert 0.0 < summary["tv_constant"] < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "--iters", "0"],
+    ["diagnose", "--rw-var", "0"],
+    ["diagnose", "--q", "-1"],
+    ["partition", "--n-samples", "0"],
+    ["solve", "--n-samples", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_nonpositive_numeric_argument_exits_2(tmp_path, problem_file, capsys, argv):
+    # an argument error: usage and exit 2, no traceback and no output
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        run([argv[0], "--problem", problem_file, *argv[1:], "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be positive" in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 class TestTables:
     def test_all_three_tables(self, tmp_path):
         out_dir = tmp_path / "tables"

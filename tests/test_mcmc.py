@@ -40,6 +40,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             pl.ChainConfig(kind=KIND_RANDOM_WALK, n_iter=10, rw_variance=0.0)
 
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_q(self, q):
+        with pytest.raises(ValueError, match="q must be positive"):
+            pl.ChainConfig(kind=KIND_RANDOM_WALK, n_iter=10, q=q)
+
 
 class TestAcceptanceRatioIdentity:
     def test_independent_ratio_drops_l1_terms(self, desk_instance_y):
@@ -170,6 +175,16 @@ class TestChainMechanics:
         cfg = pl.ChainConfig(kind=KIND_RANDOM_WALK, n_iter=100, seed=5)
         _, diag = pl.run_chain(desk_instance, cfg, z_estimate=2.2142)
         assert diag.tv_bound is None
+
+    def test_tv_series_checks_its_estimate(self, desk_instance):
+        # the constant and the series are tv_bound's, domain check included
+        cfg = pl.ChainConfig(kind=KIND_INDEPENDENT, n_iter=100, seed=5)
+        with pytest.raises(ValueError, match="z must lie"):
+            pl.run_chain(desk_instance, cfg, z_estimate=2.0**7)
+        _, diag = pl.run_chain(desk_instance, cfg, z_estimate=2.2142)
+        assert diag.tv_constant == pl.tv_bound(1, 2.2142, 7)
+        np.testing.assert_allclose(diag.tv_bound, [pl.tv_bound(t, 2.2142, 7) for t in range(1, 101)],
+                                   rtol=1e-14)
 
 
 class TestDetailedBalance:

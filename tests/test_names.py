@@ -103,3 +103,32 @@ def test_one_seed_splitter():
     found = [(path.name, line) for path in sorted(SRC.glob("*.py")) if path.name != "problem.py"
              for line in _seed_splits(path)]
     assert not found, "seed splitting outside problem.sweep_chunks (module, line): " + repr(found)
+
+
+def _radial_law_calls(path):
+    """(module, function, callee, line) of every call of tilted_peaks or
+    log_gaussian_moment in a module; function is None at module level."""
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else scope
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if name in ("tilted_peaks", "log_gaussian_moment"):
+                    hits.append((path.name, scope, name, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return hits
+
+
+def test_one_radial_law():
+    # every radial mass, mode, peak and bracket comes from the segment
+    # functions of shifted.py; the only other kernel call is the beta-only
+    # H of radial.mass_closed_form (the curves command and its expansion check)
+    assert any(name == "tilted_peaks" for *_, name, _ in _radial_law_calls(SRC / "shifted.py"))
+    allowed = {("radial.py", "mass_closed_form", "log_gaussian_moment")}
+    found = [hit for path in sorted(SRC.glob("*.py")) if path.name not in ("shifted.py", "_moments.py")
+             for hit in _radial_law_calls(path) if hit[:3] not in allowed]
+    assert not found, "radial kernel calls outside shifted.py (module, function, callee, line): " + repr(found)

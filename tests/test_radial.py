@@ -9,7 +9,16 @@ from scipy.integrate import quad
 
 import polarlasso as pl
 from polarlasso.problem import sample_sphere_batch
-from polarlasso.radial import METHOD_EXACT, METHOD_NULL, sweep_summaries
+from polarlasso.radial import METHOD_EXACT, METHOD_NULL
+from polarlasso.shifted import build_shift_batch, shifted_log_summaries
+
+
+def centred_rows(prob, thetas):
+    """(log mass, log mass_lo, log(peak * mode)) of the centred radial law
+    along every row of `thetas`: the l = 0 segment batch, times e^h(0)."""
+    batch = build_shift_batch(prob, np.zeros(prob.p), thetas)
+    log_mass, log_lo, log_pm, _, _ = shifted_log_summaries(batch, prob.p)
+    return log_mass + batch.h0, log_lo + batch.h0, log_pm + batch.h0
 
 
 def mp_log_radial_mass(na, beta, y_norm, p):
@@ -271,12 +280,10 @@ class TestRadialSummary:
 
 class TestSweep:
     def test_batch_matches_scalar_summaries(self, desk_instance_y):
-        from polarlasso.radial import sweep_summaries
-
         prob = desk_instance_y
         rng = np.random.default_rng(40)
         thetas = sample_sphere_batch(rng, 300, 7)
-        mass, mass_lo, peak_mode = (np.exp(v) for v in sweep_summaries(prob, thetas))
+        mass, mass_lo, peak_mode = (np.exp(v) for v in centred_rows(prob, thetas))
         for i in range(300):
             summ = pl.radial_summary(pl.direction_stats(prob, thetas[i]), 7, prob.y_norm)
             assert mass[i] == pytest.approx(summ.mass, rel=1e-8)
@@ -323,7 +330,7 @@ class TestOneKernelPath:
             assert st.beta == pytest.approx(beta, rel=1e-6, abs=1e-6)
             want = float(mp.exp(mp_log_radial_mass(st.norm_A_theta, st.beta, y_norm, p)))
             summ = pl.radial_summary(st, p, y_norm)
-            mass, _, peak_mode = (np.exp(v) for v in sweep_summaries(prob, theta[None, :]))
+            mass, _, peak_mode = (np.exp(v) for v in centred_rows(prob, theta[None, :]))
             assert summ.method == METHOD_EXACT
             assert summ.mass == pytest.approx(want, rel=1e-9)
             assert mass[0] == pytest.approx(want, rel=1e-9)
@@ -343,7 +350,7 @@ class TestOneKernelPath:
         assert summ.mode_r == pytest.approx(root, rel=1e-12)
         assert pl.shifted_mode_radius(ctx, 7) == pytest.approx(root, rel=1e-12)
         assert summ.mass_lo <= summ.mass <= summ.mass_hi
-        peak_mode = np.exp(sweep_summaries(prob, st.theta[None, :])[2])
+        peak_mode = np.exp(centred_rows(prob, st.theta[None, :])[2])
         assert peak_mode[0] > 0.0
         assert peak_mode[0] == pytest.approx(summ.peak * summ.mode_r, rel=1e-12)
 
@@ -357,7 +364,7 @@ class TestOneKernelPath:
             thetas[i] = oracles.null_space_direction(prob.A, rng) + 0.05 * thetas[i]
         thetas[5] = oracles.null_space_direction(prob.A, rng)
         thetas /= np.linalg.norm(thetas, axis=1)[:, None]
-        mass, mass_lo, peak_mode = (np.exp(v) for v in sweep_summaries(prob, thetas))
+        mass, mass_lo, peak_mode = (np.exp(v) for v in centred_rows(prob, thetas))
         betas = []
         for i, theta in enumerate(thetas):
             st = pl.direction_stats(prob, theta)
@@ -379,7 +386,7 @@ class TestOneKernelPath:
         want = float(mp.exp(mp_log_radial_mass(st.norm_A_theta, beta, y_norm, p)))
         summ = pl.radial_summary(st, p, y_norm)
         assert 0.25 * want <= summ.mass_lo <= want <= summ.mass_hi
-        mass_lo = np.exp(sweep_summaries(prob, st.theta[None, :])[1])
+        mass_lo = np.exp(centred_rows(prob, st.theta[None, :])[1])
         assert mass_lo[0] == summ.mass_lo
 
     def test_upper_bound_finite_at_p100(self):
@@ -400,7 +407,7 @@ class TestOneKernelPath:
         prob = pl.make_problem(pl.gen_bernoulli_matrix(3, p, 1).A, np.array([0.5, -0.2, 0.1]))
         rng = np.random.default_rng(3)
         thetas = np.vstack([oracles.null_space_direction(prob.A, rng), sample_sphere_batch(rng, 2, p)])
-        mass = np.exp(sweep_summaries(prob, thetas)[0])
+        mass = np.exp(centred_rows(prob, thetas)[0])
         l1 = mp.mpf(float(np.abs(thetas[0]).sum()))
         with mp.workdps(40):
             want = mp.exp(mp.loggamma(p) - mp.mpf(prob.y_norm) ** 2 / 2 - p * mp.log(l1))

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import polarlasso as pl
 from conftest import shifted_potential
-from polarlasso.problem import CHUNK, sample_laplace, sample_sphere_batch, sweep_chunks
-from polarlasso.shifted import build_shift_batch, shifted_log_masses, shifted_log_peak_modes
+from polarlasso._moments import log_gaussian_moment
+from polarlasso.problem import CHUNK, direction_batch, sample_laplace, sample_sphere_batch, sweep_chunks
+from polarlasso.shifted import build_shift_batch, shifted_log_masses, shifted_log_summaries
 
 
 def potential(prob, ctx, r, p):
@@ -106,7 +109,8 @@ class TestContext:
         rng = np.random.default_rng(5)
         for _ in range(10):
             batch = random_batch(desk_instance_y, rng, 20)
-            assert np.all(batch.beta[:, -1] >= -float(np.linalg.norm(batch.y_l)) - 1e-12)
+            y_l = desk_instance_y.y - desk_instance_y.A @ batch.l
+            assert np.all(batch.beta[:, -1] >= -float(np.linalg.norm(y_l)) - 1e-12)
 
     def test_null_direction_context(self, desk_instance, oracles):
         # null rows take u = r and curvature 0: their tilt is the l1 slope itself
@@ -312,8 +316,39 @@ class TestShiftedBounds:
         summ = pl.radial_summary(pl.direction_stats(near, np.eye(2)[0]), 2, 21.0)
         scale = math.exp(0.5 * 21.0**2)
         assert hi == pytest.approx(summ.mass_hi * scale, rel=1e-10)
-        assert lo == pytest.approx(summ.peak * summ.mode_r * scale / 2, rel=1e-10)
+        assert lo == pytest.approx(summ.mass_lo * scale, rel=1e-10)
         assert pl.shifted_radial_mass(ctx, 2) <= hi
+
+
+class TestBracketProperty:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(data=hst.data(), p=hst.integers(1, 20), y_norm=hst.floats(0.0, 30.0),
+           support=hst.integers(0, 20), seed=hst.integers(0, 2**32 - 1))
+    def test_every_row_inside_its_bracket(self, data, p, y_norm, support, seed):
+        # a random instance (n <= p <= 20, ||y|| <= 30), a sparse random l and
+        # 64 directions: each row's mass lies in its own bracket, and at l = 0
+        # each row is radial_summary of its direction
+        n = data.draw(hst.integers(1, p), label="n")
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal(n)
+        prob = pl.make_problem(pl.gen_bernoulli_matrix(n, p, seed).A, y * (y_norm / np.linalg.norm(y)))
+        l = np.zeros(p)
+        idx = rng.choice(p, size=min(support, p), replace=False)
+        l[idx] = rng.standard_normal(idx.size) * rng.uniform(0.1, 3.0)
+        thetas = sample_sphere_batch(rng, 64, p)
+        for shift in (l, np.zeros(p)):
+            log_j, log_lo, log_pm, _, _ = shifted_log_summaries(build_shift_batch(prob, shift, thetas), p)
+            assert np.all(log_lo <= log_j + 1e-9), np.max(log_lo - log_j)
+            if p > 1:  # at p = 1 the upper constant is inf
+                upper = math.lgamma(p) + p - 1 - p * math.log(p - 1)
+                assert np.all(log_j <= log_pm + upper + 1e-9), np.max(log_j - log_pm - upper)
+        batch = build_shift_batch(prob, np.zeros(p), thetas)
+        rows = zip(*(np.exp(v + batch.h0) for v in (log_j, log_lo, log_pm)))
+        for theta, (mass, mass_lo, peak_mode) in zip(thetas, rows):
+            summ = pl.radial_summary(pl.direction_stats(prob, theta), p, prob.y_norm)
+            assert summ.mass == pytest.approx(mass, rel=1e-11)
+            assert summ.mass_lo == pytest.approx(mass_lo, rel=1e-11)
+            assert summ.peak * summ.mode_r == pytest.approx(peak_mode, rel=1e-11)
 
 
 class TestSampling:
@@ -474,7 +509,7 @@ class TestShiftBatch:
         thetas[7] = oracles.null_space_direction(prob.A, rng)  # a curvature-0 row in the same call
         batch = build_shift_batch(prob, l, thetas)
         log_j = shifted_log_masses(batch, p)
-        log_pm = shifted_log_peak_modes(batch, p)
+        _, _, log_pm, _, _ = shifted_log_summaries(batch, p)
         assert batch.null[7] and batch.null.sum() == 1
         for i in range(len(thetas)):
             ctx = pl.build_shift_context(prob, l, thetas[i])
@@ -484,12 +519,12 @@ class TestShiftBatch:
                                               rel=1e-12, abs=1e-12)
 
     def test_zero_shift_matches_centered_sweep(self, desk_instance_y):
-        from polarlasso.radial import sweep_summaries
-
         prob = desk_instance_y
         thetas = sample_sphere_batch(np.random.default_rng(25), 400, 7)
         log_j = shifted_log_masses(build_shift_batch(prob, np.zeros(7), thetas), 7)
-        log_mass, _, _ = sweep_summaries(prob, thetas)
+        # the centred closed form e^(-||y||^2/2) H_6(beta) / ||A theta||^7
+        st = direction_batch(prob.A, prob.y, thetas)
+        log_mass = log_gaussian_moment(6, 0.0, math.inf, st.beta) - 0.5 * prob.y_norm**2 - 7 * np.log(st.norm_A)
         # every centered mass comes from the same kernel as the shifted one
         np.testing.assert_allclose(np.exp(log_j - 0.5 * prob.y_norm**2), np.exp(log_mass), rtol=1e-12)
 
@@ -515,12 +550,11 @@ class TestEstimateZShifted:
 
     @pytest.mark.parametrize("n", [300, CHUNK + 300])
     def test_zero_shift_equals_polar(self, desk_instance_y, n):
-        # at l = 0 both routes sweep the same directions with the same kernel;
-        # z_min is left out, as only the centred route has the beta < 0 minorant
+        # at l = 0 both routes sweep the same directions with the same kernel
         prob = desk_instance_y
         shifted = pl.estimate_z_shifted(prob, np.zeros(7), n, 8)
         polar = pl.estimate_z_polar(prob, n, 8)
-        for field in ("z", "std_err", "z_max"):
+        for field in ("z", "std_err", "z_min", "z_max"):
             assert getattr(shifted, field) == pytest.approx(getattr(polar, field), rel=1e-12)
 
     def test_bracket_and_agreement_with_polar(self, desk_instance_y):
