@@ -37,13 +37,11 @@ def _fmt(x) -> str:
 
 
 def _write_chunks(path: str, chunks) -> None:
-    """Write each string of the iterable `chunks` as soon as it is produced."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-    except OSError as exc:
-        raise SystemExit(f"polarlasso: cannot write {path}: {exc}") from exc
+    """Write each string of the iterable `chunks` as soon as it is produced;
+    an OSError reaches main, which exits EXIT_IO."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -122,17 +120,16 @@ def _load_problem_or_exit(path: str) -> problem.ProblemInstance:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.p < args.n:
+        print("polarlasso: need --p >= --n", file=sys.stderr)
+        return 2
     y = None
     if args.y_norm > 0.0:
         rng = np.random.default_rng(args.seed + 1)
         raw = rng.standard_normal(args.n)
         y = raw * (args.y_norm / np.linalg.norm(raw))
     prob = problem.gen_bernoulli_matrix(args.n, args.p, args.seed, y)
-    try:
-        problem.save_problem(prob, args.out, seed=args.seed)
-    except OSError as exc:
-        print(f"polarlasso: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    problem.save_problem(prob, args.out, seed=args.seed)
     _write_manifest("gen", args, [args.out])
     print(f"wrote {args.out}: n={prob.n} p={prob.p} ||A||={prob.op_norm:.6f}")
     return 0
@@ -192,6 +189,9 @@ def cmd_partition(args: argparse.Namespace) -> int:
 def cmd_curves(args: argparse.Namespace) -> int:
     if not args.beta_min < args.beta_max:
         print("polarlasso: need --beta-min < --beta-max", file=sys.stderr)
+        return 2
+    if args.m_terms < args.p + 1:
+        print("polarlasso: need --m-terms >= --p + 1", file=sys.stderr)
         return 2
     p = args.p
     grid = np.linspace(args.beta_min, args.beta_max, args.steps)
@@ -314,8 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a Bernoulli design instance")
-    g.add_argument("--n", type=int, default=4)
-    g.add_argument("--p", type=int, default=7)
+    g.add_argument("--n", type=_positive(int), default=4)
+    g.add_argument("--p", type=_positive(int), default=7)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--y-norm", type=float, default=0.0,
                    help="norm of a seeded random observation (0 means y = 0)")
@@ -345,8 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("curves", help="offset curves: closed form, expansion, mode scale")
     c.add_argument("--beta-min", type=float, default=6.0)
     c.add_argument("--beta-max", type=float, default=45.0)
-    c.add_argument("--steps", type=int, default=500)
-    c.add_argument("--p", type=int, default=7)
+    c.add_argument("--steps", type=_positive(int), default=500)
+    c.add_argument("--p", type=_positive(int), default=7)
     c.add_argument("--m-terms", type=int, default=17)
     c.add_argument("--out", default="curves.csv")
     c.set_defaults(func=cmd_curves)

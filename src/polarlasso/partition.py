@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._moments import log_gaussian_moment
 from .problem import ProblemInstance, sample_laplace, sample_sphere_batch, sweep_chunks
 from .shifted import _exp, log_concavity_bracket, shifted_log_summaries, unit_shift_batch
-from .special import upper_inc_gamma_int
 
 METHOD_POLAR = "polar_mc"
 METHOD_NAIVE = "naive_mc"
@@ -145,13 +145,14 @@ def estimate_z_naive(prob: ProblemInstance, n_samples: int, rng) -> PartitionEst
 
 def concentration_prob(q: float, p: int) -> float:
     """Lower bound P(q, p) = 1 - p Gamma(p, (p-1) q) e^(p-1) / (p-1)^p on the
-    posterior probability of { ||x - l|| <= q r(theta) }."""
+    posterior probability of { ||x - l|| <= q r(theta) }, formed in logs with
+    Gamma(p, x) = G_(p-1)(x, inf, beta = 1, kappa = 0) from the kernel."""
     if q <= 0:
         raise ValueError("q must be positive")
     if p < 2:
         raise ValueError("p must be at least 2")
-    tail = p * upper_inc_gamma_int(p, (p - 1) * q) * math.exp(p - 1) / (p - 1) ** p
-    return 1.0 - tail
+    log_gamma = float(log_gaussian_moment(p - 1, (p - 1) * q, math.inf, 1.0, 0.0))
+    return 1.0 - p * math.exp(log_gamma + p - 1 - p * math.log(p - 1))
 
 
 def lasso_ball_volume(z: float, p: int) -> float:

@@ -77,33 +77,9 @@ class DirectionBatch:
     null: np.ndarray
 
 
-def operator_norm(A: np.ndarray, tol: float = 1e-10, max_iter: int = 20000) -> float:
-    """Spectral norm of A by power iteration on A^T A."""
-    A = np.asarray(A, dtype=float)
-    p = A.shape[1]
-    if not np.any(A):
-        return 0.0
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(p)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = A.T @ (A @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v_new = w / norm_w
-        lam_new = float(v_new @ (A.T @ (A @ v_new)))
-        if abs(lam_new - lam) <= tol * max(lam_new, 1.0):
-            lam = lam_new
-            break
-        v = v_new
-        lam = lam_new
-    return math.sqrt(lam)
-
-
 def make_problem(A: np.ndarray, y: np.ndarray | None = None) -> ProblemInstance:
-    """Wrap a design matrix and observation into an instance with cached norm."""
+    """Wrap a design matrix and observation into an instance, caching ||A||:
+    the largest singular value, from numpy's SVD."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError("A must be a 2-d matrix")
@@ -117,7 +93,7 @@ def make_problem(A: np.ndarray, y: np.ndarray | None = None) -> ProblemInstance:
         raise ValueError(f"y must have length {n}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(y))):
         raise ValueError("A and y must be finite")
-    return ProblemInstance(A=A, y=y, op_norm=operator_norm(A))
+    return ProblemInstance(A=A, y=y, op_norm=float(np.linalg.norm(A, 2)))
 
 
 def gen_bernoulli_matrix(n: int, p: int, seed: int, y: np.ndarray | None = None) -> ProblemInstance:
@@ -192,12 +168,8 @@ def zero_lasso_sufficient(prob: ProblemInstance) -> bool:
 
 
 def sample_sphere(rng: np.random.Generator, p: int) -> np.ndarray:
-    """Uniform draw from the unit sphere (normalized standard Gaussian)."""
-    while True:
-        v = rng.standard_normal(p)
-        norm = np.linalg.norm(v)
-        if norm > 0.0:
-            return v / norm
+    """Uniform draw from the unit sphere: a batch of one of sample_sphere_batch."""
+    return sample_sphere_batch(rng, 1, p)[0]
 
 
 def sample_sphere_batch(rng: np.random.Generator, count: int, p: int) -> np.ndarray:

@@ -69,8 +69,12 @@ def mode_radius(stats: DirectionStats, p: int) -> float:
 
 def mode_radius_times_l1(beta: float, p: int) -> float:
     """r(theta) ||theta||_1 as a function of the offset when y = 0:
-    beta (-beta + sqrt(beta^2 + 4(p-1))) / 2."""
-    return beta * (-beta + math.sqrt(beta * beta + 4.0 * (p - 1))) / 2.0
+    beta (-beta + sqrt(beta^2 + 4(p-1))) / 2, rationalised at beta > 0 to
+    2 (p-1) beta / (beta + sqrt(beta^2 + 4(p-1))), which does not cancel."""
+    root = math.hypot(beta, 2.0 * math.sqrt(p - 1))
+    if beta > 0:
+        return 2.0 * (p - 1) * beta / (beta + root)
+    return beta * (root - beta) / 2.0
 
 
 def mass_closed_form(beta: float, s: float, y_norm: float, p: int) -> float:

@@ -1,8 +1,8 @@
-"""Scalar special functions: the terminating integer-order upper incomplete
-gamma, and the combinatorial coefficients of the large-offset mass expansion.
+"""The combinatorial coefficients of the large-offset mass expansion.
 
-Every other special function the package needs is a Gaussian-tilted moment,
-which the log-domain kernel in _moments evaluates.
+Every other special function the package needs, the upper incomplete gamma
+of the concentration bound included, is a Gaussian-tilted moment, which the
+log-domain kernel in _moments evaluates.
 """
 
 from __future__ import annotations
@@ -21,22 +21,11 @@ class ExpansionResult:
     remainder_bound: float
 
 
-def upper_inc_gamma_int(p: int, x: float) -> float:
-    """Gamma(p, x) for integer p >= 1 and any real x (negative allowed).
-
-    Uses the terminating form (p-1)! e^-x sum_{k<p} x^k/k!, valid on all of R.
-    """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    s = math.fsum(x**k / math.factorial(k) for k in range(p))
-    return math.factorial(p - 1) * math.exp(-x) * s
-
-
 @functools.lru_cache(maxsize=4096)
 def expansion_coeff_exact(p: int, r: int) -> Fraction:
     """c(p, r) = sum_k C(p-1, k) (-1)^(p-1-k) ((k+1)/2 - 1)...((k+1)/2 - r), exactly."""
-    if p < 2 or r < 1:
-        raise ValueError("need p >= 2 and r >= 1")
+    if p < 1 or r < 1:
+        raise ValueError("need p >= 1 and r >= 1")
     total = Fraction(0)
     for k in range(p):
         prod = Fraction(1)

@@ -230,6 +230,43 @@ def test_nonpositive_numeric_argument_exits_2(tmp_path, problem_file, capsys, ar
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "0"],
+    ["gen", "--n", "5", "--p", "3"],
+    ["curves", "--p", "0"],
+    ["curves", "--steps", "-1"],
+    ["curves", "--m-terms", "3"],
+], ids=lambda argv: " ".join(argv))
+def test_invalid_argument_exits_2(tmp_path, capsys, argv):
+    # rejected by the parser (SystemExit 2) or by the command (return 2)
+    out = tmp_path / "out.csv"
+    try:
+        code = run([*argv, "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("usage:", "polarlasso:")) and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "partition", "curves", "diagnose", "tables"])
+def test_unwritable_output_exits_4(tmp_path, problem_file, capsys, command):
+    missing = tmp_path / "missing" / "out.json"
+    argv = {
+        "gen": ["gen", "--out", str(missing)],
+        "solve": ["solve", "--problem", problem_file, "--method", "fista", "--out", str(missing)],
+        "partition": ["partition", "--problem", problem_file, "--n-samples", "100", "--out", str(missing)],
+        "curves": ["curves", "--steps", "5", "--out", str(missing)],
+        "diagnose": ["diagnose", "--problem", problem_file, "--iters", "100", "--out", str(missing)],
+        # the output directory is an existing file, so it cannot be made
+        "tables": ["tables", "--out-dir", problem_file, "--n-samples", "100", "--iters", "100"],
+    }[command]
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert "polarlasso: I/O error:" in err and "Traceback" not in err
+
+
 class TestTables:
     def test_all_three_tables(self, tmp_path):
         out_dir = tmp_path / "tables"

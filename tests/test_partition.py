@@ -57,6 +57,19 @@ class TestConcentrationProb:
     def test_small_q_may_go_negative(self):
         assert pl.concentration_prob(0.01, 7) < 0.0
 
+    @pytest.mark.parametrize("p", [2, 7, 20, 100, 150, 400, 1000])
+    def test_matches_mpmath(self, p):
+        # tail = p Gamma(p, (p-1) q) e^(p-1) / (p-1)^p; a power or factorial
+        # of the terminating sum overflows from p = 150 on
+        for q in np.geomspace(0.05, 50.0, 25):
+            got = pl.concentration_prob(float(q), p)
+            assert math.isfinite(got)
+            with mp.workdps(40):
+                tail = p * mp.gammainc(p, (p - 1) * mp.mpf(float(q))) * mp.e ** (p - 1) / mp.mpf(p - 1) ** p
+                want = 1 - tail
+                # the tail to 1e-12 relative, plus the rounding of 1 - tail
+                assert abs(got - want) <= 1e-12 * tail + 2.0**-53 * max(1, abs(want)), (p, q)
+
 
 class TestPolarEstimator:
     def test_containment_and_order(self, desk_instance):

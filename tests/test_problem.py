@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -45,7 +46,10 @@ class TestGeneration:
             p = int(rng.integers(n, 9))
             A = rng.standard_normal((n, p))
             prob = pl.make_problem(A)
-            assert prob.op_norm == pytest.approx(np.linalg.norm(A, 2), rel=1e-8)
+            with mp.workdps(40):
+                want = max(mp.svd_r(mp.matrix(A.tolist()), compute_uv=False))
+            # the largest singular value to a few ulp
+            assert prob.op_norm == pytest.approx(float(want), rel=4 * np.finfo(float).eps)
 
 
 class TestDirectionStats:

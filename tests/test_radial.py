@@ -95,6 +95,16 @@ class TestModeRadius:
         vals = [pl.mode_radius_times_l1(b, 7) for b in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("p", [2, 7, 20])
+    def test_mode_times_l1_matches_mpmath(self, p):
+        # beta (-beta + sqrt(beta^2 + 4(p-1))) / 2 cancels at large beta: 0.66%
+        # off at beta = 1e8, p = 7, in the literal double form
+        for beta in (-40.0, -1.0, 0.0, 1e-3, 0.4987, 6.0, 45.0, 1e3, 1e5, 1e8, 1e10, 1e12):
+            with mp.workdps(60):
+                b = mp.mpf(beta)
+                want = b * (-b + mp.sqrt(b * b + 4 * (p - 1))) / 2
+            assert pl.mode_radius_times_l1(beta, p) == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
     def test_null_direction_raises_and_fallback(self, desk_instance, oracles):
         theta = oracles.null_space_direction(desk_instance.A, np.random.default_rng(1))
         st = pl.direction_stats(desk_instance, theta)
@@ -175,6 +185,14 @@ class TestMassExpansion:
                 if found >= 3:
                     break
         assert found >= 1
+
+    def test_remainder_bound_holds_at_p1(self):
+        # p = 1: beta H_0(beta) ~ 1 - 1/beta^2 + 3/beta^4 - ..., coefficients
+        # c(1, r) = (1/2 - 1) ... (1/2 - r)
+        for beta in (6.0, 8.0, 12.0, 45.0):
+            exact = pl.mass_closed_form(beta, 0.0, 0.0, 1)
+            res = pl.mass_expansion(beta, 0.0, 0.0, 1, 17)
+            assert abs(exact - res.value) <= res.remainder_bound + 1e-13 * exact
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -1,28 +1,11 @@
-"""Scalar special functions against scipy, quadrature and exact-arithmetic oracles."""
+"""Expansion coefficients against exact-arithmetic oracles."""
 
 import math
 from fractions import Fraction
 
 import pytest
-from scipy.integrate import quad
-from scipy.special import gammaincc
 
-from polarlasso.special import expansion_coeff, expansion_coeff_exact, upper_inc_gamma_int
-
-
-class TestIntegerUpperGamma:
-    def test_matches_general_for_positive_x(self):
-        for p in (1, 3, 7):
-            for x in (0.5, 4.0, 15.0):
-                assert upper_inc_gamma_int(p, x) == pytest.approx(
-                    math.factorial(p - 1) * gammaincc(p, x), rel=1e-12
-                )
-
-    def test_negative_argument(self):
-        # int_{-1}^inf e^-t dt = e
-        assert upper_inc_gamma_int(1, -1.0) == pytest.approx(math.e, rel=1e-14)
-        val, _ = quad(lambda t: math.exp(-t) * t**2, -2.0, 40.0, epsrel=1e-12)
-        assert upper_inc_gamma_int(3, -2.0) == pytest.approx(val, rel=1e-10)
+from polarlasso.special import expansion_coeff, expansion_coeff_exact
 
 
 class TestExpansionCoeff:
