@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -50,16 +51,30 @@ def _write_text(path: str, text: str) -> None:
 
 def _series_chunks(trace: mcmc.ChainTrace):
     """The --emit-series CSV, SERIES_ROWS rows per string; each float is
-    written as repr of its Python float, as _fmt does."""
+    written as repr of its Python float, as _fmt does.
+
+    A chain holds its state for several rows, and rows of one state differ
+    only in t, so the rest of a row is formatted once per run of bitwise
+    equal (norm_x, q_times_r_theta) and reused for every row of the run.
+    """
     yield "t,norm_x,q_times_r_theta,criterion\n"
     n = len(trace.norm_x)
     for s in range(0, n, SERIES_ROWS):
         rows = slice(s, s + SERIES_ROWS)
-        yield "".join(
-            f"{t},{a!r},{b!r},{c:d}\n"
-            for t, a, b, c in zip(range(s, n), trace.norm_x[rows].tolist(),
-                                  trace.q_r_theta[rows].tolist(), trace.criterion[rows].tolist())
-        )
+        norm, qr, crit = trace.norm_x[rows], trace.q_r_theta[rows], trace.criterion[rows]
+        # a run starts at the chunk's first row and wherever either float's bits change
+        nb, qb = norm.view(np.int64), qr.view(np.int64)
+        starts = np.flatnonzero(np.concatenate(([True], (nb[1:] != nb[:-1]) | (qb[1:] != qb[:-1]))))
+        ends = np.append(starts[1:], len(norm)).tolist()
+        ts = list(map(str, range(s, s + len(norm))))
+        parts = []
+        for a, b, x, r, c in zip(starts.tolist(), ends, norm[starts].tolist(),
+                                 qr[starts].tolist(), crit[starts].tolist()):
+            tail = f",{x!r},{r!r},{c:d}\n"
+            # rows a .. b-1 of the chunk: the tail joins their t's and ends the last one
+            parts.append(tail.join(ts[a:b]))
+            parts.append(tail)
+        yield "".join(parts)
 
 
 def _write_json(path: str, payload) -> None:
@@ -96,16 +111,22 @@ def _args_to_argv(cfg: dict) -> list[str]:
     return argv
 
 
-def _positive(kind):
-    """argparse type: a `kind` number > 0, else an argument error (exit 2)."""
+def _checked(kind, ok, rule: str):
+    """argparse type: a `kind` number for which ok(value) holds, else an
+    argument error (exit 2) saying it must be `rule`."""
     def convert(text: str):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
         return value
 
     convert.__name__ = kind.__name__  # a malformed number reads "invalid int value"
     return convert
+
+
+def _positive(kind):
+    """argparse type: a `kind` number > 0 (nan is not)."""
+    return _checked(kind, lambda v: v > 0, "positive")
 
 
 def _load_problem_or_exit(path: str) -> problem.ProblemInstance:
@@ -149,6 +170,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _write_json(args.out, out)
     _write_manifest("solve", args, [args.out])
     print(f"wrote {args.out}")
+    if "fista" in out and not out["fista"]["meta"]["converged"]:
+        print(f"polarlasso: FISTA did not reach --tol {args.tol!r} in {args.max_iter} iterations",
+              file=sys.stderr)
+        return EXIT_NUMERIC
     return 0
 
 
@@ -317,7 +342,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=_positive(int), default=4)
     g.add_argument("--p", type=_positive(int), default=7)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--y-norm", type=float, default=0.0,
+    g.add_argument("--y-norm", default=0.0,
+                   type=_checked(float, lambda v: 0.0 <= v < math.inf, "non-negative and finite"),
                    help="norm of a seeded random observation (0 means y = 0)")
     g.add_argument("--out", default="problem.json")
     g.set_defaults(func=cmd_gen)
@@ -327,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", choices=("polar", "fista", "both"), default="both")
     s.add_argument("--n-samples", type=_positive(int), default=100000)
     s.add_argument("--max-iter", type=_positive(int), default=20000)
-    s.add_argument("--tol", type=float, default=1e-10)
+    s.add_argument("--tol", type=_positive(float), default=1e-10)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default="solution.json")
     s.set_defaults(func=cmd_solve)

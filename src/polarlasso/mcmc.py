@@ -142,7 +142,7 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig, z_estimate: float | None 
             prop_Ax = props @ A.T
             prop_mis = np.einsum("ij,ij->i", prop_Ax, prop_Ax) - 2.0 * (prop_Ax @ y)
             log_u = np.log(rng.uniform(size=block))
-            for i, (lu, mis_new) in enumerate(zip(log_u, prop_mis)):
+            for i, (lu, mis_new) in enumerate(zip(log_u.tolist(), prop_mis.tolist())):
                 if lu <= -0.5 * (mis_new - mis):
                     mis = mis_new
                     acc.append(i)

@@ -203,9 +203,13 @@ def sweep_chunks(seed_or_rng, n_samples: int):
 
 
 def sample_laplace(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit Laplace draws by per-coordinate inverse CDF (sign times log of uniform)."""
+    """Unit Laplace draws by per-coordinate inverse CDF, -sign(u) log1p(-2|u|),
+    computed in one buffer."""
     u = rng.uniform(-0.5, 0.5, size=shape)
-    return -np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    a = np.abs(u)
+    a *= -2.0
+    np.log1p(a, out=a)
+    return np.copysign(a, u, out=a)
 
 
 def save_problem(prob: ProblemInstance, path: str, seed: int | None = None) -> None:

@@ -62,6 +62,18 @@ class TestSolve:
         assert sol["fista"]["x"] == [0.0] * 7
         assert sol["polar"]["x"] == [0.0] * 7
 
+    def test_unconverged_fista_exits_3(self, tmp_path, capsys):
+        # one iteration does not reach the default --tol on an instance with y != 0;
+        # the JSON and the manifest are written all the same
+        prob, out = tmp_path / "p.json", tmp_path / "sol.json"
+        assert run(["gen", "--y-norm", "2", "--out", str(prob)]) == 0
+        assert run(["solve", "--problem", str(prob), "--method", "fista", "--max-iter", "1",
+                    "--out", str(out)]) == 3
+        assert "FISTA did not reach --tol" in capsys.readouterr().err
+        meta = json.loads(out.read_text())["fista"]["meta"]
+        assert meta["converged"] is False and meta["iterations"] == 1
+        assert os.path.exists(str(out).replace(".json", ".manifest.json"))
+
     def test_missing_problem_exit_code(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["solve", "--problem", str(tmp_path / "nope.json"),
@@ -194,8 +206,19 @@ class TestDiagnose:
         assert "acceptance_rate 0.0" in capsys.readouterr().err
         summary = json.loads(out.read_text())
         assert summary["acceptance_rate"] == 0.0 and summary["satisfaction_rate"] == 1.0
-        assert len(series.read_text().splitlines()) == 30001
         assert os.path.exists(str(out).replace(".json", ".manifest.json"))
+        # one state for all 30 000 rows, a run across four written chunks: the
+        # bytes are those of the per-row format
+        from polarlasso import cli, mcmc, problem
+
+        cfg = mcmc.ChainConfig(kind=mcmc.KIND_RANDOM_WALK, n_iter=30000, seed=0)
+        trace, _ = mcmc.run_chain(problem.load_problem(str(wide)), cfg)
+        assert np.unique(trace.norm_x).size == 1 and 30000 > 3 * cli.SERIES_ROWS
+        rows = ["t,norm_x,q_times_r_theta,criterion"] + [
+            f"{t},{cli._fmt(trace.norm_x[t])},{cli._fmt(trace.q_r_theta[t])},{int(trace.criterion[t])}"
+            for t in range(30000)
+        ]
+        assert series.read_bytes() == ("\n".join(rows) + "\n").encode("utf-8")
         # a chain on the desk instance moves, and exits 0
         assert run(["diagnose", "--problem", problem_file, "--sampler", "rw", "--iters", "30000",
                     "--seed", "0", "--out", str(out)]) == 0
@@ -218,6 +241,8 @@ class TestDiagnose:
     ["diagnose", "--q", "-1"],
     ["partition", "--n-samples", "0"],
     ["solve", "--n-samples", "0"],
+    ["solve", "--tol", "-1"],
+    ["solve", "--tol", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_nonpositive_numeric_argument_exits_2(tmp_path, problem_file, capsys, argv):
     # an argument error: usage and exit 2, no traceback and no output
@@ -236,6 +261,9 @@ def test_nonpositive_numeric_argument_exits_2(tmp_path, problem_file, capsys, ar
     ["curves", "--p", "0"],
     ["curves", "--steps", "-1"],
     ["curves", "--m-terms", "3"],
+    ["gen", "--y-norm", "-1"],
+    ["gen", "--y-norm", "nan"],
+    ["gen", "--y-norm", "inf"],
 ], ids=lambda argv: " ".join(argv))
 def test_invalid_argument_exits_2(tmp_path, capsys, argv):
     # rejected by the parser (SystemExit 2) or by the command (return 2)

@@ -225,3 +225,25 @@ class TestSamplers:
         assert abs(float(np.mean(x))) < 0.02
         assert float(np.mean(np.abs(x))) == pytest.approx(1.0, abs=0.02)
         assert float(np.var(x)) == pytest.approx(2.0, abs=0.06)
+
+    @pytest.mark.parametrize("shape", [7, (256, 7), (8192, 20)])
+    def test_laplace_bytes_match_literal_transform(self, shape):
+        # the in-place transform gives the bytes of -sign(u) log1p(-2|u|) and
+        # leaves the generator where drawing the uniforms alone does
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        x = sample_laplace(rng, shape)
+        u = ref.uniform(-0.5, 0.5, size=shape)
+        assert x.tobytes() == (-np.sign(u) * np.log1p(-2.0 * np.abs(u))).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_laplace_bytes_at_edge_uniforms(self):
+        u = np.array([-0.5, 0.0, 1e-300, -1e-300])
+
+        class Stub:
+            def uniform(self, low, high, size):
+                return u.copy()
+
+        with np.errstate(divide="ignore"):  # u = -0.5 maps to -inf
+            x = sample_laplace(Stub(), u.shape)
+            assert x.tobytes() == (-np.sign(u) * np.log1p(-2.0 * np.abs(u))).tobytes()
+        assert x[0] == -math.inf and math.copysign(1.0, x[1]) == 1.0
