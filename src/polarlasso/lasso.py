@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemInstance, direction_batch, sample_sphere_batch, sweep_chunks
+from .problem import ProblemInstance, direction_batch, gaussian_rows, sweep_chunks
 
 METHOD_POLAR = "polar"
 METHOD_FISTA = "fista"
@@ -76,16 +76,40 @@ def solve_polar(prob: ProblemInstance, n_samples: int, rng) -> LassoSolution:
     largest square.  If no direction has beta <= 0 the mode is the origin.
 
     The sweep is consumed in the chunks of sweep_chunks; ties in beta^2
-    keep the first candidate in stream order.
+    keep the first candidate in stream order.  Before the clip on s,
+    beta = (||theta||_1 - A theta . y)/||A theta||, whose sign does not depend
+    on the scale of theta, so each chunk's raw Gaussian rows v are screened
+    first: only the rows with ||v||_1 - v . (A^T y) <= margin are normalised
+    and scored (meta["n_scored"] counts them).
+
+    The margin covers rounding.  The scored beta and the screen statistic
+    are each formed from at most p + n + 8 rounded sums and products, whose
+    terms sum in magnitude to at most ||v||_1 + |v| . (|A|^T |y|)
+    <= (1 + c) ||v||_1 with c = max_j (|A|^T |y|)_j, so each lies within
+    (p + n + 8) eps (1 + c) ||v||_1 of the exact ||v||_1 - v . (A^T y), to
+    first order in eps.  A row whose scored beta is <= 0 therefore passes a
+    screen with twice that margin; the margin is four times that again.  It
+    sets only how many rows are scored: a row that fails it would have
+    scored beta > 0, so neither the winner nor n_negative depends on it.
     """
     p = prob.p
+    A_T_y = prob.A.T @ prob.y
+    c = float(np.max(np.abs(prob.A).T @ np.abs(prob.y)))
+    margin = 8.0 * (p + prob.n + 8) * np.finfo(float).eps * (1.0 + c)
+    ones = np.ones(p)  # |v| @ ones sums the rows faster than .sum(axis=1)
     best_beta = None
     best_theta = None
     best_norm_A = None
-    neg_count = 0
+    neg_count = scored = 0
     for gen, count in sweep_chunks(rng, n_samples):
-        thetas = sample_sphere_batch(gen, count, p)
-        st = direction_batch(prob.A, prob.y, thetas)
+        v, norms = gaussian_rows(gen, count, p)
+        l1 = np.abs(v) @ ones
+        rows = np.flatnonzero(l1 - v @ A_T_y <= margin * l1)
+        scored += rows.size
+        if not rows.size:
+            continue
+        thetas = v / norms[:, None]
+        st = direction_batch(prob.A, prob.y, thetas, rows)
         betas = st.beta  # inf on null rows
         neg = np.flatnonzero(betas <= 0.0)
         neg_count += neg.size
@@ -94,12 +118,11 @@ def solve_polar(prob: ProblemInstance, n_samples: int, rng) -> LassoSolution:
             b = float(betas[i])
             if best_beta is None or b * b > best_beta * best_beta:
                 best_beta = b
-                best_theta = thetas[i]
+                best_theta = thetas[rows[i]]
                 best_norm_A = float(st.norm_A[i])
+    meta = {"best_beta": best_beta, "n_samples": n_samples, "n_negative": neg_count, "n_scored": scored}
     if best_beta is None:
         x = np.zeros(p)
-        return LassoSolution(x, objective(prob, x), METHOD_POLAR,
-                             {"best_beta": None, "n_samples": n_samples, "n_negative": 0})
-    x = -(best_beta / best_norm_A) * best_theta
-    return LassoSolution(x, objective(prob, x), METHOD_POLAR,
-                         {"best_beta": best_beta, "n_samples": n_samples, "n_negative": neg_count})
+    else:
+        x = -(best_beta / best_norm_A) * best_theta
+    return LassoSolution(x, objective(prob, x), METHOD_POLAR, meta)

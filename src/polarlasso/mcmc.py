@@ -141,7 +141,7 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig, z_estimate: float | None 
             props = sample_laplace(rng, (block, p))
             prop_Ax = props @ A.T
             prop_mis = np.einsum("ij,ij->i", prop_Ax, prop_Ax) - 2.0 * (prop_Ax @ y)
-            log_u = np.log(rng.uniform(size=block))
+            log_u = np.log(rng.random(block))
             for i, (lu, mis_new) in enumerate(zip(log_u.tolist(), prop_mis.tolist())):
                 if lu <= -0.5 * (mis_new - mis):
                     mis = mis_new
@@ -151,7 +151,7 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig, z_estimate: float | None 
         else:
             steps = rng.normal(0.0, math.sqrt(cfg.rw_variance), size=(block, p))
             step_Ax = steps @ A.T
-            log_u = np.log(rng.uniform(size=block))
+            log_u = np.log(rng.random(block))
             Ax, l1x, idx = _random_walk_block(x, Ax, l1x, y, steps, step_Ax, log_u)
             states = np.cumsum(np.concatenate([x[None], steps[idx]]), axis=0)
         # row 0 is the state the block started at, row k the k-th accepted one

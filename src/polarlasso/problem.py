@@ -50,7 +50,8 @@ class DirectionStats:
 
     ``beta`` is None exactly when A theta = 0 (the offset is +infinity there);
     keeping an explicit sentinel makes the case dispatch total and keeps float
-    infinities out of downstream arithmetic.
+    infinities out of downstream arithmetic.  ``batch`` is the one-row
+    DirectionBatch the other fields were read from.
     """
 
     theta: np.ndarray
@@ -59,6 +60,7 @@ class DirectionStats:
     l1_theta: float
     s: float
     beta: float | None
+    batch: DirectionBatch
 
 
 @dataclass(frozen=True)
@@ -115,12 +117,22 @@ def direction_stats(prob: ProblemInstance, theta: np.ndarray) -> DirectionStats:
     st = direction_batch(prob.A, prob.y, theta[None, :])
     beta = None if st.null[0] else float(st.beta[0])
     return DirectionStats(theta, st.A_thetas[0], float(st.norm_A[0]), float(st.l1[0]),
-                          s=float(st.s[0]), beta=beta)
+                          s=float(st.s[0]), beta=beta, batch=st)
 
 
-def direction_batch(A: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> DirectionBatch:
-    """DirectionBatch of the unit directions in the rows of `thetas`, against the observation y."""
+def direction_batch(A: np.ndarray, y: np.ndarray, thetas: np.ndarray,
+                    rows: np.ndarray | None = None) -> DirectionBatch:
+    """DirectionBatch of the unit directions in the rows of `thetas`, against
+    the observation y; of those in `rows` only, when given.
+
+    The products with A and y are formed on every row even so: BLAS rounds
+    a row differently in a batch of another size, and the statistics of a
+    row must not depend on which other rows are scored with it.
+    """
     A_thetas = thetas @ A.T
+    A_theta_y = A_thetas @ y
+    if rows is not None:
+        thetas, A_thetas, A_theta_y = thetas[rows], A_thetas[rows], A_theta_y[rows]
     norm_A = np.linalg.norm(A_thetas, axis=1)
     l1 = np.abs(thetas).sum(axis=1)
     null = norm_A <= NULL_TOL
@@ -129,7 +141,7 @@ def direction_batch(A: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> Directi
     if y_norm == 0.0:
         s = np.zeros(len(thetas))
     else:
-        s = np.where(null, 0.0, np.clip((A_thetas @ y) / (safe * y_norm), -1.0, 1.0))
+        s = np.where(null, 0.0, np.clip(A_theta_y / (safe * y_norm), -1.0, 1.0))
     beta = np.where(null, math.inf, l1 / safe - y_norm * s)
     return DirectionBatch(A_thetas, norm_A, l1, s, beta, null)
 
@@ -174,6 +186,14 @@ def sample_sphere(rng: np.random.Generator, p: int) -> np.ndarray:
 
 def sample_sphere_batch(rng: np.random.Generator, count: int, p: int) -> np.ndarray:
     """Uniform sphere draws, one per row."""
+    v, norms = gaussian_rows(rng, count, p)
+    return v / norms[:, None]
+
+
+def gaussian_rows(rng: np.random.Generator, count: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Standard normal rows and their norms, each zero row redrawn until it is
+    nonzero: the rows that sample_sphere_batch normalises, from the same
+    generator stream."""
     v = rng.standard_normal((count, p))
     norms = np.linalg.norm(v, axis=1)
     bad = norms == 0.0
@@ -181,7 +201,7 @@ def sample_sphere_batch(rng: np.random.Generator, count: int, p: int) -> np.ndar
         v[bad] = rng.standard_normal((int(bad.sum()), p))
         norms[bad] = np.linalg.norm(v[bad], axis=1)
         bad = norms == 0.0
-    return v / norms[:, None]
+    return v, norms
 
 
 def sweep_chunks(seed_or_rng, n_samples: int):
@@ -204,8 +224,11 @@ def sweep_chunks(seed_or_rng, n_samples: int):
 
 def sample_laplace(rng: np.random.Generator, shape) -> np.ndarray:
     """Unit Laplace draws by per-coordinate inverse CDF, -sign(u) log1p(-2|u|),
-    computed in one buffer."""
-    u = rng.uniform(-0.5, 0.5, size=shape)
+    computed in one buffer.  u = random() - 0.5 has the bits of
+    uniform(-0.5, 0.5) and leaves the generator in the same state, but is
+    drawn on numpy's faster fill path."""
+    u = rng.random(shape)
+    u -= 0.5
     a = np.abs(u)
     a *= -2.0
     np.log1p(a, out=a)

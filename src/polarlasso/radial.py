@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._moments import log_gaussian_moment
-from .problem import DirectionBatch, DirectionStats
+from .problem import DirectionStats
 from .shifted import ShiftBatch, _exp, log_concavity_bracket, segment_batch, shifted_log_summaries, shifted_modes
 from .special import ExpansionResult, expansion_coeff
 
@@ -49,12 +49,8 @@ class RadialSummary:
 
 
 def _batch_of_one(stats: DirectionStats, y_norm: float) -> ShiftBatch:
-    """The l = 0 segment batch of the direction of `stats`, from its cached
-    statistics (a DirectionStats is a one-row DirectionBatch)."""
-    beta = math.inf if stats.beta is None else stats.beta
-    st = DirectionBatch(stats.A_theta[None, :], *(np.array([v]) for v in (
-        stats.norm_A_theta, stats.l1_theta, stats.s, beta, stats.beta is None)))
-    return segment_batch(st, stats.theta[None, :], np.zeros(stats.theta.size), y_norm)
+    """The l = 0 segment batch of the direction of `stats`, from its one-row DirectionBatch."""
+    return segment_batch(stats.batch, stats.theta[None, :], np.zeros(stats.theta.size), y_norm)
 
 
 def mode_radius(stats: DirectionStats, p: int) -> float:

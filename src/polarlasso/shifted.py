@@ -270,7 +270,7 @@ def sample_posterior_batch(prob: ProblemInstance, n_draws: int, rng: np.random.G
         props = sample_laplace(rng, (_PROPOSAL_ROWS, prob.p))
         resid = props @ prob.A.T - prob.y
         log_acc = -0.5 * np.einsum("ij,ij->i", resid, resid)
-        idx = np.flatnonzero(np.log(rng.uniform(size=_PROPOSAL_ROWS)) <= log_acc)
+        idx = np.flatnonzero(np.log(rng.random(_PROPOSAL_ROWS)) <= log_acc)
         proposals += _PROPOSAL_ROWS
         if idx.size:
             kept.append(props[idx[:n_draws - got]])

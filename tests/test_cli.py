@@ -61,6 +61,7 @@ class TestSolve:
             sol = json.load(fh)
         assert sol["fista"]["x"] == [0.0] * 7
         assert sol["polar"]["x"] == [0.0] * 7
+        assert sol["polar"]["meta"]["n_scored"] == 0  # no direction has beta <= 0 at y = 0
 
     def test_unconverged_fista_exits_3(self, tmp_path, capsys):
         # one iteration does not reach the default --tol on an instance with y != 0;

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import polarlasso as pl
+from polarlasso import lasso
+from polarlasso.problem import CHUNK, direction_batch, sample_sphere_batch, sweep_chunks
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +95,86 @@ class TestPolar:
         a = pl.solve_polar(noisy_instance, 20000, 7)
         b = pl.solve_polar(noisy_instance, 20000, 7)
         np.testing.assert_array_equal(a.x, b.x)
+
+
+def _instance(n, p, y_norm, seed=42):
+    base = pl.gen_bernoulli_matrix(n, p, seed)
+    y = np.random.default_rng(seed + 1).standard_normal(n)
+    return pl.make_problem(base.A, y * (y_norm / np.linalg.norm(y)))
+
+
+def _full_sweep(prob, chunks):
+    """The unscreened mode search: every row of every chunk normalised and
+    scored.  Returns (x, best beta, rows with beta <= 0)."""
+    best_beta = best_theta = best_norm_A = None
+    neg_count = 0
+    for gen, count in chunks:
+        thetas = sample_sphere_batch(gen, count, prob.p)
+        st = direction_batch(prob.A, prob.y, thetas)
+        neg = np.flatnonzero(st.beta <= 0.0)
+        neg_count += neg.size
+        if neg.size:
+            i = neg[np.argmax(st.beta[neg] ** 2)]
+            b = float(st.beta[i])
+            if best_beta is None or b * b > best_beta * best_beta:
+                best_beta, best_theta, best_norm_A = b, thetas[i], float(st.norm_A[i])
+    x = np.zeros(prob.p) if best_beta is None else -(best_beta / best_norm_A) * best_theta
+    return x, best_beta, neg_count
+
+
+class TestPolarScreen:
+    """The screened sweep scores only the rows that can have beta <= 0, and
+    returns what scoring every row returns."""
+
+    @pytest.mark.parametrize("n, p, y_norm", [
+        (4, 7, 0.0),  # the desk design at y = 0
+        (4, 7, 2.0),
+        (1, 1, 1.0),  # half the rows have beta = 0 exactly
+        (2, 3, 10.0),  # most rows have beta <= 0
+        (10, 20, 5.0),
+        # few rows per chunk pass on these two, and BLAS rounds most products
+        # of a batch of a few rows differently from those of a whole chunk
+        (5, 64, 4.0),
+        (3, 300, 8.0),
+    ])
+    def test_matches_full_sweep(self, n, p, y_norm):
+        prob = _instance(n, p, y_norm)
+        n_samples = 2 * CHUNK + 5
+        sol = pl.solve_polar(prob, n_samples, 9)
+        x, best_beta, neg_count = _full_sweep(prob, sweep_chunks(9, n_samples))
+        assert sol.x.tobytes() == x.tobytes()
+        assert sol.objective == pl.objective(prob, x)
+        assert sol.meta["best_beta"] == best_beta
+        assert sol.meta["n_negative"] == neg_count
+        assert neg_count <= sol.meta["n_scored"] <= n_samples
+
+    def test_zero_row_redrawn_as_sample_sphere_batch_does(self, monkeypatch):
+        class ZeroFirstRow:
+            """A generator whose first normal block starts with a zero row."""
+
+            def __init__(self):
+                self.gen = np.random.default_rng(12)
+                self.zeroed = False
+
+            def standard_normal(self, size):
+                v = self.gen.standard_normal(size)
+                if not self.zeroed:
+                    v[0] = 0.0
+                    self.zeroed = True
+                return v
+
+        prob = _instance(2, 3, 10.0)
+        solved, ref = ZeroFirstRow(), ZeroFirstRow()
+        monkeypatch.setattr(lasso, "sweep_chunks", lambda rng, n: [(solved, n)])
+        sol = pl.solve_polar(prob, 64, 0)
+        x, best_beta, neg_count = _full_sweep(prob, [(ref, 64)])
+        assert sol.x.tobytes() == x.tobytes()
+        assert (sol.meta["best_beta"], sol.meta["n_negative"]) == (best_beta, neg_count)
+        # both drew the same replacement row after the first block
+        assert solved.gen.bit_generator.state == ref.gen.bit_generator.state
+        plain = np.random.default_rng(12)
+        plain.standard_normal((64, 3))
+        assert solved.gen.bit_generator.state != plain.bit_generator.state
 
 
 class TestSolverAgreement:

@@ -134,3 +134,22 @@ def test_one_radial_law():
     found = [hit for path in sorted(SRC.glob("*.py")) if path.name not in ("shifted.py", "_moments.py")
              for hit in _radial_law_calls(path) if hit[:3] not in allowed]
     assert not found, "radial kernel calls outside shifted.py (module, function, callee, line): " + repr(found)
+
+
+def _uniform_calls(path):
+    """Lines of a module that call a `.uniform(` method."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "uniform"]
+
+
+def test_no_generator_uniform():
+    """Every uniform draw of the package comes from Generator.random.
+
+    Generator.uniform(lo, hi) returns lo + (hi - lo) next_double: with
+    hi - lo = 1 that is random() + lo to the bit, and it leaves the generator
+    in the same state, but it does not take random()'s fill path and is
+    slower per draw.
+    """
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py")) for line in _uniform_calls(path)]
+    assert not found, "Generator.uniform calls (module, line): " + repr(found)

@@ -237,13 +237,17 @@ class TestSamplers:
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_laplace_bytes_at_edge_uniforms(self):
-        u = np.array([-0.5, 0.0, 1e-300, -1e-300])
+        # the edge doubles random() can return, so u = random() - 0.5 is
+        # -0.5, +0, -2^-53, 2^-53 and 0.5 - 2^-53
+        r = np.array([0.0, 0.5, 0.5 - 2.0**-53, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
 
         class Stub:
-            def uniform(self, low, high, size):
-                return u.copy()
+            def random(self, size):
+                return r.copy()
 
+        u = r - 0.5
         with np.errstate(divide="ignore"):  # u = -0.5 maps to -inf
-            x = sample_laplace(Stub(), u.shape)
+            x = sample_laplace(Stub(), r.shape)
             assert x.tobytes() == (-np.sign(u) * np.log1p(-2.0 * np.abs(u))).tobytes()
         assert x[0] == -math.inf and math.copysign(1.0, x[1]) == 1.0
+        assert np.all(np.isfinite(x[1:]))

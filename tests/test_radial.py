@@ -61,10 +61,10 @@ def mp_mode_radius(na, beta, p):
 
 class TestModeRadius:
     def test_zero_offset(self):
-        prob = pl.make_problem(np.eye(7))
-        # beta = 0 requires s ||y|| = ||theta||_1 / ||A theta||; check the formula directly
+        # beta = 0 requires s ||y|| = ||theta||_1 / ||A theta||: y = theta = e_1 with A = I
+        prob = pl.make_problem(np.eye(7), np.eye(7)[0])
         st = pl.direction_stats(prob, np.eye(7)[0])
-        object.__setattr__(st, "beta", 0.0)
+        assert st.beta == 0.0
         assert pl.mode_radius(st, 7) == pytest.approx(math.sqrt(6.0), rel=1e-14)
 
     def test_stationarity_by_finite_differences(self, desk_instance_y):
