@@ -19,7 +19,6 @@ import platform
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import lasso, mcmc, partition, problem, radial
@@ -90,11 +89,9 @@ def _write_manifest(command: str, args: argparse.Namespace, outputs: list[str]) 
         "outputs": [os.path.abspath(o) for o in outputs],
         "argv": [command] + _args_to_argv(cfg),
         "versions": {"polarlasso": __version__, "python": platform.python_version(),
-                     "numpy": np.__version__, "scipy": scipy.__version__},
+                     "numpy": np.__version__},
     }
-    base = outputs[0]
-    root, _ = os.path.splitext(base)
-    _write_json(root + ".manifest.json", manifest)
+    _write_json(os.path.splitext(outputs[0])[0] + ".manifest.json", manifest)
 
 
 def _args_to_argv(cfg: dict) -> list[str]:
@@ -140,15 +137,18 @@ def _load_problem_or_exit(path: str) -> problem.ProblemInstance:
         raise SystemExit(2)
 
 
+def _observation(n: int, norm: float, seed: int) -> np.ndarray:
+    """The seeded observation of an instance: n standard normals from
+    default_rng(seed + 1), scaled to the given norm."""
+    raw = np.random.default_rng(seed + 1).standard_normal(n)
+    return raw * (norm / np.linalg.norm(raw))
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.p < args.n:
         print("polarlasso: need --p >= --n", file=sys.stderr)
         return 2
-    y = None
-    if args.y_norm > 0.0:
-        rng = np.random.default_rng(args.seed + 1)
-        raw = rng.standard_normal(args.n)
-        y = raw * (args.y_norm / np.linalg.norm(raw))
+    y = _observation(args.n, args.y_norm, args.seed) if args.y_norm > 0.0 else None
     prob = problem.gen_bernoulli_matrix(args.n, args.p, args.seed, y)
     problem.save_problem(prob, args.out, seed=args.seed)
     _write_manifest("gen", args, [args.out])
@@ -158,15 +158,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     prob = _load_problem_or_exit(args.problem)
-    out: dict = {"problem": os.path.abspath(args.problem)}
+    sols = []
     if args.method in ("fista", "both"):
-        sol = lasso.solve_fista(prob, args.max_iter, args.tol)
-        out["fista"] = {"x": [float(v) for v in sol.x], "objective": sol.objective,
-                        "meta": sol.meta}
+        sols.append(lasso.solve_fista(prob, args.max_iter, args.tol))
     if args.method in ("polar", "both"):
-        sol = lasso.solve_polar(prob, args.n_samples, args.seed)
-        out["polar"] = {"x": [float(v) for v in sol.x], "objective": sol.objective,
-                        "meta": sol.meta}
+        sols.append(lasso.solve_polar(prob, args.n_samples, args.seed))
+    out: dict = {"problem": os.path.abspath(args.problem)}
+    for sol in sols:
+        out[sol.method] = {"x": [float(v) for v in sol.x], "objective": sol.objective, "meta": sol.meta}
     _write_json(args.out, out)
     _write_manifest("solve", args, [args.out])
     print(f"wrote {args.out}")
@@ -179,32 +178,25 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_partition(args: argparse.Namespace) -> int:
     prob = _load_problem_or_exit(args.problem)
-
-    def as_dict(est):
-        return {"z": est.z, "std_err": est.std_err, "z_min": est.z_min,
-                "z_max": est.z_max, "method": est.method, "n_samples": est.n_samples}
-
     out: dict = {}
     failed = False
     if args.method in ("polar", "both"):
         est = partition.estimate_z_polar(prob, args.n_samples, args.seed)
-        out["polar"] = as_dict(est)
-        if not est.z_min <= est.z <= est.z_max:
-            failed = True
+        out["polar"] = vars(est)
+        failed = not est.z_min <= est.z <= est.z_max
     if args.method in ("naive", "both"):
         est = partition.estimate_z_naive(prob, args.n_samples, args.seed)
-        out["naive"] = as_dict(est)
+        out["naive"] = vars(est)
     if args.method != "both":
         # single-method runs use the flat schema directly
         out = {**out[args.method]}
     if args.shift:
-        l = lasso.solve_fista(prob, 20000, 1e-10).x
+        l = lasso.solve_fista(prob).x
         est = partition.estimate_z_shifted(prob, l, SHIFT_DIRECTIONS, args.seed + 7)
         out["shift"] = {"z_f": est.z_f, "h0": est.h0, "z_from_shift": est.z,
                         "std_err": est.std_err, "z_min": est.z_min, "z_max": est.z_max,
                         "l": [float(v) for v in l], "n_samples": est.n_samples}
-        if not est.z_min <= est.z <= est.z_max:
-            failed = True
+        failed |= not est.z_min <= est.z <= est.z_max
     _write_json(args.out, out)
     _write_manifest("partition", args, [args.out])
     print(f"wrote {args.out}")
@@ -221,14 +213,13 @@ def cmd_curves(args: argparse.Namespace) -> int:
     p = args.p
     grid = np.linspace(args.beta_min, args.beta_max, args.steps)
     lines = ["beta,phi_beta,phi_beta_M,remainder_bound,mode_times_l1,phi_beta_trusted"]
-    for b in grid:
-        phi = radial.mass_closed_form(float(b), 0.0, 0.0, p) if b >= 0 else float("nan")
+    for b in grid.tolist():
+        phi = radial.mass_closed_form(b, 0.0, 0.0, p) if b >= 0 else math.nan
+        phi_m = rem = math.nan
         if b > 0:
-            exp_res = radial.mass_expansion(float(b), 0.0, 0.0, p, args.m_terms)
+            exp_res = radial.mass_expansion(b, 0.0, 0.0, p, args.m_terms)
             phi_m, rem = exp_res.value, exp_res.remainder_bound
-        else:
-            phi_m, rem = float("nan"), float("nan")
-        mode_l1 = radial.mode_radius_times_l1(float(b), p)
+        mode_l1 = radial.mode_radius_times_l1(b, p)
         trusted = 1 if b <= 13.8 else 0
         lines.append(
             f"{_fmt(b)},{_fmt(phi)},{_fmt(phi_m)},{_fmt(rem)},{_fmt(mode_l1)},{trusted}"
@@ -244,10 +235,16 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     kind = mcmc.KIND_INDEPENDENT if args.sampler == "is" else mcmc.KIND_RANDOM_WALK
     cfg = mcmc.ChainConfig(kind=kind, n_iter=args.iters, rw_variance=args.rw_var,
                            q=args.q, seed=args.seed)
-    z_est = None
+    tv_constant = None
     if args.sampler == "is":
-        z_est = partition.estimate_z_polar(prob, args.z_samples, args.seed + 13).z
-    trace, diag = mcmc.run_chain(prob, cfg, z_estimate=z_est)
+        # the independence sampler's total-variation rate 1 - Z/2^p
+        z = partition.estimate_z_polar(prob, args.z_samples, args.seed + 13).z
+        try:
+            tv_constant = mcmc.tv_bound(1, z, prob.p)
+        except ValueError as exc:
+            print(f"polarlasso: no ergodicity constant from Z = {z!r}: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+    trace, diag = mcmc.run_chain(prob, cfg)
     outputs = [args.out]
     if args.emit_series:
         _write_chunks(args.emit_series, _series_chunks(trace))
@@ -263,7 +260,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         "mean": [float(v) for v in diag.running_mean],
         "mean_norm": diag.mean_norm,
         "acceptance_rate": diag.acceptance_rate,
-        "tv_constant": diag.tv_constant,
+        "tv_constant": tv_constant,
         "meta": diag.meta,
     }
     _write_json(args.out, summary)
@@ -290,10 +287,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
     outputs.append(t2)
 
     # mode comparison on a fresh seeded instance with a nonzero observation
-    rng = np.random.default_rng(args.seed + 1)
-    raw = rng.standard_normal(4)
-    prob = problem.gen_bernoulli_matrix(4, 7, args.seed, raw * (2.0 / np.linalg.norm(raw)))
-    fista = lasso.solve_fista(prob, 20000, 1e-10)
+    prob = problem.gen_bernoulli_matrix(4, 7, args.seed, _observation(4, 2.0, args.seed))
+    fista = lasso.solve_fista(prob)
     polar = lasso.solve_polar(prob, args.n_samples, args.seed + 2)
     t1 = os.path.join(args.out_dir, "table1.csv")
     hdr = "method," + ",".join(f"x{i}" for i in range(1, 8)) + ",objective"
@@ -327,10 +322,15 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"polarlasso: cannot read {args.manifest}: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         print(f"polarlasso: malformed manifest: {exc}", file=sys.stderr)
         return 2
-    return main(manifest["argv"])
+    argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        print("polarlasso: malformed manifest: need an object whose argv is a list of strings",
+              file=sys.stderr)
+        return 2
+    return main(argv)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -352,8 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--problem", required=True)
     s.add_argument("--method", choices=("polar", "fista", "both"), default="both")
     s.add_argument("--n-samples", type=_positive(int), default=100000)
-    s.add_argument("--max-iter", type=_positive(int), default=20000)
-    s.add_argument("--tol", type=_positive(float), default=1e-10)
+    s.add_argument("--max-iter", type=_positive(int), default=lasso.FISTA_MAX_ITER)
+    s.add_argument("--tol", type=_positive(float), default=lasso.FISTA_TOL)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default="solution.json")
     s.set_defaults(func=cmd_solve)
@@ -369,11 +369,12 @@ def _build_parser() -> argparse.ArgumentParser:
     z.set_defaults(func=cmd_partition)
 
     c = sub.add_parser("curves", help="offset curves: closed form, expansion, mode scale")
-    c.add_argument("--beta-min", type=float, default=6.0)
-    c.add_argument("--beta-max", type=float, default=45.0)
+    finite = _checked(float, math.isfinite, "finite")
+    c.add_argument("--beta-min", type=finite, default=6.0)
+    c.add_argument("--beta-max", type=finite, default=45.0)
     c.add_argument("--steps", type=_positive(int), default=500)
     c.add_argument("--p", type=_positive(int), default=7)
-    c.add_argument("--m-terms", type=int, default=17)
+    c.add_argument("--m-terms", type=int, default=radial.EXPANSION_TERMS)
     c.add_argument("--out", default="curves.csv")
     c.set_defaults(func=cmd_curves)
 
@@ -381,8 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--problem", required=True)
     d.add_argument("--sampler", choices=("is", "rw"), default="rw")
     d.add_argument("--iters", type=_positive(int), default=1000000)
-    d.add_argument("--q", type=_positive(float), default=5.0)
-    d.add_argument("--rw-var", type=_positive(float), default=0.5)
+    d.add_argument("--q", type=_positive(float), default=mcmc.ChainConfig.q)
+    d.add_argument("--rw-var", type=_positive(float), default=mcmc.ChainConfig.rw_variance)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--z-samples", type=_positive(int), default=20000,
                    help="sweep size for the ergodicity constant (is sampler)")
@@ -408,8 +409,6 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except OSError as exc:
         print(f"polarlasso: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -13,6 +13,10 @@ from .problem import ProblemInstance, direction_batch, gaussian_rows, sweep_chun
 METHOD_POLAR = "polar"
 METHOD_FISTA = "fista"
 
+# FISTA's default iteration budget and residual tolerance
+FISTA_MAX_ITER = 20000
+FISTA_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class LassoSolution:
@@ -35,7 +39,7 @@ def _soft(v: np.ndarray, thr: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
 
 
-def solve_fista(prob: ProblemInstance, max_iter: int = 20000, tol: float = 1e-10) -> LassoSolution:
+def solve_fista(prob: ProblemInstance, max_iter: int = FISTA_MAX_ITER, tol: float = FISTA_TOL) -> LassoSolution:
     """Accelerated proximal gradient with step 1/||A||^2 and unit l1 weight.
 
     Stops when the proximal-gradient residual ||x - prox(x - step grad)|| drops

@@ -71,8 +71,6 @@ class ChainDiagnosis:
     running_mean: np.ndarray
     mean_norm: float
     acceptance_rate: float
-    tv_bound: np.ndarray | None = None
-    tv_constant: float | None = None
     # states diagnosed (the initial one and each accepted one), those whose
     # direction lies in the null space of A, those at the centre (q r = inf),
     # and proposal blocks
@@ -92,7 +90,7 @@ def tv_bound(t, z: float, p: int):
     return (1.0 - z / 2.0**p) ** t
 
 
-def run_chain(prob: ProblemInstance, cfg: ChainConfig, z_estimate: float | None = None) -> tuple[ChainTrace, ChainDiagnosis]:
+def run_chain(prob: ProblemInstance, cfg: ChainConfig) -> tuple[ChainTrace, ChainDiagnosis]:
     """Run one chain and diagnose it.
 
     The loop only decides accept or reject and records which iterations of
@@ -174,11 +172,6 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig, z_estimate: float | None 
     last_violation = int(viol[-1]) if viol.size else None
     satisfaction = float(crit.mean())
     mean = sum_x / n_iter
-    tv_series = None
-    tv_const = None
-    if is_kind and z_estimate is not None:
-        tv_const = tv_bound(1, z_estimate, p)
-        tv_series = tv_bound(np.arange(1, n_iter + 1), z_estimate, p)
     diag = ChainDiagnosis(
         first_hit=first_hit,
         last_violation=last_violation,
@@ -186,8 +179,6 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig, z_estimate: float | None 
         running_mean=mean,
         mean_norm=float(np.linalg.norm(mean)),
         acceptance_rate=accepted / n_iter,
-        tv_bound=tv_series,
-        tv_constant=tv_const,
         meta=meta,
     )
     return ChainTrace(norm_x=norm_x, q_r_theta=q_r, criterion=crit), diag
@@ -253,8 +244,7 @@ def criterion_coverage(prob: ProblemInstance, q: float, n_draws: int, rng,
                        l: np.ndarray | None = None) -> float:
     """Empirical fraction of exact posterior draws with ||x - l|| <= q r(theta, l),
     the draws of sample_posterior_batch diagnosed in one batch."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator comes back unaltered
     l = np.zeros(prob.p) if l is None else np.asarray(l, dtype=float)
     X = sample_posterior_batch(prob, n_draws, rng)
     norm, qr, _ = _state_diagnosis(prob, X, l, q)

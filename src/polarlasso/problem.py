@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +54,6 @@ class DirectionStats:
     """
 
     theta: np.ndarray
-    A_theta: np.ndarray
     norm_A_theta: float
     l1_theta: float
     s: float
@@ -71,7 +69,6 @@ class DirectionBatch:
     and beta = inf.
     """
 
-    A_thetas: np.ndarray
     norm_A: np.ndarray
     l1: np.ndarray
     s: np.ndarray
@@ -116,7 +113,7 @@ def direction_stats(prob: ProblemInstance, theta: np.ndarray) -> DirectionStats:
     theta = theta / norm
     st = direction_batch(prob.A, prob.y, theta[None, :])
     beta = None if st.null[0] else float(st.beta[0])
-    return DirectionStats(theta, st.A_thetas[0], float(st.norm_A[0]), float(st.l1[0]),
+    return DirectionStats(theta, float(st.norm_A[0]), float(st.l1[0]),
                           s=float(st.s[0]), beta=beta, batch=st)
 
 
@@ -143,7 +140,7 @@ def direction_batch(A: np.ndarray, y: np.ndarray, thetas: np.ndarray,
     else:
         s = np.where(null, 0.0, np.clip(A_theta_y / (safe * y_norm), -1.0, 1.0))
     beta = np.where(null, math.inf, l1 / safe - y_norm * s)
-    return DirectionBatch(A_thetas, norm_A, l1, s, beta, null)
+    return DirectionBatch(norm_A, l1, s, beta, null)
 
 
 def ray_energy(stats: DirectionStats, r: float, y_norm: float) -> float:
@@ -251,8 +248,6 @@ def save_problem(prob: ProblemInstance, path: str, seed: int | None = None) -> N
 
 def load_problem(path: str) -> ProblemInstance:
     """Read an instance from the JSON schema written by save_problem."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:

@@ -283,11 +283,6 @@ def sample_posterior_batch(prob: ProblemInstance, n_draws: int, rng: np.random.G
     return np.concatenate(kept)
 
 
-def sample_posterior(prob: ProblemInstance, l: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One exact posterior draw: a batch of one of sample_posterior_batch.
-
-    The law does not depend on l; the argument is kept so callers can phrase
-    draws around a recentering point.
-    """
-    del l  # the target law is the same for every recentering point
+def sample_posterior(prob: ProblemInstance, rng: np.random.Generator) -> np.ndarray:
+    """One exact posterior draw: a batch of one of sample_posterior_batch."""
     return sample_posterior_batch(prob, 1, rng)[0]

@@ -140,7 +140,7 @@ def test_criterion_06_concentration_coverage():
     prob = pl.gen_bernoulli_matrix(4, 7, 42)
     rng = np.random.default_rng(66)
     n = 10000
-    draws = np.array([pl.sample_posterior(prob, np.zeros(7), rng) for _ in range(n)])
+    draws = np.array([pl.sample_posterior(prob, rng) for _ in range(n)])
     norms = np.linalg.norm(draws, axis=1)
     radii = np.empty(n)
     for i in range(n):

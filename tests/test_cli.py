@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import polarlasso as pl
 from polarlasso.cli import main
 
 
@@ -40,7 +41,7 @@ class TestGen:
     def test_manifest_records_versions(self, problem_file):
         with open(problem_file.replace(".json", ".manifest.json")) as fh:
             m = json.load(fh)
-        assert set(m["versions"]) == {"polarlasso", "python", "numpy", "scipy"}
+        assert set(m["versions"]) == {"polarlasso", "python", "numpy"}
         assert m["versions"]["numpy"] == np.__version__
 
     def test_y_norm_flag(self, tmp_path):
@@ -235,6 +236,26 @@ class TestDiagnose:
         assert summary["tv_constant"] is not None
         assert 0.0 < summary["tv_constant"] < 1.0
 
+    def test_is_tv_constant_is_tv_bound_of_the_z_sweep(self, tmp_path, problem_file):
+        out = tmp_path / "diag_is.json"
+        assert run(["diagnose", "--problem", problem_file, "--sampler", "is",
+                    "--iters", "100", "--seed", "7", "--z-samples", "2000", "--out", str(out)]) == 0
+        z = pl.estimate_z_polar(pl.load_problem(problem_file), 2000, 7 + 13).z
+        assert json.loads(out.read_text())["tv_constant"] == pl.tv_bound(1, z, 7)
+
+    def test_is_z_outside_tv_domain_exits_3(self, tmp_path, capsys):
+        # a near-singular design: the Z sweep of seed 7 + 13 reads 4.009 > 2^p = 4,
+        # so no constant 1 - Z/2^p exists and the chain does not run
+        path = tmp_path / "tiny.json"
+        pl.save_problem(pl.make_problem(1e-3 * np.eye(2)), str(path))
+        assert pl.estimate_z_polar(pl.load_problem(str(path)), 2000, 7 + 13).z > 4.0
+        out = tmp_path / "diag.json"
+        assert run(["diagnose", "--problem", str(path), "--sampler", "is", "--iters", "100",
+                    "--z-samples", "2000", "--seed", "7", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("polarlasso:") and "z must lie in (0, 2^p)" in err
+        assert "Traceback" not in err and not out.exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["diagnose", "--iters", "0"],
@@ -265,6 +286,9 @@ def test_nonpositive_numeric_argument_exits_2(tmp_path, problem_file, capsys, ar
     ["gen", "--y-norm", "-1"],
     ["gen", "--y-norm", "nan"],
     ["gen", "--y-norm", "inf"],
+    ["curves", "--beta-max", "inf"],
+    ["curves", "--beta-min", "-inf"],
+    ["curves", "--beta-min", "nan"],
 ], ids=lambda argv: " ".join(argv))
 def test_invalid_argument_exits_2(tmp_path, capsys, argv):
     # rejected by the parser (SystemExit 2) or by the command (return 2)
@@ -349,3 +373,12 @@ class TestManifestReplay:
         series.unlink()
         assert run(["rerun", manifest]) == 0
         assert (out.read_bytes(), series.read_bytes()) == blobs
+
+    @pytest.mark.parametrize("blob", [b"{}", b"[1]", b'{"argv": "gen"}', b'{"argv": ["gen", 1]}',
+                                      b"not json", b"\xff\xfe"], ids=repr)
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, blob):
+        manifest = tmp_path / "bad.manifest.json"
+        manifest.write_bytes(blob)
+        assert run(["rerun", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("polarlasso: malformed manifest") and "Traceback" not in err

@@ -1,5 +1,7 @@
 """Chain mechanics, diagnosis series, and the ergodicity bound."""
 
+import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -166,25 +168,11 @@ class TestChainMechanics:
         assert np.all(trace.q_r_theta > 0)
         assert 0.0 <= diag.satisfaction_rate <= 1.0
 
-    def test_tv_bound_series_only_for_independent(self, desk_instance):
-        cfg = pl.ChainConfig(kind=KIND_INDEPENDENT, n_iter=100, seed=5)
-        _, diag = pl.run_chain(desk_instance, cfg, z_estimate=2.2142)
-        assert diag.tv_constant == pytest.approx(1 - 2.2142 / 128)
-        assert diag.tv_bound.shape == (100,)
-        assert diag.tv_bound[0] == pytest.approx(diag.tv_constant)
-        cfg = pl.ChainConfig(kind=KIND_RANDOM_WALK, n_iter=100, seed=5)
-        _, diag = pl.run_chain(desk_instance, cfg, z_estimate=2.2142)
-        assert diag.tv_bound is None
-
-    def test_tv_series_checks_its_estimate(self, desk_instance):
-        # the constant and the series are tv_bound's, domain check included
-        cfg = pl.ChainConfig(kind=KIND_INDEPENDENT, n_iter=100, seed=5)
-        with pytest.raises(ValueError, match="z must lie"):
-            pl.run_chain(desk_instance, cfg, z_estimate=2.0**7)
-        _, diag = pl.run_chain(desk_instance, cfg, z_estimate=2.2142)
-        assert diag.tv_constant == pl.tv_bound(1, 2.2142, 7)
-        np.testing.assert_allclose(diag.tv_bound, [pl.tv_bound(t, 2.2142, 7) for t in range(1, 101)],
-                                   rtol=1e-14)
+    def test_chain_takes_no_z(self):
+        # the ergodicity constant is the diagnose command's (tv_bound of its
+        # own Z sweep): the chain neither takes Z nor reports a bound
+        assert list(inspect.signature(pl.run_chain).parameters) == ["prob", "cfg"]
+        assert not [f.name for f in dataclasses.fields(pl.ChainDiagnosis) if f.name.startswith("tv")]
 
 
 class TestDetailedBalance:

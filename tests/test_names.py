@@ -136,6 +136,27 @@ def test_one_radial_law():
     assert not found, "radial kernel calls outside shifted.py (module, function, callee, line): " + repr(found)
 
 
+def _scipy_imports(path):
+    """Lines of a module that import scipy or one of its submodules."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_runtime_needs_no_scipy():
+    # the package depends on numpy alone; scipy serves only the test oracles
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py")) for line in _scipy_imports(path)]
+    assert not found, "scipy imports (module, line): " + repr(found)
+
+
 def _uniform_calls(path):
     """Lines of a module that call a `.uniform(` method."""
     return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))

@@ -354,7 +354,7 @@ class TestBracketProperty:
 class TestSampling:
     def test_posterior_mean_zero_observation(self, desk_instance):
         rng = np.random.default_rng(20)
-        draws = np.array([pl.sample_posterior(desk_instance, np.zeros(7), rng) for _ in range(30000)])
+        draws = np.array([pl.sample_posterior(desk_instance, rng) for _ in range(30000)])
         mean = draws.mean(axis=0)
         # the target is symmetric; each coordinate's std is ~1.2/sqrt(N)
         assert np.all(np.abs(mean) < 0.04)
@@ -370,7 +370,7 @@ class TestSampling:
         prob = desk_instance
         rng = np.random.default_rng(22)
         n = 100000
-        exact = np.array([pl.sample_posterior(prob, np.zeros(7), rng) for _ in range(n // 4)])
+        exact = np.array([pl.sample_posterior(prob, rng) for _ in range(n // 4)])
         stat_exact = np.sort(
             0.5 * np.linalg.norm(exact @ prob.A.T - prob.y, axis=1) ** 2
             + np.abs(exact).sum(axis=1)
@@ -443,7 +443,7 @@ class TestExactBatch:
         for seed in range(60):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(2):  # the generator is left where the per-call loop leaves it
-                np.testing.assert_array_equal(pl.sample_posterior(desk_instance_y, np.zeros(7), rng),
+                np.testing.assert_array_equal(pl.sample_posterior(desk_instance_y, rng),
                                               _per_call_draw(desk_instance_y, ref))
 
     @pytest.mark.parametrize("n", [1, 5, 60])
