@@ -207,10 +207,15 @@ def cmd_curves(args: argparse.Namespace) -> int:
     if not args.beta_min < args.beta_max:
         print("polarlasso: need --beta-min < --beta-max", file=sys.stderr)
         return 2
-    if args.m_terms < args.p + 1:
-        print("polarlasso: need --m-terms >= --p + 1", file=sys.stderr)
-        return 2
     p = args.p
+    try:
+        radial.mass_expansion(1.0, 0.0, 0.0, p, args.m_terms)
+    except ValueError as exc:
+        print(f"polarlasso: --m-terms {args.m_terms} at --p {p}: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # its coefficients leave the float range from p ~ 172 on
+        print(f"polarlasso: no expansion at --p {p}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     grid = np.linspace(args.beta_min, args.beta_max, args.steps)
     lines = ["beta,phi_beta,phi_beta_M,remainder_bound,mode_times_l1,phi_beta_trusted"]
     for b in grid.tolist():
@@ -329,6 +334,9 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
         print("polarlasso: malformed manifest: need an object whose argv is a list of strings",
               file=sys.stderr)
+        return 2
+    if argv[:1] == ["rerun"]:  # a manifest that names itself would recurse without end
+        print("polarlasso: malformed manifest: its argv is itself a rerun", file=sys.stderr)
         return 2
     return main(argv)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemInstance, direction_batch, gaussian_rows, sweep_chunks
+from .problem import ProblemInstance, direction_batch, gaussian_rows, map_chunks
 
 METHOD_POLAR = "polar"
 METHOD_FISTA = "fista"
@@ -79,7 +79,7 @@ def solve_polar(prob: ProblemInstance, n_samples: int, rng) -> LassoSolution:
     offset beta <= 0, and return l = -(beta/||A theta||) theta for the beta of
     largest square.  If no direction has beta <= 0 the mode is the origin.
 
-    The sweep is consumed in the chunks of sweep_chunks; ties in beta^2
+    The sweep is consumed in the chunks of map_chunks; ties in beta^2
     keep the first candidate in stream order.  Before the clip on s,
     beta = (||theta||_1 - A theta . y)/||A theta||, whose sign does not depend
     on the scale of theta, so each chunk's raw Gaussian rows v are screened
@@ -101,29 +101,33 @@ def solve_polar(prob: ProblemInstance, n_samples: int, rng) -> LassoSolution:
     c = float(np.max(np.abs(prob.A).T @ np.abs(prob.y)))
     margin = 8.0 * (p + prob.n + 8) * np.finfo(float).eps * (1.0 + c)
     ones = np.ones(p)  # |v| @ ones sums the rows faster than .sum(axis=1)
-    best_beta = None
-    best_theta = None
-    best_norm_A = None
-    neg_count = scored = 0
-    for gen, count in sweep_chunks(rng, n_samples):
+
+    def score(gen, count):
+        """(rows scored, rows with beta <= 0, the first (beta, theta, ||A theta||)
+        of largest beta^2 among them or None) of one chunk."""
         v, norms = gaussian_rows(gen, count, p)
         l1 = np.abs(v) @ ones
         rows = np.flatnonzero(l1 - v @ A_T_y <= margin * l1)
-        scored += rows.size
         if not rows.size:
-            continue
+            return 0, 0, None
         thetas = v / norms[:, None]
         st = direction_batch(prob.A, prob.y, thetas, rows)
         betas = st.beta  # inf on null rows
         neg = np.flatnonzero(betas <= 0.0)
-        neg_count += neg.size
-        if neg.size:
-            i = neg[np.argmax(betas[neg] ** 2)]  # the first of equal squares
-            b = float(betas[i])
-            if best_beta is None or b * b > best_beta * best_beta:
-                best_beta = b
-                best_theta = thetas[rows[i]]
-                best_norm_A = float(st.norm_A[i])
+        if not neg.size:
+            return rows.size, 0, None
+        i = neg[np.argmax(betas[neg] ** 2)]  # the first of equal squares
+        return rows.size, neg.size, (float(betas[i]), thetas[rows[i]], float(st.norm_A[i]))
+
+    best_beta = None
+    best_theta = None
+    best_norm_A = None
+    neg_count = scored = 0
+    for n_rows, n_neg, best in map_chunks(score, rng, n_samples):
+        scored += n_rows
+        neg_count += n_neg
+        if best is not None and (best_beta is None or best[0] * best[0] > best_beta * best_beta):
+            best_beta, best_theta, best_norm_A = best
     meta = {"best_beta": best_beta, "n_samples": n_samples, "n_negative": neg_count, "n_scored": scored}
     if best_beta is None:
         x = np.zeros(p)

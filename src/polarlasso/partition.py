@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._moments import log_gaussian_moment
-from .problem import ProblemInstance, sample_laplace, sample_sphere_batch, sweep_chunks
+from .problem import ProblemInstance, map_chunks, sample_laplace, sample_sphere_batch
 from .shifted import _exp, log_concavity_bracket, shifted_log_summaries, unit_shift_batch
 
 METHOD_POLAR = "polar_mc"
@@ -87,14 +88,16 @@ def _polar_sweep(prob: ProblemInstance, l: np.ndarray, n_samples: int, rng,
     p = prob.p
     lo_min, pm_max, h0 = math.inf, -math.inf, math.nan
 
+    def work(gen, count):
+        batch = unit_shift_batch(prob, l, sample_sphere_batch(gen, count, p))
+        log_j, log_lo, log_pm, _, _ = shifted_log_summaries(batch, p)
+        return log_j, float(log_lo.min()), float(log_pm.max()), batch.h0
+
     def log_masses():
         nonlocal lo_min, pm_max, h0
-        for gen, count in sweep_chunks(rng, n_samples):
-            batch = unit_shift_batch(prob, l, sample_sphere_batch(gen, count, p))
-            log_j, log_lo, log_pm, _, _ = shifted_log_summaries(batch, p)
-            h0 = batch.h0
-            lo_min = min(lo_min, float(log_lo.min()))
-            pm_max = max(pm_max, float(log_pm.max()))
+        for log_j, lo, pm, h0 in map_chunks(work, rng, n_samples):
+            lo_min = min(lo_min, lo)
+            pm_max = max(pm_max, pm)
             yield log_j
 
     scale, mean, err = _log_mean(log_masses())
@@ -130,15 +133,16 @@ def estimate_z_naive(prob: ProblemInstance, n_samples: int, rng) -> PartitionEst
     """
     p = prob.p
 
-    def log_weights():
-        for gen, count in sweep_chunks(rng, n_samples):
-            # named, so a chunk's draws are freed only once the next exist: freed
-            # at once, they let malloc trim the heap, and the next chunk faults
-            x = sample_laplace(gen, (count, p))
-            resid = x @ prob.A.T - prob.y
-            yield -0.5 * np.einsum("ij,ij->i", resid, resid)
+    # each thread's last draws, freed only once its next exist: freed at once,
+    # they let malloc trim the heap, and the next chunk faults
+    held = threading.local()
 
-    scale, mean, err = _log_mean(log_weights())
+    def log_weights(gen, count):
+        x = held.x = sample_laplace(gen, (count, p))
+        resid = x @ prob.A.T - prob.y
+        return -0.5 * np.einsum("ij,ij->i", resid, resid)
+
+    scale, mean, err = _log_mean(map_chunks(log_weights, rng, n_samples))
     unit = _exp(p * math.log(2.0) + scale)
     return PartitionEstimate(unit * mean, unit * err, n_samples, METHOD_NAIVE, 0.0, math.inf)
 

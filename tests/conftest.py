@@ -37,6 +37,13 @@ def desk_instance_y():
     return pl.make_problem(base.A, y)
 
 
+def scaled_instance(n, p, y_norm, seed=42):
+    """Bernoulli n x p design with a seeded observation of norm y_norm."""
+    base = pl.gen_bernoulli_matrix(n, p, seed)
+    y = np.random.default_rng(seed + 1).standard_normal(n)
+    return pl.make_problem(base.A, y * (y_norm / np.linalg.norm(y)))
+
+
 def neg_log_density_on_ray(A, y, theta, r):
     """||A(r theta) - y||^2/2 + r ||theta||_1 evaluated directly."""
     resid = r * (A @ theta) - y

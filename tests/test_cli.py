@@ -161,6 +161,14 @@ class TestCurves:
                     "--out", str(tmp_path / "c.csv")])
         assert code == 2
 
+    def test_expansion_overflow_exits_3(self, tmp_path, capsys):
+        # at p = 200 the expansion's coefficients exceed the float range
+        out = tmp_path / "c.csv"
+        assert run(["curves", "--p", "200", "--m-terms", "201", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("polarlasso: no expansion at --p 200") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestDiagnose:
     def test_summary_and_series(self, tmp_path, problem_file):
@@ -382,3 +390,15 @@ class TestManifestReplay:
         assert run(["rerun", str(manifest)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("polarlasso: malformed manifest") and "Traceback" not in err
+
+    @pytest.mark.parametrize("names_itself", [True, False])
+    def test_manifest_replaying_a_rerun_exits_2(self, tmp_path, capsys, names_itself):
+        manifest = tmp_path / "loop.manifest.json"
+        other = tmp_path / "other.manifest.json"
+        other.write_text(json.dumps({"argv": ["curves", "--out", str(tmp_path / "c.csv")]}))
+        target = manifest if names_itself else other
+        manifest.write_text(json.dumps({"argv": ["rerun", str(target)]}))
+        assert run(["rerun", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("polarlasso: malformed manifest") and "Traceback" not in err
+        assert not (tmp_path / "c.csv").exists()

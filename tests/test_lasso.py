@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import polarlasso as pl
-from polarlasso import lasso
+from conftest import scaled_instance
+from polarlasso import problem
 from polarlasso.problem import CHUNK, direction_batch, sample_sphere_batch, sweep_chunks
 
 
@@ -97,12 +98,6 @@ class TestPolar:
         np.testing.assert_array_equal(a.x, b.x)
 
 
-def _instance(n, p, y_norm, seed=42):
-    base = pl.gen_bernoulli_matrix(n, p, seed)
-    y = np.random.default_rng(seed + 1).standard_normal(n)
-    return pl.make_problem(base.A, y * (y_norm / np.linalg.norm(y)))
-
-
 def _full_sweep(prob, chunks):
     """The unscreened mode search: every row of every chunk normalised and
     scored.  Returns (x, best beta, rows with beta <= 0)."""
@@ -138,7 +133,7 @@ class TestPolarScreen:
         (3, 300, 8.0),
     ])
     def test_matches_full_sweep(self, n, p, y_norm):
-        prob = _instance(n, p, y_norm)
+        prob = scaled_instance(n, p, y_norm)
         n_samples = 2 * CHUNK + 5
         sol = pl.solve_polar(prob, n_samples, 9)
         x, best_beta, neg_count = _full_sweep(prob, sweep_chunks(9, n_samples))
@@ -163,9 +158,9 @@ class TestPolarScreen:
                     self.zeroed = True
                 return v
 
-        prob = _instance(2, 3, 10.0)
+        prob = scaled_instance(2, 3, 10.0)
         solved, ref = ZeroFirstRow(), ZeroFirstRow()
-        monkeypatch.setattr(lasso, "sweep_chunks", lambda rng, n: [(solved, n)])
+        monkeypatch.setattr(problem, "sweep_chunks", lambda rng, n: [(solved, n)])
         sol = pl.solve_polar(prob, 64, 0)
         x, best_beta, neg_count = _full_sweep(prob, [(ref, 64)])
         assert sol.x.tobytes() == x.tobytes()

@@ -105,9 +105,17 @@ def test_one_seed_splitter():
     assert not found, "seed splitting outside problem.sweep_chunks (module, line): " + repr(found)
 
 
-def _radial_law_calls(path):
-    """(module, function, callee, line) of every call of tilted_peaks or
-    log_gaussian_moment in a module; function is None at module level."""
+def test_only_map_chunks_reads_sweep_chunks():
+    # every Monte Carlo route runs its chunks through problem.map_chunks,
+    # which alone decides how many run at once and merges them in order
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _calls(path, ("sweep_chunks",))]
+    assert [hit[:2] for hit in found] == [("problem.py", "map_chunks")], \
+        "sweep_chunks calls (module, function, callee, line): " + repr(found)
+
+
+def _calls(path, callees):
+    """(module, function, callee, line) of every call of one of `callees` in
+    a module; function is None at module level."""
     hits = []
 
     def visit(node, scope):
@@ -115,7 +123,7 @@ def _radial_law_calls(path):
             inner = child.name if isinstance(child, ast.FunctionDef) else scope
             if isinstance(child, ast.Call):
                 name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
-                if name in ("tilted_peaks", "log_gaussian_moment"):
+                if name in callees:
                     hits.append((path.name, scope, name, child.lineno))
             visit(child, inner)
 
@@ -123,16 +131,19 @@ def _radial_law_calls(path):
     return hits
 
 
+RADIAL_LAW = ("tilted_peaks", "log_gaussian_moment")
+
+
 def test_one_radial_law():
     # every radial mass, mode, peak and bracket comes from the segment
     # functions of shifted.py; the only other kernel calls are the beta-only
     # H of radial.mass_closed_form (the curves command and its expansion
     # check) and the upper incomplete gamma of partition.concentration_prob
-    assert any(name == "tilted_peaks" for *_, name, _ in _radial_law_calls(SRC / "shifted.py"))
+    assert any(name == "tilted_peaks" for *_, name, _ in _calls(SRC / "shifted.py", RADIAL_LAW))
     allowed = {("radial.py", "mass_closed_form", "log_gaussian_moment"),
                ("partition.py", "concentration_prob", "log_gaussian_moment")}
     found = [hit for path in sorted(SRC.glob("*.py")) if path.name not in ("shifted.py", "_moments.py")
-             for hit in _radial_law_calls(path) if hit[:3] not in allowed]
+             for hit in _calls(path, RADIAL_LAW) if hit[:3] not in allowed]
     assert not found, "radial kernel calls outside shifted.py (module, function, callee, line): " + repr(found)
 
 
