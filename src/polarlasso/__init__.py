@@ -26,26 +26,26 @@ from .partition import (
     sphere_surface,
 )
 from .problem import (
-    DirectionStats,
     ProblemInstance,
     beta_lower_bound,
-    direction_stats,
     gen_bernoulli_matrix,
     load_problem,
     make_problem,
-    radial_potential,
-    ray_energy,
     sample_sphere,
     save_problem,
     zero_lasso_sufficient,
 )
 from .radial import (
+    DirectionStats,
     RadialSummary,
+    direction_stats,
     mass_closed_form,
     mass_expansion,
     mode_radius,
     mode_radius_times_l1,
+    radial_potential,
     radial_summary,
+    ray_energy,
 )
 from .shifted import (
     ExactSamplerBudgetError,

@@ -203,6 +203,12 @@ def cmd_partition(args: argparse.Namespace) -> int:
     return EXIT_NUMERIC if failed else 0
 
 
+def _log_digits_lost(beta: float, p: int) -> float:
+    """log of beta^(2(p-1)) / (p-1)!, the relative digits the literal
+    alternating form of the scaled mass loses at beta > 0."""
+    return 2 * (p - 1) * math.log(beta) - math.lgamma(p)
+
+
 def cmd_curves(args: argparse.Namespace) -> int:
     if not args.beta_min < args.beta_max:
         print("polarlasso: need --beta-min < --beta-max", file=sys.stderr)
@@ -216,6 +222,8 @@ def cmd_curves(args: argparse.Namespace) -> int:
     except OverflowError as exc:  # its coefficients leave the float range from p ~ 172 on
         print(f"polarlasso: no expansion at --p {p}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    # phi_beta_trusted: the literal form loses at most what it loses at p = 7, beta = 13.8
+    loss_cap = _log_digits_lost(13.8, 7)
     grid = np.linspace(args.beta_min, args.beta_max, args.steps)
     lines = ["beta,phi_beta,phi_beta_M,remainder_bound,mode_times_l1,phi_beta_trusted"]
     for b in grid.tolist():
@@ -225,7 +233,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
             exp_res = radial.mass_expansion(b, 0.0, 0.0, p, args.m_terms)
             phi_m, rem = exp_res.value, exp_res.remainder_bound
         mode_l1 = radial.mode_radius_times_l1(b, p)
-        trusted = 1 if b <= 13.8 else 0
+        trusted = 1 if b <= 0 or _log_digits_lost(b, p) <= loss_cap else 0
         lines.append(
             f"{_fmt(b)},{_fmt(phi)},{_fmt(phi_m)},{_fmt(rem)},{_fmt(mode_l1)},{trusted}"
         )

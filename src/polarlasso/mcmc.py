@@ -52,6 +52,9 @@ class ChainConfig:
             raise ValueError("rw_variance must be positive")
         if not self.q > 0:
             raise ValueError("q must be positive")
+        for name, state in (("init", self.init), ("shift_l", self.shift_l)):
+            if state is not None and not np.all(np.isfinite(state)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -235,7 +238,7 @@ def _state_diagnosis(prob: ProblemInstance, X: np.ndarray, l: np.ndarray,
         live = np.flatnonzero(l2 > 0.0)
         if live.size:
             batch = build_shift_batch(prob, l, d[live])
-            qr[live + s] = q * shifted_modes(batch, prob.p)
+            qr[live + s] = q * shifted_modes(batch)
             null[live + s] = batch.null
     return norm, qr, null
 
@@ -246,6 +249,8 @@ def criterion_coverage(prob: ProblemInstance, q: float, n_draws: int, rng,
     the draws of sample_posterior_batch diagnosed in one batch."""
     rng = np.random.default_rng(rng)  # a Generator comes back unaltered
     l = np.zeros(prob.p) if l is None else np.asarray(l, dtype=float)
+    if not np.all(np.isfinite(l)):
+        raise ValueError("l must be finite")
     X = sample_posterior_batch(prob, n_draws, rng)
     norm, qr, _ = _state_diagnosis(prob, X, l, q)
     return int(np.count_nonzero(norm <= qr)) / n_draws

@@ -90,7 +90,7 @@ def _polar_sweep(prob: ProblemInstance, l: np.ndarray, n_samples: int, rng,
 
     def work(gen, count):
         batch = unit_shift_batch(prob, l, sample_sphere_batch(gen, count, p))
-        log_j, log_lo, log_pm, _, _ = shifted_log_summaries(batch, p)
+        log_j, log_lo, log_pm, _, _ = shifted_log_summaries(batch)
         return log_j, float(log_lo.min()), float(log_pm.max()), batch.h0
 
     def log_masses():

@@ -1,9 +1,10 @@
-"""Problem instances and per-direction geometric statistics.
+"""Problem instances, direction statistics and the Monte Carlo driver.
 
 The posterior under study is proportional to exp(-||Ax - y||^2/2 - ||x||_1)
-on R^p with p >= n.  Every direction theta on the unit sphere carries a small
-set of cached statistics (l1 norm, image norm, cosine against y, and the
-offset beta) that determine the radial law along the ray r -> r theta.
+on R^p with p >= n.  direction_batch computes, per unit direction theta, the
+statistics (l1 norm, image norm, cosine against y, and the offset beta) from
+which radial.py reads the law along the ray r -> r theta; map_chunks runs
+the chunks of every Monte Carlo sweep.
 """
 
 from __future__ import annotations
@@ -55,26 +56,8 @@ class ProblemInstance:
 
 
 @dataclass(frozen=True)
-class DirectionStats:
-    """Unit direction with the cached quantities entering the radial law.
-
-    ``beta`` is None exactly when A theta = 0 (the offset is +infinity there);
-    keeping an explicit sentinel makes the case dispatch total and keeps float
-    infinities out of downstream arithmetic.  ``batch`` is the one-row
-    DirectionBatch the other fields were read from.
-    """
-
-    theta: np.ndarray
-    norm_A_theta: float
-    l1_theta: float
-    s: float
-    beta: float | None
-    batch: DirectionBatch
-
-
-@dataclass(frozen=True)
 class DirectionBatch:
-    """The statistics of DirectionStats for a batch of unit directions, one per row.
+    """The statistics of radial.DirectionStats for a batch of unit directions, one per row.
 
     ``null`` marks the rows with ||A theta|| <= NULL_TOL; they carry s = 0
     and beta = inf.
@@ -115,19 +98,6 @@ def gen_bernoulli_matrix(n: int, p: int, seed: int, y: np.ndarray | None = None)
     return make_problem(A, y)
 
 
-def direction_stats(prob: ProblemInstance, theta: np.ndarray) -> DirectionStats:
-    """Cached statistics of a (not necessarily normalized) direction: a batch of one."""
-    theta = np.asarray(theta, dtype=float)
-    norm = np.linalg.norm(theta)
-    if norm == 0.0:
-        raise ValueError("direction must be nonzero")
-    theta = theta / norm
-    st = direction_batch(prob.A, prob.y, theta[None, :])
-    beta = None if st.null[0] else float(st.beta[0])
-    return DirectionStats(theta, float(st.norm_A[0]), float(st.l1[0]),
-                          s=float(st.s[0]), beta=beta, batch=st)
-
-
 def direction_batch(A: np.ndarray, y: np.ndarray, thetas: np.ndarray,
                     rows: np.ndarray | None = None) -> DirectionBatch:
     """DirectionBatch of the unit directions in the rows of `thetas`, against
@@ -152,27 +122,6 @@ def direction_batch(A: np.ndarray, y: np.ndarray, thetas: np.ndarray,
         s = np.where(null, 0.0, np.clip(A_theta_y / (safe * y_norm), -1.0, 1.0))
     beta = np.where(null, math.inf, l1 / safe - y_norm * s)
     return DirectionBatch(norm_A, l1, s, beta, null)
-
-
-def ray_energy(stats: DirectionStats, r: float, y_norm: float) -> float:
-    """Negative log density along the ray: (r^2 ||A theta||^2 + 2 r ||A theta|| beta + ||y||^2)/2.
-
-    Equals ||A(r theta) - y||^2/2 + r ||theta||_1 identically.
-    """
-    if stats.beta is None:
-        raise ValueError("energy quadratic undefined for null directions (beta infinite)")
-    na = stats.norm_A_theta
-    return 0.5 * (r * r * na * na + 2.0 * r * na * stats.beta + y_norm * y_norm)
-
-
-def radial_potential(stats: DirectionStats, r: float, p: int, y_norm: float) -> float:
-    """Radial potential: ray energy minus the (p-1) log r volume term; r > 0."""
-    if r <= 0.0:
-        raise ValueError("r must be positive")
-    if stats.beta is None:
-        # null direction: the misfit is constant along the ray
-        return 0.5 * y_norm * y_norm + r * stats.l1_theta - (p - 1) * math.log(r)
-    return ray_energy(stats, r, y_norm) - (p - 1) * math.log(r)
 
 
 def beta_lower_bound(prob: ProblemInstance) -> float:

@@ -10,8 +10,9 @@ so the per-direction mass is
 
 where H is the Gaussian-tilted moment evaluated by the stable kernel.  The
 law along a ray is the l = 0 case of the segment law of shifted.py (one
-segment, [0, inf)), so every mass, mode, peak and bracket here, null
-directions (A theta = 0) included, is a batch of one of it.  The scaled mass
+segment, [0, inf)): direction_stats keeps that one-row batch, which fixes p
+and h(0) = -||y||^2/2, and every mass, mode, peak and bracket here, null
+directions (A theta = 0) included, is read from it.  The scaled mass
 Phi(beta) = ||theta||_1^p J_p(theta) depends on the direction only through
 (beta, s); for large beta it admits the inverse-power expansion Phi(beta, M)
 whose truncation error is certified by the coefficient c(p, M).
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._moments import log_gaussian_moment
-from .problem import DirectionStats
+from .problem import ProblemInstance, direction_batch
 from .shifted import ShiftBatch, _exp, log_concavity_bracket, segment_batch, shifted_log_summaries, shifted_modes
 from .special import ExpansionResult, expansion_coeff
 
@@ -34,6 +35,59 @@ EXPANSION_TERMS = 17
 
 METHOD_EXACT = "exact_phi"
 METHOD_NULL = "null_direction"
+
+
+@dataclass(frozen=True)
+class DirectionStats:
+    """Unit direction with the cached quantities entering the radial law.
+
+    ``beta`` is None exactly when A theta = 0 (the offset is +infinity there);
+    keeping an explicit sentinel makes the case dispatch total and keeps float
+    infinities out of downstream arithmetic.  ``batch`` is the direction's
+    one-row segment batch at l = 0, which holds p and h(0) = -||y||^2/2.
+    """
+
+    theta: np.ndarray
+    norm_A_theta: float
+    l1_theta: float
+    s: float
+    beta: float | None
+    batch: ShiftBatch
+
+
+def direction_stats(prob: ProblemInstance, theta: np.ndarray) -> DirectionStats:
+    """Cached statistics of a (not necessarily normalized) direction: a batch of one."""
+    theta = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be finite")
+    norm = np.linalg.norm(theta)
+    if norm == 0.0:
+        raise ValueError("direction must be nonzero")
+    theta = theta / norm
+    st = direction_batch(prob.A, prob.y, theta[None, :])
+    beta = None if st.null[0] else float(st.beta[0])
+    return DirectionStats(theta, float(st.norm_A[0]), float(st.l1[0]), s=float(st.s[0]), beta=beta,
+                          batch=segment_batch(st, theta[None, :], np.zeros(prob.p), prob.y_norm))
+
+
+def ray_energy(stats: DirectionStats, r: float) -> float:
+    """Negative log density along the ray: (r^2 ||A theta||^2 + 2 r ||A theta|| beta)/2 - h(0).
+
+    Equals ||A(r theta) - y||^2/2 + r ||theta||_1 identically.
+    """
+    if stats.beta is None:
+        raise ValueError("energy quadratic undefined for null directions (beta infinite)")
+    na = stats.norm_A_theta
+    return 0.5 * (r * r * na * na + 2.0 * r * na * stats.beta) - stats.batch.h0
+
+
+def radial_potential(stats: DirectionStats, r: float) -> float:
+    """Radial potential: ray energy minus the (p-1) log r volume term; r > 0."""
+    if r <= 0.0:
+        raise ValueError("r must be positive")
+    # on a null direction the misfit is constant along the ray
+    energy = r * stats.l1_theta - stats.batch.h0 if stats.beta is None else ray_energy(stats, r)
+    return energy - (stats.batch.p - 1) * math.log(r)
 
 
 @dataclass(frozen=True)
@@ -48,19 +102,13 @@ class RadialSummary:
     method: str
 
 
-def _batch_of_one(stats: DirectionStats, y_norm: float) -> ShiftBatch:
-    """The l = 0 segment batch of the direction of `stats`, from its one-row DirectionBatch."""
-    return segment_batch(stats.batch, stats.theta[None, :], np.zeros(stats.theta.size), y_norm)
-
-
-def mode_radius(stats: DirectionStats, p: int) -> float:
+def mode_radius(stats: DirectionStats) -> float:
     """Unique stationary radius (-beta + sqrt(beta^2 + 4(p-1))) / (2 ||A theta||),
     evaluated without cancellation at large beta: a batch of one of
     shifted_modes at l = 0."""
     if stats.beta is None or stats.norm_A_theta == 0.0:
         raise ValueError("mode_radius needs A theta != 0")
-    # ||y|| enters the mode only through beta
-    return float(shifted_modes(_batch_of_one(stats, 0.0), p)[0])
+    return float(shifted_modes(stats.batch)[0])
 
 
 def mode_radius_times_l1(beta: float, p: int) -> float:
@@ -105,7 +153,7 @@ def mass_expansion(beta: float, s: float, y_norm: float, p: int, m_terms: int = 
     return ExpansionResult(value=prefactor * core, remainder_bound=prefactor * bound)
 
 
-def radial_summary(stats: DirectionStats, p: int, y_norm: float) -> RadialSummary:
+def radial_summary(stats: DirectionStats) -> RadialSummary:
     """Closed-form mass J_p(theta) with mode, peak, and bracket.
 
     A batch of one of shifted_log_summaries at l = 0, exponentiated: the
@@ -113,9 +161,8 @@ def radial_summary(stats: DirectionStats, p: int, y_norm: float) -> RadialSummar
     direction.  The upper bound is the log-concavity constant; the lower
     bound is described in shifted_log_summaries.
     """
-    batch = _batch_of_one(stats, y_norm)
-    log_mass, log_lo, log_pm, mode, log_peak = (float(v[0]) for v in shifted_log_summaries(batch, p))
-    h0 = batch.h0
-    mass_lo, mass_hi = log_concavity_bracket(log_lo + h0, log_pm + h0, p)
+    log_mass, log_lo, log_pm, mode, log_peak = (float(v[0]) for v in shifted_log_summaries(stats.batch))
+    h0 = stats.batch.h0
+    mass_lo, mass_hi = log_concavity_bracket(log_lo + h0, log_pm + h0, stats.batch.p)
     method = METHOD_NULL if stats.beta is None else METHOD_EXACT
     return RadialSummary(mode, _exp(log_peak + h0), _exp(log_mass + h0), mass_lo, mass_hi, method)

@@ -77,6 +77,11 @@ class ShiftBatch:
         return self.thetas[0]
 
     @property
+    def p(self) -> int:
+        """Dimension of the directions: the row width of thetas."""
+        return self.thetas.shape[1]
+
+    @property
     def kappa(self) -> np.ndarray:
         """Curvature of the kernel per row: 1, or 0 on null rows."""
         return np.where(self.null, 0.0, 1.0)
@@ -85,6 +90,8 @@ class ShiftBatch:
 def build_shift_batch(prob: ProblemInstance, l: np.ndarray, thetas: np.ndarray) -> ShiftBatch:
     """Segment decomposition of the recentered density along every row of `thetas`."""
     thetas = np.asarray(thetas, dtype=float)
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError("thetas must be finite")
     norms = np.linalg.norm(thetas, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("directions must be nonzero")
@@ -96,6 +103,8 @@ def unit_shift_batch(prob: ProblemInstance, l: np.ndarray, thetas: np.ndarray) -
     l = np.asarray(l, dtype=float)
     if l.shape != (prob.p,):
         raise ValueError(f"l must have length {prob.p}")
+    if not np.all(np.isfinite(l)):
+        raise ValueError("l must be finite")
     y_l = prob.y - prob.A @ l
     return segment_batch(direction_batch(prob.A, y_l, thetas), thetas, l, float(np.linalg.norm(y_l)))
 
@@ -134,7 +143,7 @@ def build_shift_context(prob: ProblemInstance, l: np.ndarray, theta: np.ndarray)
     return build_shift_batch(prob, l, np.asarray(theta, dtype=float)[None, :])
 
 
-def shifted_log_masses(batch: ShiftBatch, p: int) -> np.ndarray:
+def shifted_log_masses(batch: ShiftBatch) -> np.ndarray:
     """log J_p(theta, l) for every row of the batch: the log of
     sum_k e^(||l||_1 - c_k) G_(p-1)(scale lo_k, scale hi_k, beta_k, kappa) / scale^p."""
     live = batch.hi > batch.lo
@@ -143,13 +152,13 @@ def shifted_log_masses(batch: ShiftBatch, p: int) -> np.ndarray:
     kappa = np.broadcast_to(batch.kappa[:, None], shape)[live]
     offset = float(np.abs(batch.l).sum()) - batch.c[live]
     terms = np.full(shape, -math.inf)
-    terms[live] = log_gaussian_moment(p - 1, scale * batch.lo[live], scale * batch.hi[live],
+    terms[live] = log_gaussian_moment(batch.p - 1, scale * batch.lo[live], scale * batch.hi[live],
                                       batch.beta[live], kappa) + offset
     top = terms.max(axis=1)
-    return top + np.log(np.exp(terms - top[:, None]).sum(axis=1)) - p * np.log(batch.scale)
+    return top + np.log(np.exp(terms - top[:, None]).sum(axis=1)) - batch.p * np.log(batch.scale)
 
 
-def _mode_segments(batch: ShiftBatch, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _mode_segments(batch: ShiftBatch) -> tuple[np.ndarray, np.ndarray]:
     """(k, r*) per row: the index k (a column) of the segment holding the
     unique minimizer r* of the shifted radial potential, and r*.
 
@@ -162,17 +171,17 @@ def _mode_segments(batch: ShiftBatch, p: int) -> tuple[np.ndarray, np.ndarray]:
     end holds the mode, at max(root, left end); the last segment always
     does, as its slope ||theta||_1 is positive.
     """
-    root = tilted_peaks(p - 1, batch.beta, batch.kappa[:, None]) / batch.scale[:, None]
+    root = tilted_peaks(batch.p - 1, batch.beta, batch.kappa[:, None]) / batch.scale[:, None]
     k = np.argmax((batch.hi > batch.lo) & (root < batch.hi), axis=1)[:, None]
     return k, np.maximum(np.take_along_axis(root, k, axis=1), np.take_along_axis(batch.lo, k, axis=1))[:, 0]
 
 
-def shifted_modes(batch: ShiftBatch, p: int) -> np.ndarray:
+def shifted_modes(batch: ShiftBatch) -> np.ndarray:
     """Mode radius of the shifted radial law for every row of the batch."""
-    return _mode_segments(batch, p)[1]
+    return _mode_segments(batch)[1]
 
 
-def shifted_log_summaries(batch: ShiftBatch, p: int) -> tuple[np.ndarray, ...]:
+def shifted_log_summaries(batch: ShiftBatch) -> tuple[np.ndarray, ...]:
     """(log J, log mass_lo, log(peak * mode), mode, log peak) along every
     row of the batch, masses and peak in units of e^h0.
 
@@ -188,7 +197,8 @@ def shifted_log_summaries(batch: ShiftBatch, p: int) -> tuple[np.ndarray, ...]:
     would break that quadratic majorant.  At l = 0 (one segment, d = 0,
     b = inf) this is the half-Gaussian minorant peak sqrt(pi / (2K)).
     """
-    k, mode = _mode_segments(batch, p)
+    p = batch.p
+    k, mode = _mode_segments(batch)
     beta, hi, c = (np.take_along_axis(a, k, axis=1)[:, 0] for a in (batch.beta, batch.hi, batch.c))
     kappa, scale = batch.kappa, batch.scale
     u = scale * mode
@@ -203,24 +213,24 @@ def shifted_log_summaries(batch: ShiftBatch, p: int) -> tuple[np.ndarray, ...]:
     rate = np.sqrt(kappa * scale**2 + (p - 1) / r**2)
     d = np.maximum(scale * (kappa * u + beta) - (p - 1) / r, 0.0)
     log_lo[neg] = log_peak[neg] - np.log(rate) + log_gaussian_moment(0, 0.0, rate * (hi - r), d / rate)
-    return shifted_log_masses(batch, p), log_lo, log_pm, mode, log_peak
+    return shifted_log_masses(batch), log_lo, log_pm, mode, log_peak
 
 
-def shifted_radial_mass(ctx: ShiftBatch, p: int) -> float:
+def shifted_radial_mass(ctx: ShiftBatch) -> float:
     """J_p(theta, l) of row 0 of the batch; inf past the float range."""
-    return _exp(float(shifted_log_masses(ctx, p)[0]))
+    return _exp(float(shifted_log_masses(ctx)[0]))
 
 
-def shifted_mode_radius(ctx: ShiftBatch, p: int) -> float:
+def shifted_mode_radius(ctx: ShiftBatch) -> float:
     """Mode radius of the shifted radial law along row 0 of the batch."""
-    return float(shifted_modes(ctx, p)[0])
+    return float(shifted_modes(ctx)[0])
 
 
-def shifted_mass_bounds(ctx: ShiftBatch, p: int) -> tuple[float, float]:
+def shifted_mass_bounds(ctx: ShiftBatch) -> tuple[float, float]:
     """log_concavity_bracket of row 0 of the batch from its mass_lo and
     peak * mode (shifted_log_summaries); inf past the float range."""
-    _, log_lo, log_pm, _, _ = shifted_log_summaries(ctx, p)
-    return log_concavity_bracket(float(log_lo[0]), float(log_pm[0]), p)
+    _, log_lo, log_pm, _, _ = shifted_log_summaries(ctx)
+    return log_concavity_bracket(float(log_lo[0]), float(log_pm[0]), ctx.p)
 
 
 class ExactSamplerBudgetError(RuntimeError):

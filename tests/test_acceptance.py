@@ -88,7 +88,7 @@ def test_criterion_04_closed_forms_vs_quadrature():
         prob = pl.make_problem(base.A, y)
         for theta in sample_sphere_batch(rng, 50, 7):
             st = pl.direction_stats(prob, theta)
-            summ = pl.radial_summary(st, 7, prob.y_norm)
+            summ = pl.radial_summary(st)
             oracle = quad_radial_mass(prob.A, prob.y, st.theta, 7)
             worst_central = max(worst_central, abs(summ.mass - oracle) / oracle)
             if st.beta is not None and st.beta < 0:
@@ -100,7 +100,7 @@ def test_criterion_04_closed_forms_vs_quadrature():
         l = rng.standard_normal(7) * rng.uniform(0.2, 2.0)
         theta = rng.standard_normal(7)
         ctx = pl.build_shift_context(prob, l, theta)
-        mass = pl.shifted_radial_mass(ctx, 7)
+        mass = pl.shifted_radial_mass(ctx)
         oracle = quad_shifted_mass(prob.A, prob.y, l, ctx.theta, 7)
         worst_shift = max(worst_shift, abs(mass - oracle) / oracle)
     elapsed = time.time() - t0
@@ -120,7 +120,7 @@ def test_criterion_05_brackets_and_bounds():
     prob = pl.gen_bernoulli_matrix(4, 7, 42)
     for theta in sample_sphere_batch(rng, 2000, 7):
         st = pl.direction_stats(prob, theta)
-        summ = pl.radial_summary(st, 7, 0.0)
+        summ = pl.radial_summary(st)
         ok_bracket &= summ.mass_lo <= summ.mass <= summ.mass_hi
     ok_z = True
     for seed in range(20):
@@ -145,7 +145,7 @@ def test_criterion_06_concentration_coverage():
     radii = np.empty(n)
     for i in range(n):
         st = pl.direction_stats(prob, draws[i])
-        radii[i] = pl.mode_radius(st, 7) if st.beta is not None else (6.0 / st.l1_theta)
+        radii[i] = pl.mode_radius(st) if st.beta is not None else (6.0 / st.l1_theta)
     ok = True
     details = []
     for q, _ in TABLE2.items():
@@ -272,12 +272,12 @@ def test_criterion_10_reductions_and_continuity():
     for theta in sample_sphere_batch(rng, 100, 7):
         ctx = pl.build_shift_context(prob, np.zeros(7), theta)
         st = pl.direction_stats(prob, theta)
-        summ = pl.radial_summary(st, 7, 0.0)
-        ok_reduce &= abs(pl.shifted_radial_mass(ctx, 7) - summ.mass) <= 1e-10 * summ.mass
+        summ = pl.radial_summary(st)
+        ok_reduce &= abs(pl.shifted_radial_mass(ctx) - summ.mass) <= 1e-10 * summ.mass
         ok_reduce &= (
-            abs(pl.shifted_mode_radius(ctx, 7) - summ.mode_r) <= 1e-10 * summ.mode_r
+            abs(pl.shifted_mode_radius(ctx) - summ.mode_r) <= 1e-10 * summ.mode_r
         )
-        lo, hi = pl.shifted_mass_bounds(ctx, 7)
+        lo, hi = pl.shifted_mass_bounds(ctx)
         ok_reduce &= abs(lo - summ.mass_lo) <= 1e-10 * summ.mass_lo
         ok_reduce &= abs(hi - summ.mass_hi) <= 1e-10 * summ.mass_hi
 
@@ -286,11 +286,11 @@ def test_criterion_10_reductions_and_continuity():
         theta_ns = null_space_direction(prob.A, rng)
         delta = rng.standard_normal(7)
         l = 0.4 * rng.standard_normal(7)
-        limit = pl.shifted_radial_mass(pl.build_shift_context(prob, l, theta_ns), 7)
+        limit = pl.shifted_radial_mass(pl.build_shift_context(prob, l, theta_ns))
         errs = []
         for t in (1e-2, 1e-3, 1e-4):
             ctx_t = pl.build_shift_context(prob, l, theta_ns + t * delta)
-            errs.append(abs(pl.shifted_radial_mass(ctx_t, 7) - limit) / limit)
+            errs.append(abs(pl.shifted_radial_mass(ctx_t) - limit) / limit)
         ok_cont &= errs[0] > errs[1] > errs[2]
     elapsed = time.time() - t0
     ok = ok_reduce and ok_cont and elapsed < 60.0

@@ -156,6 +156,19 @@ class TestCurves:
         assert all(b > a for a, b in zip(scale, scale[1:]))
         assert scale[-1] == pytest.approx(6.0, rel=1e-2)
 
+    @pytest.mark.parametrize("p, trusted_to", [(20, 5.42), (1, 45.0)])
+    def test_flag_follows_p(self, tmp_path, p, trusted_to):
+        # the flag marks where beta^(2(p-1))/(p-1)! is at most its value at
+        # p = 7, beta = 13.8: beta <= 5.4247 at p = 20, every row at p = 1;
+        # beta <= 0 rows are flagged at every p
+        out = tmp_path / "curves.csv"
+        assert run(["curves", "--p", str(p), "--beta-min", "-2", "--beta-max", "45",
+                    "--steps", "95", "--m-terms", "25", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        flags = {float(r[0]): int(r[5]) for r in rows}
+        assert len(flags) == 95
+        assert all(flag == (1 if b <= trusted_to else 0) for b, flag in flags.items())
+
     def test_bad_range_exit_code(self, tmp_path):
         code = run(["curves", "--beta-min", "10", "--beta-max", "5",
                     "--out", str(tmp_path / "c.csv")])

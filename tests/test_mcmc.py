@@ -47,6 +47,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="q must be positive"):
             pl.ChainConfig(kind=KIND_RANDOM_WALK, n_iter=10, q=q)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["init", "shift_l"])
+    def test_rejects_non_finite_state(self, name, bad):
+        state = np.zeros(7)
+        state[2] = bad
+        for kind in (KIND_INDEPENDENT, KIND_RANDOM_WALK):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                pl.ChainConfig(kind=kind, n_iter=10, **{name: state})
+
 
 class TestAcceptanceRatioIdentity:
     def test_independent_ratio_drops_l1_terms(self, desk_instance_y):
@@ -234,6 +243,13 @@ class TestCoverage:
         rng = np.random.default_rng(13)
         assert pl.criterion_coverage(desk_instance, 50.0, 500, rng) == 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_centre(self, desk_instance, bad):
+        l = np.zeros(7)
+        l[4] = bad
+        with pytest.raises(ValueError, match="l must be finite"):
+            pl.criterion_coverage(desk_instance, 5.0, 100, 14, l=l)
+
     def test_mean_norm_loose_cap(self, desk_instance):
         # zero-mean target: the running mean at modest length stays small
         for kind in (KIND_INDEPENDENT, KIND_RANDOM_WALK):
@@ -288,11 +304,11 @@ def _scalar_diagnosis(prob, x, l, q):
     if norm == 0.0:
         return 0.0, math.inf
     if np.any(l):
-        return norm, q * pl.shifted_mode_radius(pl.build_shift_context(prob, l, x_rel), prob.p)
+        return norm, q * pl.shifted_mode_radius(pl.build_shift_context(prob, l, x_rel))
     st = pl.direction_stats(prob, x_rel)
     if st.beta is None:
         return norm, q * (prob.p - 1) / st.l1_theta  # mode of the null-direction law
-    return norm, q * pl.mode_radius(st, prob.p)
+    return norm, q * pl.mode_radius(st)
 
 
 def _oracle_series(prob, states, l, q):
@@ -383,7 +399,7 @@ class TestBatchedDiagnosis:
         for x in pl.sample_posterior_batch(prob, n, np.random.default_rng(31)):
             norm = float(np.linalg.norm(x - l))
             ctx = pl.build_shift_context(prob, l, x - l)
-            good += norm <= q * pl.shifted_mode_radius(ctx, 7)
+            good += norm <= q * pl.shifted_mode_radius(ctx)
         frac = pl.criterion_coverage(prob, q, n, 31, l=l)
         assert frac == good / n
         assert 0.0 < frac < 1.0  # q = 2 separates draws

@@ -147,6 +147,36 @@ def test_one_radial_law():
     assert not found, "radial kernel calls outside shifted.py (module, function, callee, line): " + repr(found)
 
 
+# the objects that fix a direction's radial law, and the arguments they hold
+DIRECTION_TYPES = ("ShiftBatch", "DirectionStats")
+RESTATED = ("p", "y_norm")
+
+
+def _direction_readers(path):
+    """(function, its parameter names) of every function of a module whose
+    first parameter is annotated with one of DIRECTION_TYPES."""
+    readers = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.FunctionDef):
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if params and params[0].annotation is not None \
+                    and ast.unparse(params[0].annotation).strip("'\"").split(".")[-1] in DIRECTION_TYPES:
+                readers.append((node.name, [a.arg for a in params]))
+    return readers
+
+
+def test_direction_readers_take_the_direction_alone():
+    # a ShiftBatch or DirectionStats is built from the instance, so its
+    # readers derive p (the width of its directions) and ||y|| (through h0)
+    # from it; an argument that restates them can only disagree
+    readers = {path.name: _direction_readers(path) for path in sorted(SRC.glob("*.py"))}
+    names = {name for found in readers.values() for name, _ in found}
+    assert {"shifted_log_summaries", "shifted_radial_mass", "radial_summary", "ray_energy"} <= names
+    found = [(module, name, arg) for module, found in readers.items() for name, params in found
+             for arg in params if arg in RESTATED]
+    assert not found, "restated direction arguments (module, function, parameter): " + repr(found)
+
+
 def _scipy_imports(path):
     """Lines of a module that import scipy or one of its submodules."""
     lines = []

@@ -17,7 +17,7 @@ def centred_rows(prob, thetas):
     """(log mass, log mass_lo, log(peak * mode)) of the centred radial law
     along every row of `thetas`: the l = 0 segment batch, times e^h(0)."""
     batch = build_shift_batch(prob, np.zeros(prob.p), thetas)
-    log_mass, log_lo, log_pm, _, _ = shifted_log_summaries(batch, prob.p)
+    log_mass, log_lo, log_pm, _, _ = shifted_log_summaries(batch)
     return log_mass + batch.h0, log_lo + batch.h0, log_pm + batch.h0
 
 
@@ -65,25 +65,25 @@ class TestModeRadius:
         prob = pl.make_problem(np.eye(7), np.eye(7)[0])
         st = pl.direction_stats(prob, np.eye(7)[0])
         assert st.beta == 0.0
-        assert pl.mode_radius(st, 7) == pytest.approx(math.sqrt(6.0), rel=1e-14)
+        assert pl.mode_radius(st) == pytest.approx(math.sqrt(6.0), rel=1e-14)
 
     def test_stationarity_by_finite_differences(self, desk_instance_y):
         prob = desk_instance_y
         rng = np.random.default_rng(0)
         for theta in sample_sphere_batch(rng, 100, 7):
             st = pl.direction_stats(prob, theta)
-            r0 = pl.mode_radius(st, 7)
+            r0 = pl.mode_radius(st)
             h = 1e-6 * r0
-            up = pl.radial_potential(st, r0 + h, 7, prob.y_norm)
-            dn = pl.radial_potential(st, r0 - h, 7, prob.y_norm)
-            mid = pl.radial_potential(st, r0, 7, prob.y_norm)
+            up = pl.radial_potential(st, r0 + h)
+            dn = pl.radial_potential(st, r0 - h)
+            mid = pl.radial_potential(st, r0)
             second = (up - 2 * mid + dn) / (h * h)
             first = (up - dn) / (2 * h)
             assert abs(first) <= 1e-6 * max(1.0, abs(second))
             assert up > mid and dn > mid  # local optimality
             wide = 1e-4 * r0
-            assert pl.radial_potential(st, r0 + wide, 7, prob.y_norm) > mid
-            assert pl.radial_potential(st, r0 - wide, 7, prob.y_norm) > mid
+            assert pl.radial_potential(st, r0 + wide) > mid
+            assert pl.radial_potential(st, r0 - wide) > mid
 
     def test_mode_times_l1_anchor(self):
         # curve value at offset 0.4987 and the large-offset limit p - 1
@@ -109,8 +109,8 @@ class TestModeRadius:
         theta = oracles.null_space_direction(desk_instance.A, np.random.default_rng(1))
         st = pl.direction_stats(desk_instance, theta)
         with pytest.raises(ValueError):
-            pl.mode_radius(st, 7)
-        assert pl.radial_summary(st, 7, 0.0).mode_r == pytest.approx(6.0 / st.l1_theta)
+            pl.mode_radius(st)
+        assert pl.radial_summary(st).mode_r == pytest.approx(6.0 / st.l1_theta)
 
 
 class TestMassClosedForm:
@@ -205,7 +205,7 @@ class TestRadialSummary:
     def test_null_direction_mass(self, desk_instance, oracles):
         theta = oracles.null_space_direction(desk_instance.A, np.random.default_rng(4))
         st = pl.direction_stats(desk_instance, theta)
-        summ = pl.radial_summary(st, 7, 0.0)
+        summ = pl.radial_summary(st)
         assert summ.method == METHOD_NULL
         assert summ.mass == pytest.approx(720.0 / st.l1_theta**7, rel=1e-12)
         # the pure exponential law attains the upper bracket bound exactly
@@ -222,7 +222,7 @@ class TestRadialSummary:
             prob = pl.make_problem(base.A, y)
             for theta in sample_sphere_batch(rng, 50, 7):
                 st = pl.direction_stats(prob, theta)
-                summ = pl.radial_summary(st, 7, prob.y_norm)
+                summ = pl.radial_summary(st)
                 oracle = oracles.quad_radial_mass(prob.A, prob.y, st.theta, 7)
                 assert summ.mass == pytest.approx(oracle, rel=1e-6)
                 if st.beta is not None and st.beta < 0:
@@ -234,7 +234,7 @@ class TestRadialSummary:
         rng = np.random.default_rng(6)
         for theta in sample_sphere_batch(rng, 500, 7):
             st = pl.direction_stats(prob, theta)
-            summ = pl.radial_summary(st, 7, prob.y_norm)
+            summ = pl.radial_summary(st)
             assert summ.mass_lo <= summ.mass <= summ.mass_hi
             if st.beta >= 0.0:
                 assert summ.mass_lo == pytest.approx(summ.peak * summ.mode_r / 7.0, rel=1e-12)
@@ -254,7 +254,7 @@ class TestRadialSummary:
         large = 0
         for theta in sample_sphere_batch(rng, 4000, 7):
             st = pl.direction_stats(desk_instance, theta)
-            summ = pl.radial_summary(st, 7, 0.0)
+            summ = pl.radial_summary(st)
             if st.beta is None:
                 continue
             assert summ.method == METHOD_EXACT
@@ -273,7 +273,7 @@ class TestRadialSummary:
         betas = []
         for theta in thetas:
             st = pl.direction_stats(prob, theta)
-            assert pl.radial_summary(st, 20, 0.0).method == METHOD_EXACT
+            assert pl.radial_summary(st).method == METHOD_EXACT
             betas.append(st.beta)
         assert sum(b > 13.0 for b in betas) >= 100
 
@@ -284,10 +284,10 @@ class TestRadialSummary:
         p = 7
         for theta in sample_sphere_batch(rng, 5, p):
             st = pl.direction_stats(prob, theta)
-            r_star = pl.mode_radius(st, p)
+            r_star = pl.mode_radius(st)
 
             def dens(r):
-                return math.exp(-pl.radial_potential(st, r, p, prob.y_norm))
+                return math.exp(-pl.radial_potential(st, r))
 
             total, _ = quad(dens, 0, np.inf, epsrel=1e-10, limit=300)
             for q in (2.0, 3.0, 5.0):
@@ -303,7 +303,7 @@ class TestSweep:
         thetas = sample_sphere_batch(rng, 300, 7)
         mass, mass_lo, peak_mode = (np.exp(v) for v in centred_rows(prob, thetas))
         for i in range(300):
-            summ = pl.radial_summary(pl.direction_stats(prob, thetas[i]), 7, prob.y_norm)
+            summ = pl.radial_summary(pl.direction_stats(prob, thetas[i]))
             assert mass[i] == pytest.approx(summ.mass, rel=1e-8)
             assert peak_mode[i] == pytest.approx(summ.peak * summ.mode_r, rel=1e-8)
             assert mass_lo[i] == pytest.approx(summ.mass_lo, rel=1e-8)
@@ -347,7 +347,7 @@ class TestOneKernelPath:
             st = pl.direction_stats(prob, theta)
             assert st.beta == pytest.approx(beta, rel=1e-6, abs=1e-6)
             want = float(mp.exp(mp_log_radial_mass(st.norm_A_theta, st.beta, y_norm, p)))
-            summ = pl.radial_summary(st, p, y_norm)
+            summ = pl.radial_summary(st)
             mass, _, peak_mode = (np.exp(v) for v in centred_rows(prob, theta[None, :]))
             assert summ.method == METHOD_EXACT
             assert summ.mass == pytest.approx(want, rel=1e-9)
@@ -362,11 +362,11 @@ class TestOneKernelPath:
         theta = oracles.null_space_direction(prob.A, rng) + t * rng.standard_normal(7)
         st = pl.direction_stats(prob, theta)
         assert st.beta is not None and st.beta > 1e6
-        summ = pl.radial_summary(st, 7, 0.0)
+        summ = pl.radial_summary(st)
         root = float(mp_mode_radius(st.norm_A_theta, st.beta, 7))
         ctx = pl.build_shift_context(prob, np.zeros(7), theta)
         assert summ.mode_r == pytest.approx(root, rel=1e-12)
-        assert pl.shifted_mode_radius(ctx, 7) == pytest.approx(root, rel=1e-12)
+        assert pl.shifted_mode_radius(ctx) == pytest.approx(root, rel=1e-12)
         assert summ.mass_lo <= summ.mass <= summ.mass_hi
         peak_mode = np.exp(centred_rows(prob, st.theta[None, :])[2])
         assert peak_mode[0] > 0.0
@@ -386,7 +386,7 @@ class TestOneKernelPath:
         betas = []
         for i, theta in enumerate(thetas):
             st = pl.direction_stats(prob, theta)
-            summ = pl.radial_summary(st, 20, prob.y_norm)
+            summ = pl.radial_summary(st)
             assert mass[i] == pytest.approx(summ.mass, rel=1e-12)
             assert peak_mode[i] == pytest.approx(summ.peak * summ.mode_r, rel=1e-12)
             assert mass_lo[i] == pytest.approx(summ.mass_lo, rel=1e-12)
@@ -402,7 +402,7 @@ class TestOneKernelPath:
         st = pl.direction_stats(prob, np.eye(1, p)[0])
         assert st.beta == beta
         want = float(mp.exp(mp_log_radial_mass(st.norm_A_theta, beta, y_norm, p)))
-        summ = pl.radial_summary(st, p, y_norm)
+        summ = pl.radial_summary(st)
         assert 0.25 * want <= summ.mass_lo <= want <= summ.mass_hi
         mass_lo = np.exp(centred_rows(prob, st.theta[None, :])[1])
         assert mass_lo[0] == summ.mass_lo
@@ -414,7 +414,7 @@ class TestOneKernelPath:
         prob = pl.make_problem(np.eye(1, p), np.array([y_norm]))
         st = pl.direction_stats(prob, np.eye(1, p)[0])
         assert st.beta == -60.0
-        summ = pl.radial_summary(st, p, y_norm)
+        summ = pl.radial_summary(st)
         want = float(mp.exp(mp_log_radial_mass(st.norm_A_theta, -60.0, y_norm, p)))
         assert summ.mass == pytest.approx(want, rel=1e-12)
         assert summ.mass <= summ.mass_hi < math.inf

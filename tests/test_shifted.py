@@ -54,6 +54,26 @@ def random_batch(prob, rng, count, p=7):
 class TestContext:
     """The segment geometry of ShiftBatch, row by row."""
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_direction(self, desk_instance_y, bad):
+        rng = np.random.default_rng(40)
+        l, theta = random_shift_pair(rng)
+        theta[2] = bad
+        with pytest.raises(ValueError, match="thetas must be finite"):
+            pl.build_shift_context(desk_instance_y, l, theta)
+        thetas = rng.standard_normal((5, 7))
+        thetas[4, 0] = bad
+        with pytest.raises(ValueError, match="thetas must be finite"):
+            build_shift_batch(desk_instance_y, l, thetas)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_shift(self, desk_instance_y, bad):
+        rng = np.random.default_rng(41)
+        l, theta = random_shift_pair(rng)
+        l[5] = bad
+        with pytest.raises(ValueError, match="l must be finite"):
+            pl.build_shift_context(desk_instance_y, l, theta)
+
     def test_sign_classes_partition(self, desk_instance_y):
         # finite breakpoints are the sorted ratios |l_i|/|theta_i| over the
         # coordinates where theta_i l_i < 0, and only those
@@ -132,8 +152,8 @@ class TestShiftedMass:
         for theta in sample_sphere_batch(rng, 50, 7):
             ctx = pl.build_shift_context(prob, np.zeros(7), theta)
             st = pl.direction_stats(prob, theta)
-            centered = pl.radial_summary(st, 7, 0.0).mass
-            assert pl.shifted_radial_mass(ctx, 7) == pytest.approx(centered, rel=1e-10)
+            centered = pl.radial_summary(st).mass
+            assert pl.shifted_radial_mass(ctx) == pytest.approx(centered, rel=1e-10)
 
     def test_reduction_with_observation_scales_by_misfit(self, desk_instance_y):
         # at l = 0 the recentered mass carries the exp(||y||^2/2) normalization
@@ -142,9 +162,9 @@ class TestShiftedMass:
         theta = rng.standard_normal(7)
         ctx = pl.build_shift_context(prob, np.zeros(7), theta)
         st = pl.direction_stats(prob, theta)
-        centered = pl.radial_summary(st, 7, prob.y_norm).mass
+        centered = pl.radial_summary(st).mass
         expected = centered * math.exp(0.5 * prob.y_norm**2)
-        assert pl.shifted_radial_mass(ctx, 7) == pytest.approx(expected, rel=1e-10)
+        assert pl.shifted_radial_mass(ctx) == pytest.approx(expected, rel=1e-10)
 
     def test_oracle_equivalence_random_shifts(self, desk_instance_y, oracles):
         prob = desk_instance_y
@@ -154,7 +174,7 @@ class TestShiftedMass:
             if trial % 4 == 0:
                 theta[rng.integers(0, 7, size=3)] *= 1e-3  # extreme breakpoints
             ctx = pl.build_shift_context(prob, l, theta)
-            mass = pl.shifted_radial_mass(ctx, 7)
+            mass = pl.shifted_radial_mass(ctx)
             oracle = oracles.quad_shifted_mass(prob.A, prob.y, l, ctx.theta, 7)
             assert mass == pytest.approx(oracle, rel=1e-6)
 
@@ -166,7 +186,7 @@ class TestShiftedMass:
             theta = oracles.null_space_direction(prob.A, rng)
             l = sol.x  # an exact mode keeps the recentered density bounded
             ctx = pl.build_shift_context(prob, l, theta)
-            mass = pl.shifted_radial_mass(ctx, 7)
+            mass = pl.shifted_radial_mass(ctx)
             oracle = oracles.quad_shifted_mass(prob.A, prob.y, l, ctx.theta, 7)
             assert mass == pytest.approx(oracle, rel=1e-8)
 
@@ -178,7 +198,7 @@ class TestShiftedMass:
             theta = oracles.null_space_direction(prob.A, rng)
             l = -2.0 * theta + 0.3 * rng.standard_normal(7)
             ctx = pl.build_shift_context(prob, l, theta)
-            mass = pl.shifted_radial_mass(ctx, 7)
+            mass = pl.shifted_radial_mass(ctx)
             oracle = oracles.quad_shifted_mass(prob.A, prob.y, l, ctx.theta, 7)
             assert mass == pytest.approx(oracle, rel=1e-7)
 
@@ -191,13 +211,13 @@ class TestShiftedMass:
         delta = rng.standard_normal(7)
         l = 0.4 * rng.standard_normal(7)
         ctx0 = pl.build_shift_context(prob, l, theta_ns)
-        limit = pl.shifted_radial_mass(ctx0, 7)
+        limit = pl.shifted_radial_mass(ctx0)
         errs = []
         for t in (1e-2, 1e-3, 1e-4):
             theta_t = theta_ns + t * delta
             ctx_t = pl.build_shift_context(prob, l, theta_t)
             assert not ctx_t.null[0]
-            errs.append(abs(pl.shifted_radial_mass(ctx_t, 7) - limit) / limit)
+            errs.append(abs(pl.shifted_radial_mass(ctx_t) - limit) / limit)
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-3
 
@@ -235,8 +255,8 @@ class TestShiftedMode:
         for theta in sample_sphere_batch(rng, 30, 7):
             ctx = pl.build_shift_context(prob, np.zeros(7), theta)
             st = pl.direction_stats(prob, theta)
-            assert pl.shifted_mode_radius(ctx, 7) == pytest.approx(
-                pl.mode_radius(st, 7), rel=1e-8
+            assert pl.shifted_mode_radius(ctx) == pytest.approx(
+                pl.mode_radius(st), rel=1e-8
             )
 
     def test_against_golden_section(self, desk_instance_y):
@@ -245,7 +265,7 @@ class TestShiftedMode:
         for _ in range(100):
             l, theta = random_shift_pair(rng)
             ctx = pl.build_shift_context(prob, l, theta)
-            r_walk = pl.shifted_mode_radius(ctx, 7)
+            r_walk = pl.shifted_mode_radius(ctx)
             r_gold = golden_section_mode(prob, ctx, 7)
             assert r_walk == pytest.approx(r_gold, rel=1e-6, abs=1e-8)
 
@@ -263,7 +283,7 @@ class TestShiftedMode:
             if not optimal:
                 assert np.any(ctx.slope[0] < 0.0)
             r_gold = golden_section_mode(prob, ctx, 7)
-            assert pl.shifted_mode_radius(ctx, 7) == pytest.approx(r_gold, rel=1e-6, abs=1e-8)
+            assert pl.shifted_mode_radius(ctx) == pytest.approx(r_gold, rel=1e-6, abs=1e-8)
 
     def test_convexity_probe(self, desk_instance_y):
         prob = desk_instance_y
@@ -271,7 +291,7 @@ class TestShiftedMode:
         for _ in range(100):
             l, theta = random_shift_pair(rng)
             ctx = pl.build_shift_context(prob, l, theta)
-            r_star = pl.shifted_mode_radius(ctx, 7)
+            r_star = pl.shifted_mode_radius(ctx)
             best = potential(prob, ctx, r_star, 7)
             for eps in (1e-3, 1e-2):
                 assert potential(prob, ctx, r_star * (1 + eps), 7) >= best - 1e-12
@@ -285,8 +305,8 @@ class TestShiftedBounds:
         theta = rng.standard_normal(7)
         ctx = pl.build_shift_context(prob, np.zeros(7), theta)
         st = pl.direction_stats(prob, theta)
-        summ = pl.radial_summary(st, 7, 0.0)
-        lo, hi = pl.shifted_mass_bounds(ctx, 7)
+        summ = pl.radial_summary(st)
+        lo, hi = pl.shifted_mass_bounds(ctx)
         assert lo == pytest.approx(summ.mass_lo, rel=1e-10)
         assert hi == pytest.approx(summ.mass_hi, rel=1e-10)
 
@@ -296,8 +316,8 @@ class TestShiftedBounds:
         for _ in range(200):
             l, theta = random_shift_pair(rng)
             ctx = pl.build_shift_context(prob, l, theta)
-            lo, hi = pl.shifted_mass_bounds(ctx, 7)
-            mass = pl.shifted_radial_mass(ctx, 7)
+            lo, hi = pl.shifted_mass_bounds(ctx)
+            mass = pl.shifted_radial_mass(ctx)
             assert lo * (1 - 1e-9) <= mass <= hi * (1 + 1e-9)
 
     def test_no_overflow_far_from_the_mode(self):
@@ -307,17 +327,17 @@ class TestShiftedBounds:
         far = pl.make_problem(np.eye(1, 2), np.array([61.0]))
         ctx = pl.build_shift_context(far, np.zeros(2), np.eye(2)[0])
         assert ctx.beta[0, 0] == -60.0
-        assert pl.shifted_mass_bounds(ctx, 2) == (math.inf, math.inf)
-        assert pl.shifted_radial_mass(ctx, 2) == math.inf
+        assert pl.shifted_mass_bounds(ctx) == (math.inf, math.inf)
+        assert pl.shifted_radial_mass(ctx) == math.inf
         # where it stays finite it is the centred bracket times e^(||y||^2/2)
         near = pl.make_problem(np.eye(1, 2), np.array([21.0]))
         ctx = pl.build_shift_context(near, np.zeros(2), np.eye(2)[0])
-        lo, hi = pl.shifted_mass_bounds(ctx, 2)
-        summ = pl.radial_summary(pl.direction_stats(near, np.eye(2)[0]), 2, 21.0)
+        lo, hi = pl.shifted_mass_bounds(ctx)
+        summ = pl.radial_summary(pl.direction_stats(near, np.eye(2)[0]))
         scale = math.exp(0.5 * 21.0**2)
         assert hi == pytest.approx(summ.mass_hi * scale, rel=1e-10)
         assert lo == pytest.approx(summ.mass_lo * scale, rel=1e-10)
-        assert pl.shifted_radial_mass(ctx, 2) <= hi
+        assert pl.shifted_radial_mass(ctx) <= hi
 
 
 class TestBracketProperty:
@@ -337,7 +357,7 @@ class TestBracketProperty:
         l[idx] = rng.standard_normal(idx.size) * rng.uniform(0.1, 3.0)
         thetas = sample_sphere_batch(rng, 64, p)
         for shift in (l, np.zeros(p)):
-            log_j, log_lo, log_pm, _, _ = shifted_log_summaries(build_shift_batch(prob, shift, thetas), p)
+            log_j, log_lo, log_pm, _, _ = shifted_log_summaries(build_shift_batch(prob, shift, thetas))
             assert np.all(log_lo <= log_j + 1e-9), np.max(log_lo - log_j)
             if p > 1:  # at p = 1 the upper constant is inf
                 upper = math.lgamma(p) + p - 1 - p * math.log(p - 1)
@@ -345,7 +365,7 @@ class TestBracketProperty:
         batch = build_shift_batch(prob, np.zeros(p), thetas)
         rows = zip(*(np.exp(v + batch.h0) for v in (log_j, log_lo, log_pm)))
         for theta, (mass, mass_lo, peak_mode) in zip(thetas, rows):
-            summ = pl.radial_summary(pl.direction_stats(prob, theta), p, prob.y_norm)
+            summ = pl.radial_summary(pl.direction_stats(prob, theta))
             assert summ.mass == pytest.approx(mass, rel=1e-11)
             assert summ.mass_lo == pytest.approx(mass_lo, rel=1e-11)
             assert summ.peak * summ.mode_r == pytest.approx(peak_mode, rel=1e-11)
@@ -400,7 +420,7 @@ class TestSampling:
         masses = np.empty(n)
         for i in range(n):
             ctx = pl.build_shift_context(prob, l, thetas[i])
-            masses[i] = pl.shifted_radial_mass(ctx, 7)
+            masses[i] = pl.shifted_radial_mass(ctx)
         surf = pl.sphere_surface(7)
         h0 = -0.5 * float(np.linalg.norm(prob.A @ l - prob.y) ** 2) - float(np.abs(l).sum())
         z_f = surf * float(masses.mean())
@@ -508,20 +528,20 @@ class TestShiftBatch:
         thetas = sample_sphere_batch(rng, 150, p)
         thetas[7] = oracles.null_space_direction(prob.A, rng)  # a curvature-0 row in the same call
         batch = build_shift_batch(prob, l, thetas)
-        log_j = shifted_log_masses(batch, p)
-        _, _, log_pm, _, _ = shifted_log_summaries(batch, p)
+        log_j = shifted_log_masses(batch)
+        _, _, log_pm, _, _ = shifted_log_summaries(batch)
         assert batch.null[7] and batch.null.sum() == 1
         for i in range(len(thetas)):
             ctx = pl.build_shift_context(prob, l, thetas[i])
-            assert math.exp(log_j[i]) == pytest.approx(pl.shifted_radial_mass(ctx, p), rel=1e-12)
-            r = pl.shifted_mode_radius(ctx, p)
+            assert math.exp(log_j[i]) == pytest.approx(pl.shifted_radial_mass(ctx), rel=1e-12)
+            r = pl.shifted_mode_radius(ctx)
             assert log_pm[i] == pytest.approx(math.log(r) - potential(prob, ctx, r, p),
                                               rel=1e-12, abs=1e-12)
 
     def test_zero_shift_matches_centered_sweep(self, desk_instance_y):
         prob = desk_instance_y
         thetas = sample_sphere_batch(np.random.default_rng(25), 400, 7)
-        log_j = shifted_log_masses(build_shift_batch(prob, np.zeros(7), thetas), 7)
+        log_j = shifted_log_masses(build_shift_batch(prob, np.zeros(7), thetas))
         # the centred closed form e^(-||y||^2/2) H_6(beta) / ||A theta||^7
         st = direction_batch(prob.A, prob.y, thetas)
         log_mass = log_gaussian_moment(6, 0.0, math.inf, st.beta) - 0.5 * prob.y_norm**2 - 7 * np.log(st.norm_A)
@@ -539,7 +559,7 @@ class TestEstimateZShifted:
         est = pl.estimate_z_shifted(prob, l, n, 31)
         ((gen, rows),) = sweep_chunks(31, n)
         assert rows == n
-        masses = [pl.shifted_radial_mass(pl.build_shift_context(prob, l, pl.sample_sphere(gen, 7)), 7)
+        masses = [pl.shifted_radial_mass(pl.build_shift_context(prob, l, pl.sample_sphere(gen, 7)))
                   for _ in range(n)]
         surf = pl.sphere_surface(7)
         assert est.z_f == pytest.approx(surf * float(np.mean(masses)), rel=1e-12)
@@ -575,6 +595,13 @@ class TestEstimateZShifted:
     def test_rejects_bad_sample_count(self, desk_instance_y):
         with pytest.raises(ValueError):
             pl.estimate_z_shifted(desk_instance_y, np.zeros(7), 0, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_shift(self, desk_instance_y, bad):
+        l = pl.solve_fista(desk_instance_y).x
+        l[1] = bad
+        with pytest.raises(ValueError, match="l must be finite"):
+            pl.estimate_z_shifted(desk_instance_y, l, 500, 0)
 
     def test_large_observation_stays_finite(self, desk_instance):
         # ||y|| = 60 and l = 0: log z_f = log Z - h(0) is far past the float range
