@@ -95,6 +95,13 @@ def _log_moment_block(m: int, a: np.ndarray, b: np.ndarray, beta: np.ndarray,
             return value, -kappa * u - beta
         return value + m * np.log(u / c), m / u - kappa * u - beta
 
+    def offset_excess(d):
+        """excess(c + d), as a function of the offset d."""
+        value = _DROP - d * (kappa * (c + 0.5 * d) + beta)
+        if not m:
+            return value, -kappa * (c + d) - beta
+        return value + m * np.log1p(d / c), m / (c + d) - kappa * (c + d) - beta
+
     # Outer bounds on where g has fallen by _DROP.  Left of c,
     # g(u) - g(c) <= m ln(u/c) + m, and at kappa = 1 the curvature gives a
     # fall of at least d^2/2 on either side.  Right of c at kappa = 0 (there
@@ -111,19 +118,20 @@ def _log_moment_block(m: int, a: np.ndarray, b: np.ndarray, beta: np.ndarray,
     else:
         with np.errstate(divide="ignore"):
             flat_right = np.where(beta > 0.0, c + _DROP / beta, math.inf)
-    ends = []
-    for u in (start_left, np.minimum(b, np.where(curved, c + reach, flat_right))):
-        # Newton on the concave excess, started where it is <= 0, moves
-        # monotonically toward its root and never passes it
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(_NEWTON_STEPS):
-                phi, dphi = excess(u)
-                active = phi < -_NEWTON_TOL
-                if not np.any(active):
-                    break
-                u = np.where(active, u - phi / dphi, u)
-        ends.append(u)
-    w_left, w_right = c - ends[0], ends[1] - c
+    w_left = c - _walk(excess, start_left)
+    w_right = _walk(excess, np.minimum(b, np.where(curved, c + reach, flat_right))) - c
+    # Far from 0 a fall narrower than the spacing of the floats near c is
+    # lost: a step lands on or past c.  Those rows walk again on offsets
+    # from c, which keep their precision at any c.  There c is a clamped end
+    # or a curved peak, so the walks start within reach of c or where the
+    # tangent of the concave g at c has fallen by _DROP.
+    lost = (~(w_left > 0.0) & (a < c)) | (~(w_right > 0.0) & (c < b))
+    if np.any(lost):
+        with np.errstate(divide="ignore"):
+            slope = (m / c if m else 0.0) - kappa * c - beta
+            bound = np.minimum(_DROP / np.abs(slope), np.where(curved, reach, math.inf))
+        w_left = np.where(lost, -_walk(offset_excess, np.maximum(a - c, -bound)), w_left)
+        w_right = np.where(lost, _walk(offset_excess, np.minimum(b - c, bound)), w_right)
     # g(c + d) - g(c) = m ln(1 + d/c) - d (kappa (c + d/2) + beta) at the node
     # offsets d, arranged so that no large terms cancel, in place in `buf`
     d, fall = buf[:, :len(c)]
@@ -146,3 +154,16 @@ def _log_moment_block(m: int, a: np.ndarray, b: np.ndarray, beta: np.ndarray,
     c, beta, kappa = c[:, 0], beta[:, 0], kappa[:, 0]
     g_c = (m * np.log(c) if m else 0.0) - c * (kappa * (0.5 * c) + beta)
     return g_c + np.log(total)
+
+
+def _walk(excess, u):
+    """Newton on a concave excess, started where it is <= 0: it moves
+    monotonically toward the root and, in exact arithmetic, never passes it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            phi, dphi = excess(u)
+            active = phi < -_NEWTON_TOL
+            if not np.any(active):
+                break
+            u = np.where(active, u - phi / dphi, u)
+    return u

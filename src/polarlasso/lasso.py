@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemInstance, direction_batch, gaussian_rows, map_chunks
+from .problem import ProblemInstance, chunk_buffers, direction_batch, map_chunks
 
 METHOD_POLAR = "polar"
 METHOD_FISTA = "fista"
@@ -83,8 +83,11 @@ def solve_polar(prob: ProblemInstance, n_samples: int, rng) -> LassoSolution:
     keep the first candidate in stream order.  Before the clip on s,
     beta = (||theta||_1 - A theta . y)/||A theta||, whose sign does not depend
     on the scale of theta, so each chunk's raw Gaussian rows v are screened
-    first: only the rows with ||v||_1 - v . (A^T y) <= margin are normalised
-    and scored (meta["n_scored"] counts them).
+    first: only the rows with ||v||_1 - v . (A^T y) <= margin are normalised,
+    into a chunk of otherwise zero rows, and scored (meta["n_scored"] counts
+    them).  A row of v with ||v||_1 = 0 is all zero, and is redrawn as
+    sample_sphere_batch redraws its rows of norm 0, so the scored rows are
+    those of sample_sphere_batch for the same generator.
 
     The margin covers rounding.  The scored beta and the screen statistic
     are each formed from at most p + n + 8 rounded sums and products, whose
@@ -101,23 +104,33 @@ def solve_polar(prob: ProblemInstance, n_samples: int, rng) -> LassoSolution:
     c = float(np.max(np.abs(prob.A).T @ np.abs(prob.y)))
     margin = 8.0 * (p + prob.n + 8) * np.finfo(float).eps * (1.0 + c)
     ones = np.ones(p)  # |v| @ ones sums the rows faster than .sum(axis=1)
+    buffers = chunk_buffers(n_samples, p, p, p)
 
     def score(gen, count):
         """(rows scored, rows with beta <= 0, the first (beta, theta, ||A theta||)
         of largest beta^2 among them or None) of one chunk."""
-        v, norms = gaussian_rows(gen, count, p)
-        l1 = np.abs(v) @ ones
+        v, abs_v, thetas = buffers(count)  # thetas stays zero between chunks
+        gen.standard_normal(out=v)
+        while True:
+            l1 = np.abs(v, out=abs_v) @ ones
+            bad = l1 == 0.0
+            if not np.any(bad):
+                break
+            v[bad] = gen.standard_normal((int(bad.sum()), p))
         rows = np.flatnonzero(l1 - v @ A_T_y <= margin * l1)
         if not rows.size:
             return 0, 0, None
-        thetas = v / norms[:, None]
+        picked = v[rows]
+        thetas[rows] = picked / np.linalg.norm(picked, axis=1)[:, None]
         st = direction_batch(prob.A, prob.y, thetas, rows)
         betas = st.beta  # inf on null rows
         neg = np.flatnonzero(betas <= 0.0)
-        if not neg.size:
-            return rows.size, 0, None
-        i = neg[np.argmax(betas[neg] ** 2)]  # the first of equal squares
-        return rows.size, neg.size, (float(betas[i]), thetas[rows[i]], float(st.norm_A[i]))
+        best = None
+        if neg.size:
+            i = neg[np.argmax(betas[neg] ** 2)]  # the first of equal squares
+            best = float(betas[i]), thetas[rows[i]].copy(), float(st.norm_A[i])
+        thetas[rows] = 0.0
+        return rows.size, neg.size, best
 
     best_beta = None
     best_theta = None

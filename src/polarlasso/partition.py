@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._moments import log_gaussian_moment
-from .problem import ProblemInstance, map_chunks, sample_laplace, sample_sphere_batch
+from .problem import ProblemInstance, chunk_buffers, fill_laplace, map_chunks, sample_sphere_batch
 from .shifted import _exp, log_concavity_bracket, shifted_log_summaries, unit_shift_batch
 
 METHOD_POLAR = "polar_mc"
@@ -132,14 +131,12 @@ def estimate_z_naive(prob: ProblemInstance, n_samples: int, rng) -> PartitionEst
     copied as infinite (no per-direction geometry is available on this route).
     """
     p = prob.p
-
-    # each thread's last draws, freed only once its next exist: freed at once,
-    # they let malloc trim the heap, and the next chunk faults
-    held = threading.local()
+    buffers = chunk_buffers(n_samples, p, p, prob.n)
 
     def log_weights(gen, count):
-        x = held.x = sample_laplace(gen, (count, p))
-        resid = x @ prob.A.T - prob.y
+        x, u, resid = buffers(count)
+        np.matmul(fill_laplace(gen, x, u), prob.A.T, out=resid)
+        resid -= prob.y
         return -0.5 * np.einsum("ij,ij->i", resid, resid)
 
     scale, mean, err = _log_mean(map_chunks(log_weights, rng, n_samples))

@@ -101,11 +101,13 @@ def gen_bernoulli_matrix(n: int, p: int, seed: int, y: np.ndarray | None = None)
 def direction_batch(A: np.ndarray, y: np.ndarray, thetas: np.ndarray,
                     rows: np.ndarray | None = None) -> DirectionBatch:
     """DirectionBatch of the unit directions in the rows of `thetas`, against
-    the observation y; of those in `rows` only, when given.
+    the observation y; of those in `rows` only, when given, and then the
+    other rows need only be finite.
 
     The products with A and y are formed on every row even so: BLAS rounds
-    a row differently in a batch of another size, and the statistics of a
-    row must not depend on which other rows are scored with it.
+    a row differently in a batch of another size (though not for other
+    values in the other rows), and the statistics of a row must not depend
+    on which other rows are scored with it.
     """
     A_thetas = thetas @ A.T
     A_theta_y = A_thetas @ y
@@ -142,15 +144,8 @@ def sample_sphere(rng: np.random.Generator, p: int) -> np.ndarray:
 
 
 def sample_sphere_batch(rng: np.random.Generator, count: int, p: int) -> np.ndarray:
-    """Uniform sphere draws, one per row."""
-    v, norms = gaussian_rows(rng, count, p)
-    return v / norms[:, None]
-
-
-def gaussian_rows(rng: np.random.Generator, count: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Standard normal rows and their norms, each zero row redrawn until it is
-    nonzero: the rows that sample_sphere_batch normalises, from the same
-    generator stream."""
+    """Uniform sphere draws, one per row: standard normal rows over their
+    norms, each zero row redrawn until it is nonzero."""
     v = rng.standard_normal((count, p))
     norms = np.linalg.norm(v, axis=1)
     bad = norms == 0.0
@@ -158,7 +153,7 @@ def gaussian_rows(rng: np.random.Generator, count: int, p: int) -> tuple[np.ndar
         v[bad] = rng.standard_normal((int(bad.sum()), p))
         norms[bad] = np.linalg.norm(v[bad], axis=1)
         bad = norms == 0.0
-    return v, norms
+    return v / norms[:, None]
 
 
 def sweep_chunks(seed_or_rng, n_samples: int):
@@ -186,8 +181,9 @@ def map_chunks(work, seed_or_rng, n_samples: int):
     the returned iterator is never read.  The chunks run in groups of
     _WORKERS: the calling thread computes the first chunk of each group and
     a pool of _WORKERS - 1 threads the rest, so _WORKERS chunks are in
-    memory at once.  Each chunk draws from its own generator and the
-    results come back in chunk order, so what a caller merges from them
+    memory at once; a route that keeps its chunk arrays in chunk_buffers
+    holds one set per thread.  Each chunk draws from its own generator and
+    the results come back in chunk order, so what a caller merges from them
     does not depend on _WORKERS; an exception comes from the first chunk
     that raised it, as in a serial loop.
     """
@@ -225,14 +221,42 @@ def _thread_pool():
         return _pool[1]
 
 
+def chunk_buffers(n_samples: int, *widths: int):
+    """Scratch for the chunks of one n_samples-row sweep: a function of a
+    chunk's row count that returns one (rows, width) array per width.
+
+    They are the leading rows of buffers that each thread makes, zero-filled,
+    on its first chunk of the sweep and refills in place on its later ones,
+    so no chunk allocates its own.  The buffers die with the returned
+    function, so no memory outlives the sweep; a chunk's result must not be
+    a view of them.
+    """
+    rows = min(n_samples, CHUNK)
+    held = threading.local()
+
+    def buffers(count: int) -> list[np.ndarray]:
+        bufs = getattr(held, "bufs", None)
+        if bufs is None:
+            bufs = held.bufs = [np.zeros((rows, width)) for width in widths]
+        return [buf[:count] for buf in bufs]
+
+    return buffers
+
+
 def sample_laplace(rng: np.random.Generator, shape) -> np.ndarray:
+    """Unit Laplace draws of the given shape: fill_laplace into new arrays."""
+    return fill_laplace(rng, np.empty(shape), np.empty(shape))
+
+
+def fill_laplace(rng: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Unit Laplace draws by per-coordinate inverse CDF, -sign(u) log1p(-2|u|),
-    computed in one buffer.  u = random() - 0.5 has the bits of
+    written to `out` and returned, with the uniforms u in `scratch`, an array
+    of the same shape.  u = random() - 0.5 has the bits of
     uniform(-0.5, 0.5) and leaves the generator in the same state, but is
     drawn on numpy's faster fill path."""
-    u = rng.random(shape)
+    u = rng.random(out=scratch)
     u -= 0.5
-    a = np.abs(u)
+    a = np.abs(u, out=out)
     a *= -2.0
     np.log1p(a, out=a)
     return np.copysign(a, u, out=a)

@@ -144,20 +144,6 @@ class TestPolarScreen:
         assert neg_count <= sol.meta["n_scored"] <= n_samples
 
     def test_zero_row_redrawn_as_sample_sphere_batch_does(self, monkeypatch):
-        class ZeroFirstRow:
-            """A generator whose first normal block starts with a zero row."""
-
-            def __init__(self):
-                self.gen = np.random.default_rng(12)
-                self.zeroed = False
-
-            def standard_normal(self, size):
-                v = self.gen.standard_normal(size)
-                if not self.zeroed:
-                    v[0] = 0.0
-                    self.zeroed = True
-                return v
-
         prob = scaled_instance(2, 3, 10.0)
         solved, ref = ZeroFirstRow(), ZeroFirstRow()
         monkeypatch.setattr(problem, "sweep_chunks", lambda rng, n: [(solved, n)])
@@ -170,6 +156,47 @@ class TestPolarScreen:
         plain = np.random.default_rng(12)
         plain.standard_normal((64, 3))
         assert solved.gen.bit_generator.state != plain.bit_generator.state
+
+    def test_zero_row_redrawn_in_a_chunk_that_passes_no_row(self, monkeypatch):
+        # the screen passes no row of this chunk, and the zero row is still
+        # redrawn before it, as sample_sphere_batch redraws it
+        prob = scaled_instance(10, 20, 2.0)
+        solved, ref = ZeroFirstRow(), ZeroFirstRow()
+        monkeypatch.setattr(problem, "sweep_chunks", lambda rng, n: [(solved, n)])
+        sol = pl.solve_polar(prob, CHUNK, 0)
+        assert sol.meta["n_scored"] == 0
+        assert sol.x.tobytes() == np.zeros(20).tobytes()
+        sample_sphere_batch(ref, CHUNK, 20)
+        assert solved.zeroed and ref.zeroed
+        assert solved.gen.bit_generator.state == ref.gen.bit_generator.state
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_winner_of_the_first_chunk_survives_the_later_ones(self, monkeypatch, workers):
+        # each thread refills its chunk buffers, so the winning direction of
+        # chunk 0 must not be read from them once chunks 1 and 2 have run
+        monkeypatch.setattr(problem, "_WORKERS", workers)
+        prob = scaled_instance(2, 3, 10.0)
+        n_samples = 2 * CHUNK + 5
+        x, best_beta, _ = _full_sweep(prob, sweep_chunks(0, n_samples))
+        assert _full_sweep(prob, sweep_chunks(0, n_samples)[:1])[1] == best_beta  # chunk 0 wins
+        sol = pl.solve_polar(prob, n_samples, 0)
+        assert sol.meta["best_beta"] == best_beta
+        assert sol.x.tobytes() == x.tobytes()
+
+
+class ZeroFirstRow:
+    """A generator whose first normal block starts with a zero row."""
+
+    def __init__(self):
+        self.gen = np.random.default_rng(12)
+        self.zeroed = False
+
+    def standard_normal(self, size=None, out=None):
+        v = self.gen.standard_normal(size, out=out)
+        if not self.zeroed:
+            v[0] = 0.0
+            self.zeroed = True
+        return v
 
 
 class TestSolverAgreement:

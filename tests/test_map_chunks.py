@@ -103,14 +103,14 @@ def test_raises_from_the_chunk_that_raised(workers, bad, on_caller):
 @pytest.mark.parametrize("workers, bad, on_caller", RAISES, indirect=["workers"])
 def test_route_raises_what_its_chunk_raised(monkeypatch, workers, bad, on_caller):
     index = _chunk_index(5)
-    draw = partition.sample_laplace
+    draw = partition.fill_laplace
 
-    def failing(gen, shape):
+    def failing(gen, out, scratch):
         if index(gen) == bad:
             raise FloatingPointError(f"chunk {bad}")
-        return draw(gen, shape)
+        return draw(gen, out, scratch)
 
-    monkeypatch.setattr(partition, "sample_laplace", failing)
+    monkeypatch.setattr(partition, "fill_laplace", failing)
     with pytest.raises(FloatingPointError, match=f"chunk {bad}"):
         pl.estimate_z_naive(scaled_instance(4, 7, 2.0), N, 5)
 
@@ -163,6 +163,37 @@ def test_concurrent_sweeps_stay_ordered(monkeypatch):
             t.start()
         for t in threads:
             t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_concurrent_routes_keep_their_buffers(monkeypatch):
+    # each sweep's chunk buffers are its own, per thread: two sweeps at once,
+    # whose chunks share the pool's thread, return the serial bytes
+    monkeypatch.setattr(problem, "_WORKERS", 1)
+    probs = [scaled_instance(4, 7, 2.0), scaled_instance(10, 20, 2.0)]
+
+    def run(prob):
+        sol = pl.solve_polar(prob, N, 5)
+        return repr(vars(pl.estimate_z_naive(prob, N, 5))), sol.x.tobytes(), repr(sol.meta)
+
+    want = [run(prob) for prob in probs]
+    monkeypatch.setattr(problem, "_WORKERS", 2)
+    got = [None, None]
+
+    def sweep(i):
+        got[i] = run(probs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
             assert not t.is_alive()
     finally:
         sys.setswitchinterval(interval)

@@ -125,6 +125,41 @@ def test_curved_values_unchanged(m):
     assert mixed[3] == log_gaussian_moment(m, a[3], b[3], beta[3], 0.0)
 
 
+# far segments [a, inf), as the shift puts them along a null direction with
+# coordinates near 1e-17: the fall of e^-50 from a is narrower there than
+# the spacing of the floats near a
+FAR = (1e15, 5e16, 1e17, 1e20)
+
+
+@pytest.mark.parametrize("m", (0, 1, 6, 19))
+def test_far_flat_segment_matches_incomplete_gamma(m):
+    # G_m(a, inf, beta, 0) = Gamma(m + 1, beta a)/beta^(m + 1), alone and next
+    # to a near segment in the same call, whose value keeps the bits it has
+    # next to another near one (BLAS may round a call of one row differently)
+    beta = 5.0 / 3.0
+    near = log_gaussian_moment(m, [1.0, 3.0], [2.0, math.inf], beta, 0.0)[0]
+    for a in FAR:
+        with mp.workdps(40):
+            want = float(mp.log(mp.gammainc(m + 1, mp.mpf(beta) * a)) - (m + 1) * mp.log(mp.mpf(beta)))
+        alone = float(log_gaussian_moment(m, a, math.inf, beta, 0.0))
+        assert abs(alone - want) <= 8.0 * np.spacing(abs(want)), (a, alone, want)
+        both = log_gaussian_moment(m, [1.0, a], [2.0, math.inf], beta, 0.0)
+        assert both[0] == near and both[1] == alone
+
+
+def test_far_curved_segment_is_finite():
+    # at kappa = 1 the fall from a is ~_DROP/a wide; the Laplace estimate
+    # g(a) - log(a + beta - m/a) is exact to O(1/a^2) relative
+    for a in (1e10, 1e15, 1e20):
+        for beta in (-3.0, 0.5):
+            with mp.workdps(40):
+                a_mp = mp.mpf(a)
+                want = float(6 * mp.log(a_mp) - a_mp * a_mp / 2 - beta * a_mp - mp.log(a_mp + beta - 6 / a_mp))
+            got = log_gaussian_moment(6, [1.0, a], [2.0, math.inf], beta)
+            assert abs(got[1] - want) <= 8.0 * np.spacing(abs(want)), (a, beta, got[1], want)
+            assert got[0] == log_gaussian_moment(6, [1.0, 3.0], [2.0, math.inf], beta)[0]
+
+
 def test_flat_peaks():
     # kappa = 0: the root m/beta, or inf where the integrand never turns down
     got = tilted_peaks(6, np.array([2.0, 1e6, 0.0, -3.0]), 0.0)

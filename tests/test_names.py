@@ -215,3 +215,25 @@ def test_no_generator_uniform():
     """
     found = [(path.name, line) for path in sorted(SRC.glob("*.py")) for line in _uniform_calls(path)]
     assert not found, "Generator.uniform calls (module, line): " + repr(found)
+
+
+def _thread_locals(path):
+    """Lines of a module that name threading.local or import it."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr == "local" \
+                and isinstance(node.value, ast.Name) and node.value.id == "threading":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "threading" \
+                and any(alias.name == "local" for alias in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_problem_makes_thread_locals():
+    # per-thread state of a sweep lives in problem.chunk_buffers, so that no
+    # route keeps its own memory between chunks or sweeps
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py")) if path.name != "problem.py"
+             for line in _thread_locals(path)]
+    assert not found, "threading.local outside problem.py (module, line): " + repr(found)
+    assert _thread_locals(SRC / "problem.py"), "chunk_buffers no longer keeps per-thread buffers"

@@ -249,8 +249,10 @@ class TestSamplers:
         r = np.array([0.0, 0.5, 0.5 - 2.0**-53, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
 
         class Stub:
-            def random(self, size):
-                return r.copy()
+            def random(self, size=None, out=None):
+                out = np.empty(r.shape) if out is None else out
+                out[...] = r
+                return out
 
         u = r - 0.5
         with np.errstate(divide="ignore"):  # u = -0.5 maps to -inf

@@ -202,6 +202,23 @@ class TestShiftedMass:
             oracle = oracles.quad_shifted_mass(prob.A, prob.y, l, ctx.theta, 7)
             assert mass == pytest.approx(oracle, rel=1e-7)
 
+    def test_null_direction_with_far_breakpoints(self, oracles):
+        # coordinates near 5e-17 put the shift's breakpoints at 1e15 to 6e16,
+        # where the segments' falls are narrower than the spacing of floats
+        from scipy.linalg import null_space
+
+        prob = pl.gen_bernoulli_matrix(4, 7, 1)
+        theta = null_space(prob.A)[:, 0]
+        rng = np.random.default_rng(0)
+        for _ in range(12):
+            l = rng.standard_normal(7)
+            l *= 2.8 / np.linalg.norm(l)
+            ctx = pl.build_shift_context(prob, l, theta)
+            assert ctx.null[0]
+            mass = pl.shifted_radial_mass(ctx)
+            oracle = oracles.quad_shifted_mass(prob.A, prob.y, l, ctx.theta, 7)
+            assert mass == pytest.approx(oracle, rel=1e-8)
+
     def test_continuity_toward_null_space(self, desk_instance, oracles):
         # as the direction approaches the null space the generic branch must
         # converge to the null-direction value, with monotone error decay
