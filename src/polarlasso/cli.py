@@ -149,7 +149,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
         print("polarlasso: need --p >= --n", file=sys.stderr)
         return 2
     y = _observation(args.n, args.y_norm, args.seed) if args.y_norm > 0.0 else None
-    prob = problem.gen_bernoulli_matrix(args.n, args.p, args.seed, y)
+    try:
+        prob = problem.gen_bernoulli_matrix(args.n, args.p, args.seed, y)
+    except ValueError as exc:  # a --y-norm whose square overflows
+        print(f"polarlasso: {exc}", file=sys.stderr)
+        return 2
     problem.save_problem(prob, args.out, seed=args.seed)
     _write_manifest("gen", args, [args.out])
     print(f"wrote {args.out}: n={prob.n} p={prob.p} ||A||={prob.op_norm:.6f}")

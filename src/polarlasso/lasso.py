@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemInstance, chunk_buffers, direction_batch, map_chunks
+from .problem import ProblemInstance, chunk_buffers, map_chunks
+from .shifted import unit_shift_batch
 
 METHOD_POLAR = "polar"
 METHOD_FISTA = "fista"
@@ -122,13 +123,13 @@ def solve_polar(prob: ProblemInstance, n_samples: int, rng) -> LassoSolution:
             return 0, 0, None
         picked = v[rows]
         thetas[rows] = picked / np.linalg.norm(picked, axis=1)[:, None]
-        st = direction_batch(prob.A, prob.y, thetas, rows)
-        betas = st.beta  # inf on null rows
+        batch = unit_shift_batch(prob, np.zeros(p), thetas, rows)
+        betas = batch.beta[:, 0]  # ||theta||_1 > 0 on null rows
         neg = np.flatnonzero(betas <= 0.0)
         best = None
         if neg.size:
             i = neg[np.argmax(betas[neg] ** 2)]  # the first of equal squares
-            best = float(betas[i]), thetas[rows[i]].copy(), float(st.norm_A[i])
+            best = float(betas[i]), thetas[rows[i]].copy(), float(batch.norm_A[i])
         thetas[rows] = 0.0
         return rows.size, neg.size, best
 

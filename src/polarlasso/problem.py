@@ -1,10 +1,10 @@
-"""Problem instances, direction statistics and the Monte Carlo driver.
+"""Problem instances, uniform and Laplace draws, and the Monte Carlo driver.
 
 The posterior under study is proportional to exp(-||Ax - y||^2/2 - ||x||_1)
-on R^p with p >= n.  direction_batch computes, per unit direction theta, the
-statistics (l1 norm, image norm, cosine against y, and the offset beta) from
-which radial.py reads the law along the ray r -> r theta; map_chunks runs
-the chunks of every Monte Carlo sweep.
+on R^p with p >= n.  The statistics of a direction theta (image norm, l1
+norm, cosine against y and the offset beta) are those of its segment batch,
+shifted.unit_shift_batch; map_chunks runs the chunks of every Monte Carlo
+sweep.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-
-# below this image norm a direction is treated as belonging to the null space
-NULL_TOL = 1e-12
 
 # rows per chunk of a Monte Carlo sweep; each chunk has its own generator, so
 # an estimate does not depend on how many workers consume the chunks
@@ -55,24 +52,10 @@ class ProblemInstance:
         return float(np.linalg.norm(self.y))
 
 
-@dataclass(frozen=True)
-class DirectionBatch:
-    """The statistics of radial.DirectionStats for a batch of unit directions, one per row.
-
-    ``null`` marks the rows with ||A theta|| <= NULL_TOL; they carry s = 0
-    and beta = inf.
-    """
-
-    norm_A: np.ndarray
-    l1: np.ndarray
-    s: np.ndarray
-    beta: np.ndarray
-    null: np.ndarray
-
-
 def make_problem(A: np.ndarray, y: np.ndarray | None = None) -> ProblemInstance:
     """Wrap a design matrix and observation into an instance, caching ||A||:
-    the largest singular value, from numpy's SVD."""
+    the largest singular value, from numpy's SVD.  ||y||^2 and ||A||^2 must
+    be finite, since the misfit along a ray is formed from their squares."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError("A must be a 2-d matrix")
@@ -86,7 +69,13 @@ def make_problem(A: np.ndarray, y: np.ndarray | None = None) -> ProblemInstance:
         raise ValueError(f"y must have length {n}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(y))):
         raise ValueError("A and y must be finite")
-    return ProblemInstance(A=A, y=y, op_norm=float(np.linalg.norm(A, 2)))
+    op_norm = float(np.linalg.norm(A, 2))
+    with np.errstate(over="ignore"):
+        y_sq = float(y @ y)
+    for name, sq in (("y", y_sq), ("A", op_norm * op_norm)):
+        if not math.isfinite(sq):
+            raise ValueError(f"{name} is too large: its squared norm overflows a float")
+    return ProblemInstance(A=A, y=y, op_norm=op_norm)
 
 
 def gen_bernoulli_matrix(n: int, p: int, seed: int, y: np.ndarray | None = None) -> ProblemInstance:
@@ -96,34 +85,6 @@ def gen_bernoulli_matrix(n: int, p: int, seed: int, y: np.ndarray | None = None)
     rng = np.random.default_rng(seed)
     A = (2.0 * rng.integers(0, 2, size=(n, p)) - 1.0) / math.sqrt(n)
     return make_problem(A, y)
-
-
-def direction_batch(A: np.ndarray, y: np.ndarray, thetas: np.ndarray,
-                    rows: np.ndarray | None = None) -> DirectionBatch:
-    """DirectionBatch of the unit directions in the rows of `thetas`, against
-    the observation y; of those in `rows` only, when given, and then the
-    other rows need only be finite.
-
-    The products with A and y are formed on every row even so: BLAS rounds
-    a row differently in a batch of another size (though not for other
-    values in the other rows), and the statistics of a row must not depend
-    on which other rows are scored with it.
-    """
-    A_thetas = thetas @ A.T
-    A_theta_y = A_thetas @ y
-    if rows is not None:
-        thetas, A_thetas, A_theta_y = thetas[rows], A_thetas[rows], A_theta_y[rows]
-    norm_A = np.linalg.norm(A_thetas, axis=1)
-    l1 = np.abs(thetas).sum(axis=1)
-    null = norm_A <= NULL_TOL
-    safe = np.where(null, 1.0, norm_A)
-    y_norm = float(np.linalg.norm(y))
-    if y_norm == 0.0:
-        s = np.zeros(len(thetas))
-    else:
-        s = np.where(null, 0.0, np.clip(A_theta_y / (safe * y_norm), -1.0, 1.0))
-    beta = np.where(null, math.inf, l1 / safe - y_norm * s)
-    return DirectionBatch(norm_A, l1, s, beta, null)
 
 
 def beta_lower_bound(prob: ProblemInstance) -> float:

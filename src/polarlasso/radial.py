@@ -11,11 +11,12 @@ so the per-direction mass is
 where H is the Gaussian-tilted moment evaluated by the stable kernel.  The
 law along a ray is the l = 0 case of the segment law of shifted.py (one
 segment, [0, inf)): direction_stats keeps that one-row batch, which fixes p
-and h(0) = -||y||^2/2, and every mass, mode, peak and bracket here, null
-directions (A theta = 0) included, is read from it.  The scaled mass
-Phi(beta) = ||theta||_1^p J_p(theta) depends on the direction only through
-(beta, s); for large beta it admits the inverse-power expansion Phi(beta, M)
-whose truncation error is certified by the coefficient c(p, M).
+and h(0) = -||y||^2/2; the direction's statistics, mass, mode, peak and
+bracket, null directions (||A theta|| <= NULL_TOL) included, are read from
+it.  The scaled mass Phi(beta) = ||theta||_1^p J_p(theta) depends on the
+direction only through (beta, s); for large beta it admits the
+inverse-power expansion Phi(beta, M) whose truncation error is certified
+by the coefficient c(p, M).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._moments import log_gaussian_moment
-from .problem import ProblemInstance, direction_batch
-from .shifted import ShiftBatch, _exp, log_concavity_bracket, segment_batch, shifted_log_summaries, shifted_modes
+from .problem import ProblemInstance
+from .shifted import ShiftBatch, _exp, log_concavity_bracket, shifted_log_summaries, shifted_modes, unit_shift_batch
 from .special import ExpansionResult, expansion_coeff
 
 # default number of terms M of the inverse-power expansion
@@ -41,7 +42,7 @@ METHOD_NULL = "null_direction"
 class DirectionStats:
     """Unit direction with the cached quantities entering the radial law.
 
-    ``beta`` is None exactly when A theta = 0 (the offset is +infinity there);
+    ``beta`` is None exactly on a null row of ``batch`` (the offset is +infinity there);
     keeping an explicit sentinel makes the case dispatch total and keeps float
     infinities out of downstream arithmetic.  ``batch`` is the direction's
     one-row segment batch at l = 0, which holds p and h(0) = -||y||^2/2.
@@ -64,10 +65,10 @@ def direction_stats(prob: ProblemInstance, theta: np.ndarray) -> DirectionStats:
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
     theta = theta / norm
-    st = direction_batch(prob.A, prob.y, theta[None, :])
-    beta = None if st.null[0] else float(st.beta[0])
-    return DirectionStats(theta, float(st.norm_A[0]), float(st.l1[0]), s=float(st.s[0]), beta=beta,
-                          batch=segment_batch(st, theta[None, :], np.zeros(prob.p), prob.y_norm))
+    batch = unit_shift_batch(prob, np.zeros(prob.p), theta[None, :])
+    beta = None if batch.null[0] else float(batch.beta[0, 0])
+    return DirectionStats(theta, float(batch.norm_A[0]), float(batch.slope[0, 0]), s=float(batch.s[0]),
+                          beta=beta, batch=batch)
 
 
 def ray_energy(stats: DirectionStats, r: float) -> float:

@@ -12,23 +12,28 @@ moment, and
 
 with D_k = ||l||_1 - c_k and [a_k, b_k] the segment.  Where A theta != 0,
 s = ||A theta||, kappa = 1 and beta_k = l1_k/||A theta|| - b_l; on a null
-direction (A theta = 0) the misfit is constant along the ray, and s = 1,
-kappa = 0, beta_k = l1_k.  Every row goes through the one log-domain
-segment kernel, a whole batch of directions per call (build_shift_batch),
-so the result is reliable for any placement of l; a single direction is a
-batch of one (build_shift_context).  At l = 0 this is the centred radial law
-of radial.py, which takes its mass, mode, peak and bracket from here.
+direction (||A theta|| <= NULL_TOL) the misfit is constant along the ray,
+and s = 1, kappa = 0, beta_k = l1_k.  unit_shift_batch alone forms the
+products with A and marks the null rows.  Every row goes through the one
+log-domain segment kernel, a whole batch of directions per call
+(build_shift_batch), so the result is reliable for any placement of l; a
+single direction is a batch of one (build_shift_context).  At l = 0 this is
+the centred radial law of radial.py, which takes its statistics, mass, mode,
+peak and bracket from here, as lasso.py takes its offsets beta.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._moments import log_gaussian_moment, tilted_peaks
-from .problem import DirectionBatch, ProblemInstance, direction_batch, sample_laplace
+from .problem import ProblemInstance, sample_laplace
+
+# below this image norm a direction is treated as belonging to the null space
+NULL_TOL = 1e-12
 
 
 def _exp(x: float) -> float:
@@ -55,9 +60,11 @@ class ShiftBatch:
     of l) span [lo[i, k], hi[i, k]], where r -> ||r theta + l||_1 has
     intercept c and slope `slope`, and beta = slope/scale - b_l is the tilt
     in the kernel variable u = scale r.  Rows with fewer sign changes than q
-    pad their tail with empty segments lo = hi = inf.  Null rows
-    (A theta = 0) have scale = 1 and b_l = 0, so there beta = slope.
-    h0 = h(0) is the log of the factor that recenters the density.
+    pad their tail with empty segments lo = hi = inf.  norm_A = ||A theta||
+    and s is the cosine of A theta against y - A l (0 if y = A l).  Null rows
+    (||A theta|| <= NULL_TOL) have s = 0, scale = 1 and b_l = 0, so there
+    beta = slope; elsewhere scale = norm_A.  h0 = h(0) is the log of the
+    factor that recenters the density.  The repr leaves out norm_A and s.
     """
 
     l: np.ndarray
@@ -70,6 +77,8 @@ class ShiftBatch:
     c: np.ndarray
     slope: np.ndarray
     beta: np.ndarray
+    norm_A: np.ndarray = field(repr=False)
+    s: np.ndarray = field(repr=False)
 
     @property
     def theta(self) -> np.ndarray:
@@ -98,43 +107,56 @@ def build_shift_batch(prob: ProblemInstance, l: np.ndarray, thetas: np.ndarray) 
     return unit_shift_batch(prob, l, thetas / norms[:, None])
 
 
-def unit_shift_batch(prob: ProblemInstance, l: np.ndarray, thetas: np.ndarray) -> ShiftBatch:
-    """build_shift_batch of rows that are unit directions already (sphere draws)."""
+def unit_shift_batch(prob: ProblemInstance, l: np.ndarray, thetas: np.ndarray,
+                     rows: np.ndarray | None = None) -> ShiftBatch:
+    """build_shift_batch of rows that are unit directions already (sphere
+    draws); of those in `rows` only, when given, the others need only be
+    finite.  The products with A are formed on every row even so: BLAS
+    rounds a row differently in a batch of another size, and a row's
+    statistics must not depend on which rows are scored with it.
+
+    Only coordinates in the support of l change sign along a ray.  Between
+    the sign changes crossed and those ahead, ||r theta + l||_1 has slope
+    ||theta||_1 - 2 sum_ahead |theta_i| and intercept ||l||_1 - 2 sum_crossed |l_i|,
+    so the tilt is the l = 0 offset less 2 sum_ahead |theta_i| / ||A theta||.
+    """
     l = np.asarray(l, dtype=float)
     if l.shape != (prob.p,):
         raise ValueError(f"l must have length {prob.p}")
     if not np.all(np.isfinite(l)):
         raise ValueError("l must be finite")
     y_l = prob.y - prob.A @ l
-    return segment_batch(direction_batch(prob.A, y_l, thetas), thetas, l, float(np.linalg.norm(y_l)))
-
-
-def segment_batch(st: DirectionBatch, thetas: np.ndarray, l: np.ndarray, norm_y_l: float) -> ShiftBatch:
-    """ShiftBatch of unit directions with statistics `st` against y - A l.
-
-    Only coordinates in the support of l change sign along a ray.  Between
-    the sign changes crossed and those ahead, ||r theta + l||_1 has slope
-    ||theta||_1 - 2 sum_ahead |theta_i| and intercept ||l||_1 - 2 sum_crossed |l_i|,
-    so the tilt is st.beta less 2 sum_ahead |theta_i| / ||A theta||.
-    """
+    A_thetas = thetas @ prob.A.T
+    A_theta_y = A_thetas @ y_l
+    if rows is not None:
+        thetas, A_thetas, A_theta_y = thetas[rows], A_thetas[rows], A_theta_y[rows]
+    norm_A = np.linalg.norm(A_thetas, axis=1)
+    null = norm_A <= NULL_TOL
+    scale = np.where(null, 1.0, norm_A)
+    norm_y_l = float(np.linalg.norm(y_l))
+    if norm_y_l == 0.0:
+        s = np.zeros(len(thetas))
+    else:
+        s = np.where(null, 0.0, np.clip(A_theta_y / (scale * norm_y_l), -1.0, 1.0))
+    l1 = np.abs(thetas).sum(axis=1)
     support = np.flatnonzero(l)
     abs_l, abs_t = np.abs(l[support]), np.abs(thetas[:, support])
     minus = thetas[:, support] * l[support] < 0.0
-    with np.errstate(divide="ignore"):
-        ratios = np.where(minus, abs_l / abs_t, math.inf)
+    ratios = np.divide(abs_l, abs_t, out=np.full(abs_t.shape, math.inf), where=minus)
     order = np.argsort(ratios, axis=1, kind="stable")
     zero = np.zeros((len(thetas), 1))
     crossed_l, crossed_t = (np.concatenate([zero, np.cumsum(np.take_along_axis(
         np.where(minus, v, 0.0), order, axis=1), axis=1)], axis=1) for v in (abs_l, abs_t))
     ahead_t = crossed_t[:, -1:] - crossed_t
-    slope = st.l1[:, None] - 2.0 * ahead_t
-    scale = np.where(st.null, 1.0, st.norm_A)
+    slope = l1[:, None] - 2.0 * ahead_t
+    offset = l1 / scale - norm_y_l * s  # the tilt at l = 0
     breakpoints = np.concatenate([zero, np.take_along_axis(ratios, order, axis=1), zero + math.inf], axis=1)
     l1_l = float(np.abs(l).sum())
     return ShiftBatch(
-        l=l, thetas=thetas, null=st.null, scale=scale, h0=-0.5 * norm_y_l**2 - l1_l,
+        l=l, thetas=thetas, null=null, scale=scale, h0=-0.5 * norm_y_l**2 - l1_l,
         lo=breakpoints[:, :-1], hi=breakpoints[:, 1:], c=l1_l - 2.0 * crossed_l, slope=slope,
-        beta=np.where(st.null[:, None], slope, st.beta[:, None] - 2.0 * ahead_t / scale[:, None]),
+        beta=np.where(null[:, None], slope, offset[:, None] - 2.0 * ahead_t / scale[:, None]),
+        norm_A=norm_A, s=s,
     )
 
 

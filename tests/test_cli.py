@@ -52,6 +52,12 @@ class TestGen:
             payload = json.load(fh)
         assert np.linalg.norm(payload["y"]) == pytest.approx(2.0)
 
+    def test_y_norm_whose_square_overflows_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        assert run(["gen", "--n", "4", "--p", "7", "--y-norm", "1e155", "--out", str(path)]) == 2
+        assert "y is too large" in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestSolve:
     def test_zero_observation_both_methods(self, tmp_path, problem_file):
@@ -137,6 +143,19 @@ class TestPartition:
             with pytest.raises(SystemExit) as exc:
                 run(["partition", "--problem", str(path), "--out", str(tmp_path / "z.json")])
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize("method", ["naive", "polar"])
+    def test_overflowing_problem_exit_code(self, tmp_path, capsys, method):
+        # finite entries whose squares overflow: y, then A
+        for name, A, y in (("y", [0.5] * 6, [1e155, 1e155]), ("A", [1e160] * 6, [1.0, 0.0])):
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps({"n": 2, "p": 3, "A": A, "y": y, "seed": None}))
+            out = tmp_path / "z.json"
+            with pytest.raises(SystemExit) as exc:
+                run(["partition", "--problem", str(path), "--method", method, "--out", str(out)])
+            assert exc.value.code == 2
+            assert f"{name} is too large" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestCurves:

@@ -6,7 +6,8 @@ import pytest
 import polarlasso as pl
 from conftest import scaled_instance
 from polarlasso import problem
-from polarlasso.problem import CHUNK, direction_batch, sample_sphere_batch, sweep_chunks
+from polarlasso.problem import CHUNK, sample_sphere_batch, sweep_chunks
+from polarlasso.shifted import unit_shift_batch
 
 
 @pytest.fixture(scope="module")
@@ -105,14 +106,15 @@ def _full_sweep(prob, chunks):
     neg_count = 0
     for gen, count in chunks:
         thetas = sample_sphere_batch(gen, count, prob.p)
-        st = direction_batch(prob.A, prob.y, thetas)
-        neg = np.flatnonzero(st.beta <= 0.0)
+        batch = unit_shift_batch(prob, np.zeros(prob.p), thetas)
+        betas = batch.beta[:, 0]
+        neg = np.flatnonzero(betas <= 0.0)
         neg_count += neg.size
         if neg.size:
-            i = neg[np.argmax(st.beta[neg] ** 2)]
-            b = float(st.beta[i])
+            i = neg[np.argmax(betas[neg] ** 2)]
+            b = float(betas[i])
             if best_beta is None or b * b > best_beta * best_beta:
-                best_beta, best_theta, best_norm_A = b, thetas[i], float(st.norm_A[i])
+                best_beta, best_theta, best_norm_A = b, thetas[i], float(batch.norm_A[i])
     x = np.zeros(prob.p) if best_beta is None else -(best_beta / best_norm_A) * best_theta
     return x, best_beta, neg_count
 

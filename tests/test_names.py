@@ -237,3 +237,23 @@ def test_only_problem_makes_thread_locals():
              for line in _thread_locals(path)]
     assert not found, "threading.local outside problem.py (module, line): " + repr(found)
     assert _thread_locals(SRC / "problem.py"), "chunk_buffers no longer keeps per-thread buffers"
+
+
+def _reads(path, name):
+    """Lines of a module that read the global `name`, bare or as an attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr == name)]
+
+
+def test_one_direction_batch_builder():
+    # the statistics of a direction and the null-row convention live in one
+    # place: shifted.unit_shift_batch constructs every ShiftBatch, and only
+    # shifted.py reads the null-space tolerance
+    built = [hit for path in sorted(SRC.glob("*.py")) for hit in _calls(path, ("ShiftBatch",))]
+    assert [hit[:2] for hit in built] == [("shifted.py", "unit_shift_batch")], \
+        "ShiftBatch constructions (module, function, callee, line): " + repr(built)
+    assert _reads(SRC / "shifted.py", "NULL_TOL"), "shifted.py no longer reads NULL_TOL"
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py")) if path.name != "shifted.py"
+             for line in _reads(path, "NULL_TOL")]
+    assert not found, "NULL_TOL read outside shifted.py (module, line): " + repr(found)

@@ -1,6 +1,7 @@
 """Instance construction and per-direction statistics."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -38,6 +39,19 @@ class TestGeneration:
             pl.make_problem(bad_A)
         with pytest.raises(ValueError, match="finite"):
             pl.make_problem(A, np.array([0.0, np.inf]))
+
+    @pytest.mark.parametrize("scale_y, scale_A, name", [(1e155, 1.0, "y"), (1.0, 1e160, "A")])
+    def test_rejects_overflowing_square(self, scale_y, scale_A, name):
+        # finite entries whose squared norm overflows would give NaN masses;
+        # the check itself warns of nothing
+        base = pl.gen_bernoulli_matrix(4, 7, 0)
+        y = np.array([1.0, -2.0, 0.5, 1.5]) * scale_y
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} is too large"):
+                pl.make_problem(base.A * scale_A, y)
+            # at 1e153 the squares stay finite, and the instance is accepted
+            pl.make_problem(base.A * 1e153, y / scale_y * 1e153)
 
     def test_operator_norm_matches_svd(self):
         rng = np.random.default_rng(10)
