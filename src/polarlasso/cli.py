@@ -357,11 +357,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="polarlasso",
                                  description="Polar geometry of the l1-penalized Gaussian posterior")
     sub = ap.add_subparsers(dest="command", required=True)
+    seed = _checked(int, lambda v: v >= 0, "non-negative")
 
     g = sub.add_parser("gen", help="generate a Bernoulli design instance")
     g.add_argument("--n", type=_positive(int), default=4)
     g.add_argument("--p", type=_positive(int), default=7)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=seed, default=0)
     g.add_argument("--y-norm", default=0.0,
                    type=_checked(float, lambda v: 0.0 <= v < math.inf, "non-negative and finite"),
                    help="norm of a seeded random observation (0 means y = 0)")
@@ -374,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-samples", type=_positive(int), default=100000)
     s.add_argument("--max-iter", type=_positive(int), default=lasso.FISTA_MAX_ITER)
     s.add_argument("--tol", type=_positive(float), default=lasso.FISTA_TOL)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=seed, default=0)
     s.add_argument("--out", default="solution.json")
     s.set_defaults(func=cmd_solve)
 
@@ -382,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     z.add_argument("--problem", required=True)
     z.add_argument("--method", choices=("polar", "naive", "both"), default="polar")
     z.add_argument("--n-samples", type=_positive(int), default=100000)
-    z.add_argument("--seed", type=int, default=0)
+    z.add_argument("--seed", type=seed, default=0)
     z.add_argument("--shift", action="store_true",
                    help="also estimate through the recentered density")
     z.add_argument("--out", default="partition.json")
@@ -403,8 +404,9 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--sampler", choices=("is", "rw"), default="rw")
     d.add_argument("--iters", type=_positive(int), default=1000000)
     d.add_argument("--q", type=_positive(float), default=mcmc.ChainConfig.q)
-    d.add_argument("--rw-var", type=_positive(float), default=mcmc.ChainConfig.rw_variance)
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--rw-var", default=mcmc.ChainConfig.rw_variance,
+                   type=_checked(float, lambda v: 0.0 < v < math.inf, "positive and finite"))
+    d.add_argument("--seed", type=seed, default=0)
     d.add_argument("--z-samples", type=_positive(int), default=20000,
                    help="sweep size for the ergodicity constant (is sampler)")
     d.add_argument("--emit-series", default=None, metavar="FILE")
@@ -413,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("tables", help="write the reference tables")
     t.add_argument("--out-dir", default="tables")
-    t.add_argument("--seed", type=int, default=1)
+    t.add_argument("--seed", type=seed, default=1)
     t.add_argument("--n-samples", type=_positive(int), default=100000)
     t.add_argument("--iters", type=_positive(int), default=1000000)
     t.set_defaults(func=cmd_tables)

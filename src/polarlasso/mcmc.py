@@ -46,10 +46,10 @@ class ChainConfig:
     def __post_init__(self):
         if self.kind not in (KIND_INDEPENDENT, KIND_RANDOM_WALK):
             raise ValueError(f"unknown chain kind {self.kind!r}")
-        if self.n_iter < 1:
-            raise ValueError("n_iter must be positive")
-        if self.rw_variance <= 0:
-            raise ValueError("rw_variance must be positive")
+        if not isinstance(self.n_iter, (int, np.integer)) or self.n_iter < 1:
+            raise ValueError("n_iter must be a positive integer")
+        if not 0 < self.rw_variance < math.inf:
+            raise ValueError("rw_variance must be positive and finite")
         if not self.q > 0:
             raise ValueError("q must be positive")
         for name, state in (("init", self.init), ("shift_l", self.shift_l)):
@@ -111,9 +111,9 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig) -> tuple[ChainTrace, Chai
     y = prob.y
     n_iter = cfg.n_iter
     rng = np.random.default_rng(cfg.seed)
-    l = np.zeros(p) if cfg.shift_l is None else np.asarray(cfg.shift_l, dtype=float)
+    l = _point(cfg.shift_l, p, "shift_l")
 
-    x = np.zeros(p) if cfg.init is None else np.asarray(cfg.init, dtype=float).copy()
+    x = _point(cfg.init, p, "init").copy()
     Ax = A @ x
     mis = float(Ax @ Ax) - 2.0 * float(Ax @ y)  # ||Ax-y||^2 - ||y||^2, constant dropped
     l1x = float(np.abs(x).sum())
@@ -187,6 +187,19 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig) -> tuple[ChainTrace, Chai
     return ChainTrace(norm_x=norm_x, q_r_theta=q_r, criterion=crit), diag
 
 
+def _point(value, p: int, name: str) -> np.ndarray:
+    """`value` as a float vector of length p, zeros when it is None; a wrong
+    length or a non-finite entry raises a ValueError that names it."""
+    if value is None:
+        return np.zeros(p)
+    v = np.asarray(value, dtype=float)
+    if v.shape != (p,):
+        raise ValueError(f"{name} must have length {p}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
 def _random_walk_block(x: np.ndarray, Ax: np.ndarray, l1x: float, y: np.ndarray, steps: np.ndarray,
                        step_Ax: np.ndarray, log_u: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """Metropolis decisions of one random-walk block, _RUN proposals per array pass.
@@ -248,9 +261,7 @@ def criterion_coverage(prob: ProblemInstance, q: float, n_draws: int, rng,
     """Empirical fraction of exact posterior draws with ||x - l|| <= q r(theta, l),
     the draws of sample_posterior_batch diagnosed in one batch."""
     rng = np.random.default_rng(rng)  # a Generator comes back unaltered
-    l = np.zeros(prob.p) if l is None else np.asarray(l, dtype=float)
-    if not np.all(np.isfinite(l)):
-        raise ValueError("l must be finite")
+    l = _point(l, prob.p, "l")
     X = sample_posterior_batch(prob, n_draws, rng)
     norm, qr, _ = _state_diagnosis(prob, X, l, q)
     return int(np.count_nonzero(norm <= qr)) / n_draws

@@ -4,7 +4,7 @@ The posterior under study is proportional to exp(-||Ax - y||^2/2 - ||x||_1)
 on R^p with p >= n.  The statistics of a direction theta (image norm, l1
 norm, cosine against y and the offset beta) are those of its segment batch,
 shifted.unit_shift_batch; map_chunks runs the chunks of every Monte Carlo
-sweep.
+sweep, each sweep on a thread pool of its own that it joins when it ends.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ CHUNK = 8192
 # the 4 x 7 design, a diagnose, tables and chain mix peaked 6% above a serial
 # run at two, and 11-12% above at three or four
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-# (pid, executor) of the pool map_chunks last used
-_pool = None
-_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -139,47 +136,32 @@ def map_chunks(work, seed_or_rng, n_samples: int):
     """work(gen, rows) for every chunk of sweep_chunks, in chunk order.
 
     The chunks are split here, so the seed's streams are spawned even if
-    the returned iterator is never read.  The chunks run in groups of
-    _WORKERS: the calling thread computes the first chunk of each group and
-    a pool of _WORKERS - 1 threads the rest, so _WORKERS chunks are in
-    memory at once; a route that keeps its chunk arrays in chunk_buffers
-    holds one set per thread.  Each chunk draws from its own generator and
-    the results come back in chunk order, so what a caller merges from them
-    does not depend on _WORKERS; an exception comes from the first chunk
-    that raised it, as in a serial loop.
+    the returned iterator is never read.  The chunks run in groups of W =
+    min(_WORKERS, chunks): the calling thread computes the first chunk of
+    each group and the sweep's own pool of W - 1 threads the rest, so W
+    chunks are in memory at once; a route that keeps its chunk arrays in
+    chunk_buffers holds one set per thread.  The pool starts a thread on
+    its first chunk only, so a sweep of one chunk or at one CPU starts
+    none; it is joined, after the chunk it runs, when the sweep ends, is
+    closed or raises.  Each chunk draws from its own generator and the
+    results come back in chunk order, so what a caller merges from them
+    does not depend on W; an exception comes from the first chunk that
+    raised it, as in a serial loop.
     """
     chunks = sweep_chunks(seed_or_rng, n_samples)
-    if min(_WORKERS, len(chunks)) == 1:
-        return (work(gen, rows) for gen, rows in chunks)
-    return _grouped(work, chunks, _WORKERS)
+    return _grouped(work, chunks, min(_WORKERS, len(chunks)))
 
 
 def _grouped(work, chunks, size):
-    pool = _thread_pool()
-    pending = []
-    try:
+    from concurrent.futures import ThreadPoolExecutor  # costs start-up time when imported eagerly
+
+    with ThreadPoolExecutor(max(size - 1, 1), thread_name_prefix="polarlasso-chunk") as pool:
         for start in range(0, len(chunks), size):
             group = chunks[start:start + size]
             pending = [pool.submit(work, gen, rows) for gen, rows in group[1:]]
             yield work(*group[0])
             for future in pending:
                 yield future.result()
-    finally:
-        # the consumer stopped early or raised: drop the chunks not started
-        for future in pending:
-            future.cancel()
-
-
-def _thread_pool():
-    """The module's pool of _WORKERS - 1 threads, made on first use and made
-    anew in a forked child, which inherits the pool but not its threads."""
-    global _pool
-    from concurrent.futures import ThreadPoolExecutor  # costs start-up time when imported eagerly
-
-    with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():
-            _pool = (os.getpid(), ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="polarlasso-chunk"))
-        return _pool[1]
 
 
 def chunk_buffers(n_samples: int, *widths: int):

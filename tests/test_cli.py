@@ -300,6 +300,8 @@ class TestDiagnose:
 @pytest.mark.parametrize("argv", [
     ["diagnose", "--iters", "0"],
     ["diagnose", "--rw-var", "0"],
+    ["diagnose", "--rw-var", "inf"],
+    ["diagnose", "--rw-var", "nan"],
     ["diagnose", "--q", "-1"],
     ["partition", "--n-samples", "0"],
     ["solve", "--n-samples", "0"],
@@ -329,17 +331,25 @@ def test_nonpositive_numeric_argument_exits_2(tmp_path, problem_file, capsys, ar
     ["curves", "--beta-max", "inf"],
     ["curves", "--beta-min", "-inf"],
     ["curves", "--beta-min", "nan"],
+    ["gen", "--seed", "-2", "--y-norm", "1"],
+    ["tables", "--seed", "-1"],
+    ["solve", "--problem", "PROBLEM", "--seed", "-1"],
+    ["partition", "--problem", "PROBLEM", "--seed", "-1"],
+    ["diagnose", "--problem", "PROBLEM", "--seed", "-1"],
+    ["diagnose", "--problem", "PROBLEM", "--sampler", "is", "--seed", "-1"],
 ], ids=lambda argv: " ".join(argv))
-def test_invalid_argument_exits_2(tmp_path, capsys, argv):
+def test_invalid_argument_exits_2(tmp_path, problem_file, capsys, argv):
     # rejected by the parser (SystemExit 2) or by the command (return 2)
     out = tmp_path / "out.csv"
     try:
-        code = run([*argv, "--out", str(out)])
+        code = run([problem_file if a == "PROBLEM" else a for a in argv] + ["--out", str(out)])
     except SystemExit as exc:
         code = exc.code
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(("usage:", "polarlasso:")) and "Traceback" not in err
+    if "--seed" in argv:
+        assert "--seed: must be non-negative, got '-" in err
     assert not os.path.exists(out)
 
 

@@ -1,12 +1,12 @@
 """problem.map_chunks: the chunks of a sweep on _WORKERS threads, merged in
 chunk order, so that every Monte Carlo route returns the same bytes at any
-worker count."""
+worker count.  Each sweep runs on a pool of its own, joined when the sweep
+ends, so no thread outlives it and no sweep waits on another's chunks."""
 
 import os
 import signal
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -115,34 +115,59 @@ def test_route_raises_what_its_chunk_raised(monkeypatch, workers, bad, on_caller
         pl.estimate_z_naive(scaled_instance(4, 7, 2.0), N, 5)
 
 
+def _chunk_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("polarlasso-chunk")]
+
+
+@pytest.mark.parametrize("workers", [2, 3], indirect=True)
+@pytest.mark.parametrize("end", ["exhausted", "closed", "raised"])
+def test_no_thread_outlives_a_sweep(workers, end):
+    index = _chunk_index(6)
+
+    def work(gen, rows):
+        if end == "raised" and index(gen) == workers - 1:  # the pool's last chunk of group one
+            raise FloatingPointError("chunk")
+        return rows
+
+    assert not _chunk_threads()
+    results = map_chunks(work, 6, N)
+    if end == "exhausted":
+        assert list(results) == [CHUNK, CHUNK, CHUNK, 5]
+    elif end == "closed":
+        assert next(results) == CHUNK
+        assert _chunk_threads()  # the pool runs the rest of the first group
+        results.close()
+    else:
+        with pytest.raises(FloatingPointError):
+            list(results)
+    assert not _chunk_threads()
+
+
 @pytest.mark.parametrize("workers", [2], indirect=True)
-def test_closing_early_cancels_queued_chunks(monkeypatch, workers):
-    # a sweep whose worker chunk blocks holds the pool's one thread, so the
-    # worker chunk of a second sweep waits in the queue behind it
-    pool = ThreadPoolExecutor(1)
-    monkeypatch.setattr(problem, "_pool", (os.getpid(), pool))
+def test_a_blocked_sweep_holds_up_no_other(workers):
+    # the first sweep's pool chunk blocks; a sweep in another thread has a
+    # pool of its own, so it runs to the end meanwhile
+    index = _chunk_index(1)
     release = threading.Event()
 
     def blocking(gen, rows):
-        if threading.current_thread() is not threading.main_thread():
-            release.wait(10)
+        if index(gen) == 1:
+            release.wait(120)
         return rows
 
+    got = []
+    other = threading.Thread(target=lambda: got.extend(map_chunks(lambda gen, rows: rows, 2, N)))
     first = map_chunks(blocking, 1, N)
-    ran = []
-    second = map_chunks(lambda gen, rows: ran.append(rows) or rows, 2, N)
     try:
         assert next(first) == CHUNK
-        assert next(second) == CHUNK  # computed by the calling thread
-        second.close()
+        other.start()
+        other.join(timeout=30)
+        assert not other.is_alive()
     finally:
         release.set()
         first.close()
-    # the pool runs what it holds in order: once this has run, so would have
-    # the second sweep's queued chunk, had it not been cancelled
-    pool.submit(lambda: None).result(timeout=10)
-    pool.shutdown()
-    assert ran == [CHUNK]
+        other.join(timeout=30)
+    assert got == [CHUNK, CHUNK, CHUNK, 5]
 
 
 def test_concurrent_sweeps_stay_ordered(monkeypatch):
@@ -171,7 +196,7 @@ def test_concurrent_sweeps_stay_ordered(monkeypatch):
 
 def test_concurrent_routes_keep_their_buffers(monkeypatch):
     # each sweep's chunk buffers are its own, per thread: two sweeps at once,
-    # whose chunks share the pool's thread, return the serial bytes
+    # each with a calling thread and a pool thread, return the serial bytes
     monkeypatch.setattr(problem, "_WORKERS", 1)
     probs = [scaled_instance(4, 7, 2.0), scaled_instance(10, 20, 2.0)]
 
@@ -203,7 +228,7 @@ def test_concurrent_routes_keep_their_buffers(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 @pytest.mark.parametrize("workers", [2], indirect=True)
 def test_forked_child_makes_its_own_pool(workers):
-    # the child inherits the parent's pool but not its threads
+    # a forked child runs its sweeps on pools of its own, as the parent does
     want = list(map_chunks(lambda gen, rows: gen.random(), 3, N))
     pid = os.fork()
     if pid == 0:  # pragma: no cover - the child reports through its exit code

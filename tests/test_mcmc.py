@@ -47,6 +47,29 @@ class TestConfig:
         with pytest.raises(ValueError, match="q must be positive"):
             pl.ChainConfig(kind=KIND_RANDOM_WALK, n_iter=10, q=q)
 
+    @pytest.mark.parametrize("variance", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rw_variance(self, variance):
+        with pytest.raises(ValueError, match="rw_variance must be positive and finite"):
+            pl.ChainConfig(kind=KIND_RANDOM_WALK, n_iter=10, rw_variance=variance)
+
+    @pytest.mark.parametrize("n_iter", [math.nan, 2.5, 10.0, "10"])
+    def test_rejects_non_integer_n_iter(self, n_iter):
+        with pytest.raises(ValueError, match="n_iter must be a positive integer"):
+            pl.ChainConfig(kind=KIND_RANDOM_WALK, n_iter=n_iter)
+
+    def test_accepts_numpy_integer_n_iter(self, desk_instance):
+        cfg = pl.ChainConfig(kind=KIND_RANDOM_WALK, n_iter=np.int64(10))
+        assert len(pl.run_chain(desk_instance, cfg)[0].norm_x) == 10
+
+    @pytest.mark.parametrize("length", [1, 3])
+    @pytest.mark.parametrize("name", ["init", "shift_l"])
+    def test_rejects_state_of_wrong_length(self, desk_instance, name, length):
+        # a length-1 zero centre broadcasts, and a 10-iteration chain that
+        # accepts nothing would return without the check
+        cfg = pl.ChainConfig(kind=KIND_INDEPENDENT, n_iter=10, seed=0, **{name: np.zeros(length)})
+        with pytest.raises(ValueError, match=f"^{name} must have length 7$"):
+            pl.run_chain(desk_instance, cfg)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["init", "shift_l"])
     def test_rejects_non_finite_state(self, name, bad):
@@ -249,6 +272,13 @@ class TestCoverage:
         l[4] = bad
         with pytest.raises(ValueError, match="l must be finite"):
             pl.criterion_coverage(desk_instance, 5.0, 100, 14, l=l)
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_rejects_centre_of_wrong_length(self, desk_instance, monkeypatch, length):
+        # refused before the exact draws are made
+        monkeypatch.setattr(mcmc, "sample_posterior_batch", lambda *a: pytest.fail("drew"))
+        with pytest.raises(ValueError, match="^l must have length 7$"):
+            pl.criterion_coverage(desk_instance, 5.0, 100, 14, l=np.zeros(length))
 
     def test_mean_norm_loose_cap(self, desk_instance):
         # zero-mean target: the running mean at modest length stays small

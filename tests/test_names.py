@@ -257,3 +257,54 @@ def test_one_direction_batch_builder():
     found = [(path.name, line) for path in sorted(SRC.glob("*.py")) if path.name != "shifted.py"
              for line in _reads(path, "NULL_TOL")]
     assert not found, "NULL_TOL read outside shifted.py (module, line): " + repr(found)
+
+
+def _called(node):
+    """The name a call node calls, bare or as an attribute; None for any other node."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    return None
+
+
+def _is_lock_or_executor(node):
+    name = _called(node) or ""
+    return name in ("Lock", "RLock") or name.endswith("Executor")
+
+
+def _module_level_pools(path):
+    """Lines of a module that bind a lock or an executor outside any function."""
+    lines = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.NamedExpr)) \
+                    and child.value is not None:
+                lines.extend(n.lineno for n in ast.walk(child.value) if _is_lock_or_executor(n))
+            visit(child)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")))
+    return lines
+
+
+def _executors(path):
+    """(line, whether it opens a `with`) of every ThreadPoolExecutor call of a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    in_with = {id(item.context_expr) for node in ast.walk(tree)
+               if isinstance(node, (ast.With, ast.AsyncWith)) for item in node.items}
+    return [(node.lineno, id(node) in in_with) for node in ast.walk(tree)
+            if _called(node) == "ThreadPoolExecutor"]
+
+
+def test_no_process_wide_pool():
+    # each sweep of problem.map_chunks opens its own pool in a `with`, which
+    # joins it when the sweep ends: no module keeps a lock or an executor,
+    # and no executor is made where nothing joins it
+    bound = [(path.name, line) for path in sorted(SRC.glob("*.py")) for line in _module_level_pools(path)]
+    assert not bound, "module-level locks or executors (module, line): " + repr(bound)
+    made = {path.name: _executors(path) for path in sorted(SRC.glob("*.py"))}
+    assert made["problem.py"], "map_chunks no longer opens a ThreadPoolExecutor"
+    found = [(module, line) for module, calls in made.items() for line, in_with in calls
+             if module != "problem.py" or not in_with]
+    assert not found, "ThreadPoolExecutor outside a `with` of problem.py (module, line): " + repr(found)
