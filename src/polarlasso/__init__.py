@@ -35,26 +35,14 @@ from .problem import (
     save_problem,
     zero_lasso_sufficient,
 )
-from .radial import (
-    DirectionStats,
-    RadialSummary,
-    direction_stats,
-    mass_closed_form,
-    mass_expansion,
-    mode_radius,
-    mode_radius_times_l1,
-    radial_potential,
-    radial_summary,
-    ray_energy,
-)
+from .radial import mass_closed_form, mass_expansion, mode_radius_times_l1
 from .shifted import (
     ExactSamplerBudgetError,
+    RadialSummary,
     build_shift_context,
+    radial_summary,
     sample_posterior,
     sample_posterior_batch,
-    shifted_mass_bounds,
-    shifted_mode_radius,
-    shifted_radial_mass,
 )
 from .special import ExpansionResult, expansion_coeff
 
@@ -62,7 +50,6 @@ __all__ = [
     "ChainConfig",
     "ChainDiagnosis",
     "ChainTrace",
-    "DirectionStats",
     "ExactSamplerBudgetError",
     "ExpansionResult",
     "LassoSolution",
@@ -73,7 +60,6 @@ __all__ = [
     "build_shift_context",
     "concentration_prob",
     "criterion_coverage",
-    "direction_stats",
     "estimate_z_naive",
     "estimate_z_polar",
     "estimate_z_shifted",
@@ -84,20 +70,14 @@ __all__ = [
     "make_problem",
     "mass_closed_form",
     "mass_expansion",
-    "mode_radius",
     "mode_radius_times_l1",
     "objective",
-    "radial_potential",
     "radial_summary",
-    "ray_energy",
     "run_chain",
     "sample_posterior",
     "sample_posterior_batch",
     "sample_sphere",
     "save_problem",
-    "shifted_mass_bounds",
-    "shifted_mode_radius",
-    "shifted_radial_mass",
     "solve_fista",
     "solve_polar",
     "sphere_surface",

@@ -261,7 +261,11 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"polarlasso: no ergodicity constant from Z = {z!r}: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
-    trace, diag = mcmc.run_chain(prob, cfg)
+    try:
+        trace, diag = mcmc.run_chain(prob, cfg)
+    except ValueError as exc:  # a problem with one column
+        print(f"polarlasso: {exc}", file=sys.stderr)
+        return 2
     outputs = [args.out]
     if args.emit_series:
         _write_chunks(args.emit_series, _series_chunks(trace))
@@ -403,9 +407,9 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--problem", required=True)
     d.add_argument("--sampler", choices=("is", "rw"), default="rw")
     d.add_argument("--iters", type=_positive(int), default=1000000)
-    d.add_argument("--q", type=_positive(float), default=mcmc.ChainConfig.q)
-    d.add_argument("--rw-var", default=mcmc.ChainConfig.rw_variance,
-                   type=_checked(float, lambda v: 0.0 < v < math.inf, "positive and finite"))
+    positive_finite = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
+    d.add_argument("--q", type=positive_finite, default=mcmc.ChainConfig.q)
+    d.add_argument("--rw-var", type=positive_finite, default=mcmc.ChainConfig.rw_variance)
     d.add_argument("--seed", type=seed, default=0)
     d.add_argument("--z-samples", type=_positive(int), default=20000,
                    help="sweep size for the ergodicity constant (is sampler)")

@@ -50,8 +50,8 @@ class ChainConfig:
             raise ValueError("n_iter must be a positive integer")
         if not 0 < self.rw_variance < math.inf:
             raise ValueError("rw_variance must be positive and finite")
-        if not self.q > 0:
-            raise ValueError("q must be positive")
+        if not 0 < self.q < math.inf:
+            raise ValueError("q must be positive and finite")
         for name, state in (("init", self.init), ("shift_l", self.shift_l)):
             if state is not None and not np.all(np.isfinite(state)):
                 raise ValueError(f"{name} must be finite")
@@ -86,11 +86,12 @@ class ChainDiagnosis:
 
 
 def tv_bound(t, z: float, p: int):
-    """Uniform-ergodicity total-variation bound (1 - z/2^p)^t of the
-    independent sampler, elementwise over an array t."""
-    if not 0.0 < z < 2.0**p:
+    """Uniform-ergodicity total-variation bound (1 - z/2^p)^t of the independent
+    sampler, elementwise over an array t; z/2^p by exact scaling (ldexp)."""
+    frac = math.ldexp(z, -p)
+    if not (z > 0.0 and frac < 1.0):
         raise ValueError("z must lie in (0, 2^p)")
-    return (1.0 - z / 2.0**p) ** t
+    return (1.0 - frac) ** t
 
 
 def run_chain(prob: ProblemInstance, cfg: ChainConfig) -> tuple[ChainTrace, ChainDiagnosis]:
@@ -106,7 +107,7 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig) -> tuple[ChainTrace, Chai
     summary diagnosis.  Fixed seeds reproduce everything bit-exactly; the
     proposal stream is consumed in fixed-size blocks independent of outcomes.
     """
-    p = prob.p
+    p = _chain_dimension(prob)
     A = prob.A
     y = prob.y
     n_iter = cfg.n_iter
@@ -187,6 +188,13 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig) -> tuple[ChainTrace, Chai
     return ChainTrace(norm_x=norm_x, q_r_theta=q_r, criterion=crit), diag
 
 
+def _chain_dimension(prob: ProblemInstance) -> int:
+    """p of the instance, at least 2 as the criterion's bound P(q, p) needs."""
+    if prob.p < 2:
+        raise ValueError("p must be at least 2")
+    return prob.p
+
+
 def _point(value, p: int, name: str) -> np.ndarray:
     """`value` as a float vector of length p, zeros when it is None; a wrong
     length or a non-finite entry raises a ValueError that names it."""
@@ -260,8 +268,10 @@ def criterion_coverage(prob: ProblemInstance, q: float, n_draws: int, rng,
                        l: np.ndarray | None = None) -> float:
     """Empirical fraction of exact posterior draws with ||x - l|| <= q r(theta, l),
     the draws of sample_posterior_batch diagnosed in one batch."""
+    if not 0 < q < math.inf:
+        raise ValueError("q must be positive and finite")
     rng = np.random.default_rng(rng)  # a Generator comes back unaltered
-    l = _point(l, prob.p, "l")
+    l = _point(l, _chain_dimension(prob), "l")
     X = sample_posterior_batch(prob, n_draws, rng)
     norm, qr, _ = _state_diagnosis(prob, X, l, q)
     return int(np.count_nonzero(norm <= qr)) / n_draws

@@ -17,9 +17,9 @@ and s = 1, kappa = 0, beta_k = l1_k.  unit_shift_batch alone forms the
 products with A and marks the null rows.  Every row goes through the one
 log-domain segment kernel, a whole batch of directions per call
 (build_shift_batch), so the result is reliable for any placement of l; a
-single direction is a batch of one (build_shift_context).  At l = 0 this is
-the centred radial law of radial.py, which takes its statistics, mass, mode,
-peak and bracket from here, as lasso.py takes its offsets beta.
+single direction is a batch of one (build_shift_context, read by
+radial_summary).  At l = 0 this is the paper's centred radial law J_p(theta),
+whose closed forms in beta radial.py keeps, as lasso.py takes its beta here.
 """
 
 from __future__ import annotations
@@ -238,21 +238,26 @@ def shifted_log_summaries(batch: ShiftBatch) -> tuple[np.ndarray, ...]:
     return shifted_log_masses(batch), log_lo, log_pm, mode, log_peak
 
 
-def shifted_radial_mass(ctx: ShiftBatch) -> float:
-    """J_p(theta, l) of row 0 of the batch; inf past the float range."""
-    return _exp(float(shifted_log_masses(ctx)[0]))
+@dataclass(frozen=True)
+class RadialSummary:
+    """Mode, peak, mass and log-concavity bracket of one direction's radial law."""
+
+    mode_r: float
+    peak: float
+    mass: float
+    mass_lo: float
+    mass_hi: float
 
 
-def shifted_mode_radius(ctx: ShiftBatch) -> float:
-    """Mode radius of the shifted radial law along row 0 of the batch."""
-    return float(shifted_modes(ctx)[0])
-
-
-def shifted_mass_bounds(ctx: ShiftBatch) -> tuple[float, float]:
-    """log_concavity_bracket of row 0 of the batch from its mass_lo and
-    peak * mode (shifted_log_summaries); inf past the float range."""
-    _, log_lo, log_pm, _, _ = shifted_log_summaries(ctx)
-    return log_concavity_bracket(float(log_lo[0]), float(log_pm[0]), ctx.p)
+def radial_summary(batch: ShiftBatch) -> RadialSummary:
+    """Mode, peak, mass J_p(theta, l) and its bracket along row 0 of the batch:
+    shifted_log_summaries of a batch of one, exponentiated (inf past the float
+    range) after adding h0, so masses and peak are those of the posterior on
+    the ray from l, e^h0 times the recentred values; at l = 0, J_p(theta)."""
+    log_mass, log_lo, log_pm, mode, log_peak = (float(v[0]) for v in shifted_log_summaries(batch))
+    h0 = batch.h0
+    mass_lo, mass_hi = log_concavity_bracket(log_lo + h0, log_pm + h0, batch.p)
+    return RadialSummary(mode, _exp(log_peak + h0), _exp(log_mass + h0), mass_lo, mass_hi)
 
 
 class ExactSamplerBudgetError(RuntimeError):

@@ -87,11 +87,11 @@ def test_criterion_04_closed_forms_vs_quadrature():
         y = rng.standard_normal(4) * rng.uniform(0.8, 2.5)
         prob = pl.make_problem(base.A, y)
         for theta in sample_sphere_batch(rng, 50, 7):
-            st = pl.direction_stats(prob, theta)
-            summ = pl.radial_summary(st)
-            oracle = quad_radial_mass(prob.A, prob.y, st.theta, 7)
+            batch = pl.build_shift_context(prob, np.zeros(7), theta)
+            summ = pl.radial_summary(batch)
+            oracle = quad_radial_mass(prob.A, prob.y, batch.theta, 7)
             worst_central = max(worst_central, abs(summ.mass - oracle) / oracle)
-            if st.beta is not None and st.beta < 0:
+            if not batch.null[0] and batch.beta[0, 0] < 0:
                 neg_seen += 1
     worst_shift = 0.0
     prob = pl.make_problem(pl.gen_bernoulli_matrix(4, 7, 42).A,
@@ -100,8 +100,8 @@ def test_criterion_04_closed_forms_vs_quadrature():
         l = rng.standard_normal(7) * rng.uniform(0.2, 2.0)
         theta = rng.standard_normal(7)
         ctx = pl.build_shift_context(prob, l, theta)
-        mass = pl.shifted_radial_mass(ctx)
-        oracle = quad_shifted_mass(prob.A, prob.y, l, ctx.theta, 7)
+        mass = pl.radial_summary(ctx).mass
+        oracle = quad_shifted_mass(prob.A, prob.y, l, ctx.theta, 7) * math.exp(ctx.h0)
         worst_shift = max(worst_shift, abs(mass - oracle) / oracle)
     elapsed = time.time() - t0
     ok = worst_central <= 1e-6 and worst_shift <= 1e-6 and neg_seen > 0 and elapsed < 30.0
@@ -119,8 +119,7 @@ def test_criterion_05_brackets_and_bounds():
     ok_bracket = True
     prob = pl.gen_bernoulli_matrix(4, 7, 42)
     for theta in sample_sphere_batch(rng, 2000, 7):
-        st = pl.direction_stats(prob, theta)
-        summ = pl.radial_summary(st)
+        summ = pl.radial_summary(pl.build_shift_context(prob, np.zeros(7), theta))
         ok_bracket &= summ.mass_lo <= summ.mass <= summ.mass_hi
     ok_z = True
     for seed in range(20):
@@ -143,9 +142,8 @@ def test_criterion_06_concentration_coverage():
     draws = np.array([pl.sample_posterior(prob, rng) for _ in range(n)])
     norms = np.linalg.norm(draws, axis=1)
     radii = np.empty(n)
-    for i in range(n):
-        st = pl.direction_stats(prob, draws[i])
-        radii[i] = pl.mode_radius(st) if st.beta is not None else (6.0 / st.l1_theta)
+    for i in range(n):  # a null direction's mode is 6 / ||theta||_1
+        radii[i] = pl.radial_summary(pl.build_shift_context(prob, np.zeros(7), draws[i])).mode_r
     ok = True
     details = []
     for q, _ in TABLE2.items():
@@ -270,14 +268,19 @@ def test_criterion_10_reductions_and_continuity():
     rng = np.random.default_rng(101)
     ok_reduce = True
     for theta in sample_sphere_batch(rng, 100, 7):
+        # at l = 0 (and y = 0, so beta > 0) the segment law reduces to the
+        # paper's closed forms in beta: mass Phi(beta) / ||theta||_1^7, mode
+        # r ||theta||_1 of mode_radius_times_l1, bracket [1/7, 6! e^6 / 6^7]
+        # times peak * mode
         ctx = pl.build_shift_context(prob, np.zeros(7), theta)
-        st = pl.direction_stats(prob, theta)
-        summ = pl.radial_summary(st)
-        ok_reduce &= abs(pl.shifted_radial_mass(ctx) - summ.mass) <= 1e-10 * summ.mass
-        ok_reduce &= (
-            abs(pl.shifted_mode_radius(ctx) - summ.mode_r) <= 1e-10 * summ.mode_r
-        )
-        lo, hi = pl.shifted_mass_bounds(ctx)
+        summ = pl.radial_summary(ctx)
+        beta, l1, norm_A = ctx.beta[0, 0], ctx.slope[0, 0], ctx.norm_A[0]
+        mass = pl.mass_closed_form(beta, 0.0, 0.0, 7) / l1**7
+        mode = pl.mode_radius_times_l1(beta, 7) / l1
+        peak_mode = math.exp(-0.5 * (mode * norm_A) ** 2 - beta * norm_A * mode) * mode**7
+        lo, hi = peak_mode / 7.0, peak_mode * 720.0 * math.exp(6.0) / 6.0**7
+        ok_reduce &= abs(mass - summ.mass) <= 1e-10 * summ.mass
+        ok_reduce &= abs(mode - summ.mode_r) <= 1e-10 * summ.mode_r
         ok_reduce &= abs(lo - summ.mass_lo) <= 1e-10 * summ.mass_lo
         ok_reduce &= abs(hi - summ.mass_hi) <= 1e-10 * summ.mass_hi
 
@@ -286,11 +289,11 @@ def test_criterion_10_reductions_and_continuity():
         theta_ns = null_space_direction(prob.A, rng)
         delta = rng.standard_normal(7)
         l = 0.4 * rng.standard_normal(7)
-        limit = pl.shifted_radial_mass(pl.build_shift_context(prob, l, theta_ns))
+        limit = pl.radial_summary(pl.build_shift_context(prob, l, theta_ns)).mass
         errs = []
         for t in (1e-2, 1e-3, 1e-4):
             ctx_t = pl.build_shift_context(prob, l, theta_ns + t * delta)
-            errs.append(abs(pl.shifted_radial_mass(ctx_t) - limit) / limit)
+            errs.append(abs(pl.radial_summary(ctx_t).mass - limit) / limit)
         ok_cont &= errs[0] > errs[1] > errs[2]
     elapsed = time.time() - t0
     ok = ok_reduce and ok_cont and elapsed < 60.0

@@ -296,6 +296,19 @@ class TestDiagnose:
         assert err.startswith("polarlasso:") and "z must lie in (0, 2^p)" in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("sampler", ["rw", "is"])
+    def test_one_column_problem_exits_2(self, tmp_path, capsys, sampler):
+        # at p = 1 the criterion has no bound P(q, p), and a 1 x 1 chain
+        # would report satisfaction_rate 0.0 with exit 0
+        path = tmp_path / "one.json"
+        pl.save_problem(pl.make_problem(np.eye(1), np.array([0.5])), str(path))
+        out = tmp_path / "diag.json"
+        assert run(["diagnose", "--problem", str(path), "--sampler", sampler, "--iters", "100",
+                    "--z-samples", "200", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "polarlasso: p must be at least 2\n"
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["diagnose", "--iters", "0"],
@@ -303,6 +316,9 @@ class TestDiagnose:
     ["diagnose", "--rw-var", "inf"],
     ["diagnose", "--rw-var", "nan"],
     ["diagnose", "--q", "-1"],
+    ["diagnose", "--q", "0"],
+    ["diagnose", "--q", "inf"],
+    ["diagnose", "--q", "nan"],
     ["partition", "--n-samples", "0"],
     ["solve", "--n-samples", "0"],
     ["solve", "--tol", "-1"],

@@ -32,6 +32,14 @@ class TestTvBound:
         with pytest.raises(ValueError):
             pl.tv_bound(1, 200.0, 7)
 
+    def test_past_the_float_range_of_two_to_the_p(self):
+        # 2^p is no float from p = 1024 on: z/2^p is formed by exact scaling
+        assert pl.tv_bound(1, 1.0, 1100) == 1.0
+        assert 0.0 < pl.tv_bound(3, 1e308, 1030) == (1.0 - 1e308 * 2.0**-1030) ** 3 < 1.0
+        for z in (0.0, math.nan, math.inf, 1e308):
+            with pytest.raises(ValueError):
+                pl.tv_bound(1, z, 1000)
+
 
 class TestConfig:
     def test_validation(self):
@@ -42,9 +50,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             pl.ChainConfig(kind=KIND_RANDOM_WALK, n_iter=10, rw_variance=0.0)
 
-    @pytest.mark.parametrize("q", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_nonpositive_q(self, q):
-        with pytest.raises(ValueError, match="q must be positive"):
+        # q = inf would make the criterion hold by construction
+        with pytest.raises(ValueError, match="q must be positive and finite"):
             pl.ChainConfig(kind=KIND_RANDOM_WALK, n_iter=10, q=q)
 
     @pytest.mark.parametrize("variance", [math.nan, math.inf, -math.inf])
@@ -280,6 +289,25 @@ class TestCoverage:
         with pytest.raises(ValueError, match="^l must have length 7$"):
             pl.criterion_coverage(desk_instance, 5.0, 100, 14, l=np.zeros(length))
 
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_q(self, desk_instance, monkeypatch, q):
+        # refused before the exact draws are made
+        monkeypatch.setattr(mcmc, "sample_posterior_batch", lambda *a: pytest.fail("drew"))
+        with pytest.raises(ValueError, match="^q must be positive and finite$"):
+            pl.criterion_coverage(desk_instance, q, 100, 14)
+
+    def test_rejects_one_column(self, monkeypatch):
+        # at p = 1 the criterion has no bound P(q, p), and on a 1 x 1 design
+        # the mode is the origin, so coverage would read 0.0
+        monkeypatch.setattr(mcmc, "sample_posterior_batch", lambda *a: pytest.fail("drew"))
+        monkeypatch.setattr(mcmc, "sample_laplace", lambda *a: pytest.fail("drew"))
+        prob = pl.make_problem(np.eye(1), np.array([0.5]))
+        with pytest.raises(ValueError, match="^p must be at least 2$"):
+            pl.criterion_coverage(prob, 5.0, 100, 14)
+        for kind in (KIND_INDEPENDENT, KIND_RANDOM_WALK):
+            with pytest.raises(ValueError, match="^p must be at least 2$"):
+                pl.run_chain(prob, pl.ChainConfig(kind=kind, n_iter=10))
+
     def test_mean_norm_loose_cap(self, desk_instance):
         # zero-mean target: the running mean at modest length stays small
         for kind in (KIND_INDEPENDENT, KIND_RANDOM_WALK):
@@ -333,12 +361,7 @@ def _scalar_diagnosis(prob, x, l, q):
     norm = float(np.linalg.norm(x_rel))
     if norm == 0.0:
         return 0.0, math.inf
-    if np.any(l):
-        return norm, q * pl.shifted_mode_radius(pl.build_shift_context(prob, l, x_rel))
-    st = pl.direction_stats(prob, x_rel)
-    if st.beta is None:
-        return norm, q * (prob.p - 1) / st.l1_theta  # mode of the null-direction law
-    return norm, q * pl.mode_radius(st)
+    return norm, q * pl.radial_summary(pl.build_shift_context(prob, l, x_rel)).mode_r
 
 
 def _oracle_series(prob, states, l, q):
@@ -429,7 +452,7 @@ class TestBatchedDiagnosis:
         for x in pl.sample_posterior_batch(prob, n, np.random.default_rng(31)):
             norm = float(np.linalg.norm(x - l))
             ctx = pl.build_shift_context(prob, l, x - l)
-            good += norm <= q * pl.shifted_mode_radius(ctx)
+            good += norm <= q * pl.radial_summary(ctx).mode_r
         frac = pl.criterion_coverage(prob, q, n, 31, l=l)
         assert frac == good / n
         assert 0.0 < frac < 1.0  # q = 2 separates draws

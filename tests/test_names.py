@@ -147,8 +147,8 @@ def test_one_radial_law():
     assert not found, "radial kernel calls outside shifted.py (module, function, callee, line): " + repr(found)
 
 
-# the objects that fix a direction's radial law, and the arguments they hold
-DIRECTION_TYPES = ("ShiftBatch", "DirectionStats")
+# the object that fixes a direction's radial law, and the arguments it holds
+DIRECTION_TYPES = ("ShiftBatch",)
 RESTATED = ("p", "y_norm")
 
 
@@ -166,15 +166,27 @@ def _direction_readers(path):
 
 
 def test_direction_readers_take_the_direction_alone():
-    # a ShiftBatch or DirectionStats is built from the instance, so its
-    # readers derive p (the width of its directions) and ||y|| (through h0)
-    # from it; an argument that restates them can only disagree
+    # a ShiftBatch is built from the instance, so its readers derive p (the
+    # width of its directions) and ||y|| (through h0) from it; an argument
+    # that restates them can only disagree
     readers = {path.name: _direction_readers(path) for path in sorted(SRC.glob("*.py"))}
     names = {name for found in readers.values() for name, _ in found}
-    assert {"shifted_log_summaries", "shifted_radial_mass", "radial_summary", "ray_energy"} <= names
+    assert {"shifted_log_masses", "shifted_log_summaries", "shifted_modes", "radial_summary"} <= names
     found = [(module, name, arg) for module, found in readers.items() for name, params in found
              for arg in params if arg in RESTATED]
     assert not found, "restated direction arguments (module, function, parameter): " + repr(found)
+
+
+def test_one_reader_family():
+    # every function that reads a ShiftBatch lives next to its builder, so a
+    # second family of per-direction readers (a scalar layer over the batch)
+    # cannot grow elsewhere
+    found = [(path.name, name) for path in sorted(SRC.glob("*.py")) if path.name != "shifted.py"
+             for name, _ in _direction_readers(path)]
+    assert not found, "ShiftBatch readers outside shifted.py (module, function): " + repr(found)
+    assert not [node for node in ast.walk(ast.parse((SRC / "radial.py").read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and node.module in ("shifted", "problem")], \
+        "radial.py imports from shifted.py or problem.py"
 
 
 def _scipy_imports(path):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import polarlasso as pl
+from conftest import shifted_potential
 from polarlasso.problem import CHUNK, sample_laplace, sample_sphere_batch, sweep_chunks
+from polarlasso.shifted import build_shift_batch
 
 
 class TestGeneration:
@@ -66,61 +68,77 @@ class TestGeneration:
             assert prob.op_norm == pytest.approx(float(want), rel=4 * np.finfo(float).eps)
 
 
+def ray(prob, theta):
+    """The centred radial law along theta: the l = 0 batch of one direction."""
+    return pl.build_shift_context(prob, np.zeros(prob.p), theta)
+
+
+def ray_energy(batch, r):
+    """-log of the posterior at r theta, theta row 0 of an l = 0 batch, from
+    its one segment: kappa u^2/2 + beta u - h(0) with u = scale r."""
+    u = batch.scale[0] * r
+    return u * (0.5 * batch.kappa[0] * u + batch.beta[0, 0]) - batch.h0
+
+
 class TestDirectionStats:
+    """The statistics of one direction: build_shift_context at l = 0."""
+
     def test_zero_observation_cosine(self, desk_instance):
-        st = pl.direction_stats(desk_instance, np.ones(7))
-        assert st.s == 0.0
-        assert st.beta == pytest.approx(st.l1_theta / st.norm_A_theta)
+        batch = ray(desk_instance, np.ones(7))
+        assert batch.s[0] == 0.0
+        assert batch.beta[0, 0] == pytest.approx(batch.slope[0, 0] / batch.norm_A[0])
 
     def test_null_direction_sentinel(self, desk_instance, oracles):
         rng = np.random.default_rng(0)
         theta = oracles.null_space_direction(desk_instance.A, rng)
-        st = pl.direction_stats(desk_instance, theta)
-        assert st.beta is None
-        assert st.norm_A_theta <= 1e-12
+        batch = ray(desk_instance, theta)
+        assert batch.null[0]
+        assert batch.norm_A[0] <= 1e-12
 
     def test_basis_vector(self, desk_instance):
-        st = pl.direction_stats(desk_instance, np.eye(7)[0])
-        assert st.l1_theta == pytest.approx(1.0)
-        assert st.norm_A_theta == pytest.approx(1.0)  # unit columns
+        batch = ray(desk_instance, np.eye(7)[0])
+        assert batch.slope[0, 0] == pytest.approx(1.0)
+        assert batch.norm_A[0] == pytest.approx(1.0)  # unit columns
 
     def test_l1_range_on_sphere(self, desk_instance):
         rng = np.random.default_rng(1)
         for theta in sample_sphere_batch(rng, 200, 7):
-            st = pl.direction_stats(desk_instance, theta)
-            assert 1.0 - 1e-12 <= st.l1_theta <= math.sqrt(7) + 1e-12
-            assert abs(np.linalg.norm(st.theta) - 1.0) <= 1e-12
+            batch = ray(desk_instance, theta)
+            assert 1.0 - 1e-12 <= batch.slope[0, 0] <= math.sqrt(7) + 1e-12
+            assert abs(np.linalg.norm(batch.theta) - 1.0) <= 1e-12
 
     def test_scale_invariance(self, desk_instance_y):
         rng = np.random.default_rng(2)
         v = rng.standard_normal(7)
-        a = pl.direction_stats(desk_instance_y, v)
-        b = pl.direction_stats(desk_instance_y, 17.3 * v)
-        assert a.beta == pytest.approx(b.beta, rel=1e-12)
-        assert a.s == pytest.approx(b.s, rel=1e-12)
+        a = ray(desk_instance_y, v)
+        b = ray(desk_instance_y, 17.3 * v)
+        assert a.beta[0, 0] == pytest.approx(b.beta[0, 0], rel=1e-12)
+        assert a.s[0] == pytest.approx(b.s[0], rel=1e-12)
 
     def test_rejects_zero_vector(self, desk_instance):
         with pytest.raises(ValueError):
-            pl.direction_stats(desk_instance, np.zeros(7))
+            ray(desk_instance, np.zeros(7))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_entry(self, desk_instance_y, bad):
         theta = np.ones(7)
         theta[3] = bad
-        with pytest.raises(ValueError, match="theta must be finite"):
-            pl.direction_stats(desk_instance_y, theta)
+        with pytest.raises(ValueError, match="thetas must be finite"):
+            ray(desk_instance_y, theta)
 
 
 class TestRayEnergy:
+    """The ray energy that the segment fields of an l = 0 batch imply."""
+
     def test_at_origin(self, desk_instance_y):
-        st = pl.direction_stats(desk_instance_y, np.ones(7))
+        batch = ray(desk_instance_y, np.ones(7))
         y_norm = desk_instance_y.y_norm
-        assert pl.ray_energy(st, 0.0) == pytest.approx(0.5 * y_norm**2)
+        assert ray_energy(batch, 0.0) == pytest.approx(0.5 * y_norm**2)
 
     def test_zero_observation_unit_radius(self, desk_instance):
-        st = pl.direction_stats(desk_instance, np.ones(7))
-        expected = 0.5 * st.norm_A_theta**2 + st.l1_theta
-        assert pl.ray_energy(st, 1.0) == pytest.approx(expected, rel=1e-14)
+        batch = ray(desk_instance, np.ones(7))
+        expected = 0.5 * batch.norm_A[0] ** 2 + batch.slope[0, 0]
+        assert ray_energy(batch, 1.0) == pytest.approx(expected, rel=1e-14)
 
     def test_direct_form_identity(self, desk_instance_y, oracles):
         rng = np.random.default_rng(3)
@@ -128,46 +146,36 @@ class TestRayEnergy:
         for _ in range(1000):
             theta = rng.standard_normal(7)
             r = rng.uniform(0.0, 8.0)
-            st = pl.direction_stats(prob, theta)
-            direct = oracles.neg_log_density_on_ray(prob.A, prob.y, st.theta, r)
-            assert pl.ray_energy(st, r) == pytest.approx(direct, rel=1e-12)
+            batch = ray(prob, theta)
+            direct = oracles.neg_log_density_on_ray(prob.A, prob.y, batch.theta, r)
+            assert ray_energy(batch, r) == pytest.approx(direct, rel=1e-12)
 
-    def test_null_direction_raises(self, desk_instance, oracles):
+    def test_null_direction_is_linear(self, desk_instance, oracles):
+        # the misfit is constant along a null direction: r ||theta||_1 - h(0)
         theta = oracles.null_space_direction(desk_instance.A, np.random.default_rng(4))
-        st = pl.direction_stats(desk_instance, theta)
-        with pytest.raises(ValueError):
-            pl.ray_energy(st, 1.0)
+        batch = ray(desk_instance, theta)
+        assert batch.null[0] and batch.kappa[0] == 0.0
+        for r in (0.5, 1.0, 7.0):
+            direct = oracles.neg_log_density_on_ray(desk_instance.A, desk_instance.y, batch.theta, r)
+            assert ray_energy(batch, r) == pytest.approx(direct, rel=1e-12)
 
 
 class TestRadialPotential:
-    def test_unit_radius_equals_energy(self, desk_instance):
-        st = pl.direction_stats(desk_instance, np.ones(7))
-        assert pl.radial_potential(st, 1.0) == pytest.approx(
-            pl.ray_energy(st, 1.0)
-        )
-
-    def test_p_equal_one_drops_log(self):
-        st = pl.direction_stats(pl.make_problem([[0.8]]), np.ones(1))
-        r = 2.7
-        assert pl.radial_potential(st, r) == pytest.approx(pl.ray_energy(st, r))
-
     def test_convexity_midpoint(self, desk_instance_y):
+        # the radial law is log-concave, which its bracket rests on
         rng = np.random.default_rng(5)
         prob = desk_instance_y
         for _ in range(200):
-            st = pl.direction_stats(prob, rng.standard_normal(7))
+            theta = rng.standard_normal(7)
+            theta /= np.linalg.norm(theta)
             r1, r2 = sorted(rng.uniform(0.05, 10.0, size=2))
-            mid = pl.radial_potential(st, 0.5 * (r1 + r2))
-            ends = 0.5 * (
-                pl.radial_potential(st, r1)
-                + pl.radial_potential(st, r2)
-            )
-            assert mid <= ends + 1e-12
 
-    def test_rejects_nonpositive_radius(self, desk_instance):
-        st = pl.direction_stats(desk_instance, np.ones(7))
-        with pytest.raises(ValueError):
-            pl.radial_potential(st, 0.0)
+            def potential(r):
+                return shifted_potential(prob.A, prob.y, np.zeros(7), theta, r, 7)
+
+            mid = potential(0.5 * (r1 + r2))
+            ends = 0.5 * (potential(r1) + potential(r2))
+            assert mid <= ends + 1e-12
 
 
 class TestOffsetBounds:
@@ -182,10 +190,8 @@ class TestOffsetBounds:
         prob = desk_instance_y
         bound = pl.beta_lower_bound(prob)
         rng = np.random.default_rng(6)
-        for theta in sample_sphere_batch(rng, 5000, 7):
-            st = pl.direction_stats(prob, theta)
-            if st.beta is not None:
-                assert st.beta >= bound - 1e-10
+        batch = build_shift_batch(prob, np.zeros(7), sample_sphere_batch(rng, 5000, 7))
+        assert np.all(batch.beta[~batch.null, 0] >= bound - 1e-10)
 
     def test_zero_mode_sufficient_condition(self, desk_instance):
         assert pl.zero_lasso_sufficient(desk_instance)  # y = 0

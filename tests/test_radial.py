@@ -8,9 +8,19 @@ import pytest
 from scipy.integrate import quad
 
 import polarlasso as pl
+from conftest import shifted_potential
 from polarlasso.problem import sample_sphere_batch
-from polarlasso.radial import METHOD_EXACT, METHOD_NULL
 from polarlasso.shifted import build_shift_batch, shifted_log_summaries
+
+
+def ray(prob, theta):
+    """The centred radial law along theta: the l = 0 batch of one direction."""
+    return pl.build_shift_context(prob, np.zeros(prob.p), theta)
+
+
+def ray_potential(prob, batch, r):
+    """Oracle radial potential along row 0 of an l = 0 batch (conftest)."""
+    return shifted_potential(prob.A, prob.y, np.zeros(prob.p), batch.theta, r, prob.p)
 
 
 def centred_rows(prob, thetas):
@@ -63,27 +73,27 @@ class TestModeRadius:
     def test_zero_offset(self):
         # beta = 0 requires s ||y|| = ||theta||_1 / ||A theta||: y = theta = e_1 with A = I
         prob = pl.make_problem(np.eye(7), np.eye(7)[0])
-        st = pl.direction_stats(prob, np.eye(7)[0])
-        assert st.beta == 0.0
-        assert pl.mode_radius(st) == pytest.approx(math.sqrt(6.0), rel=1e-14)
+        batch = ray(prob, np.eye(7)[0])
+        assert batch.beta[0, 0] == 0.0
+        assert pl.radial_summary(batch).mode_r == pytest.approx(math.sqrt(6.0), rel=1e-14)
 
     def test_stationarity_by_finite_differences(self, desk_instance_y):
         prob = desk_instance_y
         rng = np.random.default_rng(0)
         for theta in sample_sphere_batch(rng, 100, 7):
-            st = pl.direction_stats(prob, theta)
-            r0 = pl.mode_radius(st)
+            batch = ray(prob, theta)
+            r0 = pl.radial_summary(batch).mode_r
             h = 1e-6 * r0
-            up = pl.radial_potential(st, r0 + h)
-            dn = pl.radial_potential(st, r0 - h)
-            mid = pl.radial_potential(st, r0)
+            up = ray_potential(prob, batch, r0 + h)
+            dn = ray_potential(prob, batch, r0 - h)
+            mid = ray_potential(prob, batch, r0)
             second = (up - 2 * mid + dn) / (h * h)
             first = (up - dn) / (2 * h)
             assert abs(first) <= 1e-6 * max(1.0, abs(second))
             assert up > mid and dn > mid  # local optimality
             wide = 1e-4 * r0
-            assert pl.radial_potential(st, r0 + wide) > mid
-            assert pl.radial_potential(st, r0 - wide) > mid
+            assert ray_potential(prob, batch, r0 + wide) > mid
+            assert ray_potential(prob, batch, r0 - wide) > mid
 
     def test_mode_times_l1_anchor(self):
         # curve value at offset 0.4987 and the large-offset limit p - 1
@@ -107,10 +117,9 @@ class TestModeRadius:
 
     def test_null_direction_raises_and_fallback(self, desk_instance, oracles):
         theta = oracles.null_space_direction(desk_instance.A, np.random.default_rng(1))
-        st = pl.direction_stats(desk_instance, theta)
-        with pytest.raises(ValueError):
-            pl.mode_radius(st)
-        assert pl.radial_summary(st).mode_r == pytest.approx(6.0 / st.l1_theta)
+        batch = ray(desk_instance, theta)
+        assert batch.null[0]  # the mode of the exponential law r^6 e^(-r ||theta||_1)
+        assert pl.radial_summary(batch).mode_r == pytest.approx(6.0 / batch.slope[0, 0])
 
 
 class TestMassClosedForm:
@@ -131,11 +140,12 @@ class TestMassClosedForm:
         prob = desk_instance_y
         rng = np.random.default_rng(2)
         for theta in sample_sphere_batch(rng, 100, 7):
-            st = pl.direction_stats(prob, theta)
-            if st.beta is None or st.beta < 0:
+            batch = ray(prob, theta)
+            beta, l1 = batch.beta[0, 0], batch.slope[0, 0]
+            if batch.null[0] or beta < 0:
                 continue
-            phi = pl.mass_closed_form(st.beta, st.s, prob.y_norm, 7)
-            oracle = st.l1_theta**7 * oracles.quad_radial_mass(prob.A, prob.y, st.theta, 7)
+            phi = pl.mass_closed_form(beta, batch.s[0], prob.y_norm, 7)
+            oracle = l1**7 * oracles.quad_radial_mass(prob.A, prob.y, batch.theta, 7)
             assert phi == pytest.approx(oracle, rel=1e-8)
 
     def test_rejects_negative_offset(self):
@@ -176,10 +186,11 @@ class TestMassExpansion:
         rng = np.random.default_rng(3)
         found = 0
         for theta in sample_sphere_batch(rng, 4000, 7):
-            st = pl.direction_stats(prob, theta)
-            if st.beta is not None and st.beta > 13.0 and abs(st.s) > 0.05:
-                oracle = st.l1_theta**7 * oracles.quad_radial_mass(prob.A, prob.y, st.theta, 7)
-                val = pl.mass_expansion(st.beta, st.s, prob.y_norm, 7).value
+            batch = ray(prob, theta)
+            beta, s = batch.beta[0, 0], batch.s[0]
+            if not batch.null[0] and beta > 13.0 and abs(s) > 0.05:
+                oracle = batch.slope[0, 0]**7 * oracles.quad_radial_mass(prob.A, prob.y, batch.theta, 7)
+                val = pl.mass_expansion(beta, s, prob.y_norm, 7).value
                 assert val == pytest.approx(oracle, rel=1e-5)
                 found += 1
                 if found >= 3:
@@ -204,10 +215,10 @@ class TestMassExpansion:
 class TestRadialSummary:
     def test_null_direction_mass(self, desk_instance, oracles):
         theta = oracles.null_space_direction(desk_instance.A, np.random.default_rng(4))
-        st = pl.direction_stats(desk_instance, theta)
-        summ = pl.radial_summary(st)
-        assert summ.method == METHOD_NULL
-        assert summ.mass == pytest.approx(720.0 / st.l1_theta**7, rel=1e-12)
+        batch = ray(desk_instance, theta)
+        summ = pl.radial_summary(batch)
+        assert batch.null[0]
+        assert summ.mass == pytest.approx(720.0 / batch.slope[0, 0]**7, rel=1e-12)
         # the pure exponential law attains the upper bracket bound exactly
         assert summ.mass == pytest.approx(summ.mass_hi, rel=1e-12)
         assert summ.mass >= summ.mass_lo
@@ -221,11 +232,11 @@ class TestRadialSummary:
             y = rng.standard_normal(4) * rng.uniform(0.5, 2.5)
             prob = pl.make_problem(base.A, y)
             for theta in sample_sphere_batch(rng, 50, 7):
-                st = pl.direction_stats(prob, theta)
-                summ = pl.radial_summary(st)
-                oracle = oracles.quad_radial_mass(prob.A, prob.y, st.theta, 7)
+                batch = ray(prob, theta)
+                summ = pl.radial_summary(batch)
+                oracle = oracles.quad_radial_mass(prob.A, prob.y, batch.theta, 7)
                 assert summ.mass == pytest.approx(oracle, rel=1e-6)
-                if st.beta is not None and st.beta < 0:
+                if not batch.null[0] and batch.beta[0, 0] < 0:
                     checked_neg += 1
         assert checked_neg >= 5  # both signs actually exercised
 
@@ -233,13 +244,13 @@ class TestRadialSummary:
         prob = desk_instance_y
         rng = np.random.default_rng(6)
         for theta in sample_sphere_batch(rng, 500, 7):
-            st = pl.direction_stats(prob, theta)
-            summ = pl.radial_summary(st)
+            batch = ray(prob, theta)
+            summ = pl.radial_summary(batch)
             assert summ.mass_lo <= summ.mass <= summ.mass_hi
-            if st.beta >= 0.0:
+            if batch.beta[0, 0] >= 0.0:
                 assert summ.mass_lo == pytest.approx(summ.peak * summ.mode_r / 7.0, rel=1e-12)
             else:  # the half-Gaussian minorant right of the mode
-                curv = st.norm_A_theta**2 + 6.0 / summ.mode_r**2
+                curv = batch.norm_A[0]**2 + 6.0 / summ.mode_r**2
                 assert summ.mass_lo == pytest.approx(summ.peak * math.sqrt(math.pi / (2.0 * curv)),
                                                      rel=1e-12)
             assert summ.mass_hi == pytest.approx(
@@ -247,20 +258,21 @@ class TestRadialSummary:
             )
 
     def test_method_switch(self, desk_instance, oracles):
-        # one kernel path: every non-null direction is exact, at p = 7 and
-        # p = 20; past beta = 13 at p = 7 the exact mass agrees with the
-        # inverse-power expansion within its certified remainder
+        # one kernel path: every non-null direction has a finite positive
+        # mass, at p = 7 and p = 20; past beta = 13 at p = 7 the exact mass
+        # agrees with the inverse-power expansion within its certified remainder
         rng = np.random.default_rng(7)
         large = 0
         for theta in sample_sphere_batch(rng, 4000, 7):
-            st = pl.direction_stats(desk_instance, theta)
-            summ = pl.radial_summary(st)
-            if st.beta is None:
+            batch = ray(desk_instance, theta)
+            summ = pl.radial_summary(batch)
+            if batch.null[0]:
                 continue
-            assert summ.method == METHOD_EXACT
-            if st.beta > 13.0:
-                res = pl.mass_expansion(st.beta, 0.0, 0.0, 7)
-                phi = summ.mass * st.l1_theta**7
+            assert 0.0 < summ.mass < math.inf
+            beta = batch.beta[0, 0]
+            if beta > 13.0:
+                res = pl.mass_expansion(beta, 0.0, 0.0, 7)
+                phi = summ.mass * batch.slope[0, 0]**7
                 assert abs(phi - res.value) <= res.remainder_bound + 1e-12 * res.value
                 large += 1
         assert large >= 1
@@ -272,9 +284,9 @@ class TestRadialSummary:
             thetas[i] = oracles.null_space_direction(prob.A, rng) + 0.05 * thetas[i]
         betas = []
         for theta in thetas:
-            st = pl.direction_stats(prob, theta)
-            assert pl.radial_summary(st).method == METHOD_EXACT
-            betas.append(st.beta)
+            batch = ray(prob, theta)
+            assert not batch.null[0] and 0.0 < pl.radial_summary(batch).mass < math.inf
+            betas.append(batch.beta[0, 0])
         assert sum(b > 13.0 for b in betas) >= 100
 
     def test_tail_bound(self, desk_instance_y):
@@ -283,11 +295,11 @@ class TestRadialSummary:
         rng = np.random.default_rng(8)
         p = 7
         for theta in sample_sphere_batch(rng, 5, p):
-            st = pl.direction_stats(prob, theta)
-            r_star = pl.mode_radius(st)
+            batch = ray(prob, theta)
+            r_star = pl.radial_summary(batch).mode_r
 
             def dens(r):
-                return math.exp(-pl.radial_potential(st, r))
+                return math.exp(-ray_potential(prob, batch, r))
 
             total, _ = quad(dens, 0, np.inf, epsrel=1e-10, limit=300)
             for q in (2.0, 3.0, 5.0):
@@ -303,7 +315,7 @@ class TestSweep:
         thetas = sample_sphere_batch(rng, 300, 7)
         mass, mass_lo, peak_mode = (np.exp(v) for v in centred_rows(prob, thetas))
         for i in range(300):
-            summ = pl.radial_summary(pl.direction_stats(prob, thetas[i]))
+            summ = pl.radial_summary(ray(prob, thetas[i]))
             assert mass[i] == pytest.approx(summ.mass, rel=1e-8)
             assert peak_mode[i] == pytest.approx(summ.peak * summ.mode_r, rel=1e-8)
             assert mass_lo[i] == pytest.approx(summ.mass_lo, rel=1e-8)
@@ -344,12 +356,12 @@ class TestOneKernelPath:
             y_norm = max(0.0, 1.0 - beta) + 0.5
             prob = pl.make_problem(a[None, :], np.array([y_norm]))
             theta = _direction_at_offset(a, y_norm, beta, rng)
-            st = pl.direction_stats(prob, theta)
-            assert st.beta == pytest.approx(beta, rel=1e-6, abs=1e-6)
-            want = float(mp.exp(mp_log_radial_mass(st.norm_A_theta, st.beta, y_norm, p)))
-            summ = pl.radial_summary(st)
+            batch = ray(prob, theta)
+            assert not batch.null[0]
+            assert batch.beta[0, 0] == pytest.approx(beta, rel=1e-6, abs=1e-6)
+            want = float(mp.exp(mp_log_radial_mass(batch.norm_A[0], batch.beta[0, 0], y_norm, p)))
+            summ = pl.radial_summary(batch)
             mass, _, peak_mode = (np.exp(v) for v in centred_rows(prob, theta[None, :]))
-            assert summ.method == METHOD_EXACT
             assert summ.mass == pytest.approx(want, rel=1e-9)
             assert mass[0] == pytest.approx(want, rel=1e-9)
             assert peak_mode[0] == pytest.approx(summ.peak * summ.mode_r, rel=1e-12)
@@ -360,15 +372,13 @@ class TestOneKernelPath:
         prob = pl.gen_bernoulli_matrix(4, 7, 42)
         rng = np.random.default_rng(1)
         theta = oracles.null_space_direction(prob.A, rng) + t * rng.standard_normal(7)
-        st = pl.direction_stats(prob, theta)
-        assert st.beta is not None and st.beta > 1e6
-        summ = pl.radial_summary(st)
-        root = float(mp_mode_radius(st.norm_A_theta, st.beta, 7))
-        ctx = pl.build_shift_context(prob, np.zeros(7), theta)
+        batch = ray(prob, theta)
+        assert not batch.null[0] and batch.beta[0, 0] > 1e6
+        summ = pl.radial_summary(batch)
+        root = float(mp_mode_radius(batch.norm_A[0], batch.beta[0, 0], 7))
         assert summ.mode_r == pytest.approx(root, rel=1e-12)
-        assert pl.shifted_mode_radius(ctx) == pytest.approx(root, rel=1e-12)
         assert summ.mass_lo <= summ.mass <= summ.mass_hi
-        peak_mode = np.exp(centred_rows(prob, st.theta[None, :])[2])
+        peak_mode = np.exp(centred_rows(prob, batch.theta[None, :])[2])
         assert peak_mode[0] > 0.0
         assert peak_mode[0] == pytest.approx(summ.peak * summ.mode_r, rel=1e-12)
 
@@ -385,12 +395,12 @@ class TestOneKernelPath:
         mass, mass_lo, peak_mode = (np.exp(v) for v in centred_rows(prob, thetas))
         betas = []
         for i, theta in enumerate(thetas):
-            st = pl.direction_stats(prob, theta)
-            summ = pl.radial_summary(st)
+            batch = ray(prob, theta)
+            summ = pl.radial_summary(batch)
             assert mass[i] == pytest.approx(summ.mass, rel=1e-12)
             assert peak_mode[i] == pytest.approx(summ.peak * summ.mode_r, rel=1e-12)
             assert mass_lo[i] == pytest.approx(summ.mass_lo, rel=1e-12)
-            betas.append(math.nan if st.beta is None else st.beta)
+            betas.append(math.nan if batch.null[0] else batch.beta[0, 0])
         assert np.isnan(betas[5]) and np.nanmax(betas) > 13.0
 
     @pytest.mark.parametrize("p, beta", [(7, -20.0), (7, -60.0), (2, -60.0), (20, -60.0), (2, -5.0)])
@@ -399,12 +409,12 @@ class TestOneKernelPath:
         # the mass (1.06x to 12x); the half-Gaussian minorant holds
         y_norm = 1.0 - beta
         prob = pl.make_problem(np.eye(1, p), np.array([y_norm]))
-        st = pl.direction_stats(prob, np.eye(1, p)[0])
-        assert st.beta == beta
-        want = float(mp.exp(mp_log_radial_mass(st.norm_A_theta, beta, y_norm, p)))
-        summ = pl.radial_summary(st)
+        batch = ray(prob, np.eye(1, p)[0])
+        assert batch.beta[0, 0] == beta
+        want = float(mp.exp(mp_log_radial_mass(batch.norm_A[0], beta, y_norm, p)))
+        summ = pl.radial_summary(batch)
         assert 0.25 * want <= summ.mass_lo <= want <= summ.mass_hi
-        mass_lo = np.exp(centred_rows(prob, st.theta[None, :])[1])
+        mass_lo = np.exp(centred_rows(prob, batch.theta[None, :])[1])
         assert mass_lo[0] == summ.mass_lo
 
     def test_upper_bound_finite_at_p100(self):
@@ -412,10 +422,10 @@ class TestOneKernelPath:
         # (p-1)! e^(p-1) of the log-concavity constant overflow on their own
         p, y_norm = 100, 61.0
         prob = pl.make_problem(np.eye(1, p), np.array([y_norm]))
-        st = pl.direction_stats(prob, np.eye(1, p)[0])
-        assert st.beta == -60.0
-        summ = pl.radial_summary(st)
-        want = float(mp.exp(mp_log_radial_mass(st.norm_A_theta, -60.0, y_norm, p)))
+        batch = ray(prob, np.eye(1, p)[0])
+        assert batch.beta[0, 0] == -60.0
+        summ = pl.radial_summary(batch)
+        want = float(mp.exp(mp_log_radial_mass(batch.norm_A[0], -60.0, y_norm, p)))
         assert summ.mass == pytest.approx(want, rel=1e-12)
         assert summ.mass <= summ.mass_hi < math.inf
 

@@ -12,8 +12,8 @@ import polarlasso as pl
 from conftest import shifted_potential
 from polarlasso._moments import log_gaussian_moment
 from polarlasso.problem import CHUNK, sample_laplace, sample_sphere_batch, sweep_chunks
-from polarlasso.shifted import (ShiftBatch, build_shift_batch, shifted_log_masses, shifted_log_summaries,
-                                unit_shift_batch)
+from polarlasso.shifted import (ShiftBatch, build_shift_batch, log_concavity_bracket, shifted_log_masses,
+                                shifted_log_summaries, unit_shift_batch)
 
 
 def potential(prob, ctx, r, p):
@@ -45,6 +45,19 @@ def random_shift_pair(rng, p=7, scale_hi=2.0):
     l = rng.standard_normal(p) * rng.uniform(0.2, scale_hi)
     theta = rng.standard_normal(p)
     return l, theta
+
+
+def recentred_mass(ctx):
+    """J_p(theta, l) of row 0 in units of e^h0, the mass of the recentred density f."""
+    return math.exp(shifted_log_masses(ctx)[0])
+
+
+def centred_offset(prob, theta):
+    """(||A theta||, beta) of the unit direction theta at l = 0, formed
+    here: beta = (||theta||_1 - A theta . y) / ||A theta||."""
+    A_theta = prob.A @ theta
+    norm_A = float(np.linalg.norm(A_theta))
+    return norm_A, (float(np.abs(theta).sum()) - float(A_theta @ prob.y)) / norm_A
 
 
 def random_batch(prob, rng, count, p=7):
@@ -121,11 +134,11 @@ class TestContext:
         prob = desk_instance_y
         theta = rng.standard_normal(7)
         batch = pl.build_shift_context(prob, np.zeros(7), theta)
-        st = pl.direction_stats(prob, theta)
+        unit = theta / np.linalg.norm(theta)
         assert batch.lo.shape == (1, 1)
         assert batch.c[0, 0] == 0.0
-        assert batch.slope[0, 0] == pytest.approx(st.l1_theta, rel=1e-14)
-        assert batch.beta[0, 0] == pytest.approx(st.beta, rel=1e-12)
+        assert batch.slope[0, 0] == pytest.approx(np.abs(unit).sum(), rel=1e-14)
+        assert batch.beta[0, 0] == pytest.approx(centred_offset(prob, unit)[1], rel=1e-12)
 
     def test_last_offset_lower_bound(self, desk_instance_y):
         rng = np.random.default_rng(5)
@@ -148,14 +161,14 @@ class TestContext:
 
 class TestShiftedMass:
     def test_reduction_at_zero_shift(self, desk_instance, oracles):
-        # with y = 0 the recentered density at l = 0 is the posterior itself
+        # with y = 0 the recentered density at l = 0 is the posterior itself,
+        # whose mass is the closed form Phi(beta) / ||theta||_1^7
         prob = desk_instance
         rng = np.random.default_rng(7)
         for theta in sample_sphere_batch(rng, 50, 7):
             ctx = pl.build_shift_context(prob, np.zeros(7), theta)
-            st = pl.direction_stats(prob, theta)
-            centered = pl.radial_summary(st).mass
-            assert pl.shifted_radial_mass(ctx) == pytest.approx(centered, rel=1e-10)
+            centered = pl.mass_closed_form(ctx.beta[0, 0], 0.0, 0.0, 7) / ctx.slope[0, 0]**7
+            assert recentred_mass(ctx) == pytest.approx(centered, rel=1e-10)
 
     def test_reduction_with_observation_scales_by_misfit(self, desk_instance_y):
         # at l = 0 the recentered mass carries the exp(||y||^2/2) normalization
@@ -163,10 +176,9 @@ class TestShiftedMass:
         rng = np.random.default_rng(8)
         theta = rng.standard_normal(7)
         ctx = pl.build_shift_context(prob, np.zeros(7), theta)
-        st = pl.direction_stats(prob, theta)
-        centered = pl.radial_summary(st).mass
+        centered = pl.radial_summary(ctx).mass
         expected = centered * math.exp(0.5 * prob.y_norm**2)
-        assert pl.shifted_radial_mass(ctx) == pytest.approx(expected, rel=1e-10)
+        assert recentred_mass(ctx) == pytest.approx(expected, rel=1e-10)
 
     def test_oracle_equivalence_random_shifts(self, desk_instance_y, oracles):
         prob = desk_instance_y
@@ -176,8 +188,8 @@ class TestShiftedMass:
             if trial % 4 == 0:
                 theta[rng.integers(0, 7, size=3)] *= 1e-3  # extreme breakpoints
             ctx = pl.build_shift_context(prob, l, theta)
-            mass = pl.shifted_radial_mass(ctx)
-            oracle = oracles.quad_shifted_mass(prob.A, prob.y, l, ctx.theta, 7)
+            mass = pl.radial_summary(ctx).mass
+            oracle = oracles.quad_shifted_mass(prob.A, prob.y, l, ctx.theta, 7) * math.exp(ctx.h0)
             assert mass == pytest.approx(oracle, rel=1e-6)
 
     def test_null_direction_branch(self, desk_instance, oracles):
@@ -188,8 +200,8 @@ class TestShiftedMass:
             theta = oracles.null_space_direction(prob.A, rng)
             l = sol.x  # an exact mode keeps the recentered density bounded
             ctx = pl.build_shift_context(prob, l, theta)
-            mass = pl.shifted_radial_mass(ctx)
-            oracle = oracles.quad_shifted_mass(prob.A, prob.y, l, ctx.theta, 7)
+            mass = pl.radial_summary(ctx).mass
+            oracle = oracles.quad_shifted_mass(prob.A, prob.y, l, ctx.theta, 7) * math.exp(ctx.h0)
             assert mass == pytest.approx(oracle, rel=1e-8)
 
     def test_null_branch_nonoptimal_shift(self, desk_instance, oracles):
@@ -200,8 +212,8 @@ class TestShiftedMass:
             theta = oracles.null_space_direction(prob.A, rng)
             l = -2.0 * theta + 0.3 * rng.standard_normal(7)
             ctx = pl.build_shift_context(prob, l, theta)
-            mass = pl.shifted_radial_mass(ctx)
-            oracle = oracles.quad_shifted_mass(prob.A, prob.y, l, ctx.theta, 7)
+            mass = pl.radial_summary(ctx).mass
+            oracle = oracles.quad_shifted_mass(prob.A, prob.y, l, ctx.theta, 7) * math.exp(ctx.h0)
             assert mass == pytest.approx(oracle, rel=1e-7)
 
     def test_null_direction_with_far_breakpoints(self, oracles):
@@ -217,8 +229,8 @@ class TestShiftedMass:
             l *= 2.8 / np.linalg.norm(l)
             ctx = pl.build_shift_context(prob, l, theta)
             assert ctx.null[0]
-            mass = pl.shifted_radial_mass(ctx)
-            oracle = oracles.quad_shifted_mass(prob.A, prob.y, l, ctx.theta, 7)
+            mass = pl.radial_summary(ctx).mass
+            oracle = oracles.quad_shifted_mass(prob.A, prob.y, l, ctx.theta, 7) * math.exp(ctx.h0)
             assert mass == pytest.approx(oracle, rel=1e-8)
 
     def test_continuity_toward_null_space(self, desk_instance, oracles):
@@ -230,13 +242,13 @@ class TestShiftedMass:
         delta = rng.standard_normal(7)
         l = 0.4 * rng.standard_normal(7)
         ctx0 = pl.build_shift_context(prob, l, theta_ns)
-        limit = pl.shifted_radial_mass(ctx0)
+        limit = pl.radial_summary(ctx0).mass
         errs = []
         for t in (1e-2, 1e-3, 1e-4):
             theta_t = theta_ns + t * delta
             ctx_t = pl.build_shift_context(prob, l, theta_t)
             assert not ctx_t.null[0]
-            errs.append(abs(pl.shifted_radial_mass(ctx_t) - limit) / limit)
+            errs.append(abs(pl.radial_summary(ctx_t).mass - limit) / limit)
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-3
 
@@ -273,10 +285,9 @@ class TestShiftedMode:
         rng = np.random.default_rng(14)
         for theta in sample_sphere_batch(rng, 30, 7):
             ctx = pl.build_shift_context(prob, np.zeros(7), theta)
-            st = pl.direction_stats(prob, theta)
-            assert pl.shifted_mode_radius(ctx) == pytest.approx(
-                pl.mode_radius(st), rel=1e-8
-            )
+            norm_A, beta = centred_offset(prob, ctx.theta)
+            root = (-beta + math.sqrt(beta * beta + 24.0)) / (2.0 * norm_A)
+            assert pl.radial_summary(ctx).mode_r == pytest.approx(root, rel=1e-8)
 
     def test_against_golden_section(self, desk_instance_y):
         prob = desk_instance_y
@@ -284,7 +295,7 @@ class TestShiftedMode:
         for _ in range(100):
             l, theta = random_shift_pair(rng)
             ctx = pl.build_shift_context(prob, l, theta)
-            r_walk = pl.shifted_mode_radius(ctx)
+            r_walk = pl.radial_summary(ctx).mode_r
             r_gold = golden_section_mode(prob, ctx, 7)
             assert r_walk == pytest.approx(r_gold, rel=1e-6, abs=1e-8)
 
@@ -302,7 +313,7 @@ class TestShiftedMode:
             if not optimal:
                 assert np.any(ctx.slope[0] < 0.0)
             r_gold = golden_section_mode(prob, ctx, 7)
-            assert pl.shifted_mode_radius(ctx) == pytest.approx(r_gold, rel=1e-6, abs=1e-8)
+            assert pl.radial_summary(ctx).mode_r == pytest.approx(r_gold, rel=1e-6, abs=1e-8)
 
     def test_convexity_probe(self, desk_instance_y):
         prob = desk_instance_y
@@ -310,7 +321,7 @@ class TestShiftedMode:
         for _ in range(100):
             l, theta = random_shift_pair(rng)
             ctx = pl.build_shift_context(prob, l, theta)
-            r_star = pl.shifted_mode_radius(ctx)
+            r_star = pl.radial_summary(ctx).mode_r
             best = potential(prob, ctx, r_star, 7)
             for eps in (1e-3, 1e-2):
                 assert potential(prob, ctx, r_star * (1 + eps), 7) >= best - 1e-12
@@ -319,44 +330,49 @@ class TestShiftedMode:
 
 class TestShiftedBounds:
     def test_reduction_at_zero_shift(self, desk_instance):
+        # y = 0, so beta > 0: the bracket is [1/7, 6! e^6 / 6^7] times
+        # peak * mode, with the closed-form mode and peak of the centred law
         prob = desk_instance
         rng = np.random.default_rng(17)
         theta = rng.standard_normal(7)
         ctx = pl.build_shift_context(prob, np.zeros(7), theta)
-        st = pl.direction_stats(prob, theta)
-        summ = pl.radial_summary(st)
-        lo, hi = pl.shifted_mass_bounds(ctx)
-        assert lo == pytest.approx(summ.mass_lo, rel=1e-10)
-        assert hi == pytest.approx(summ.mass_hi, rel=1e-10)
+        norm_A, beta = centred_offset(prob, ctx.theta)
+        r = (-beta + math.sqrt(beta * beta + 24.0)) / (2.0 * norm_A)
+        peak_mode = math.exp(-0.5 * (r * norm_A) ** 2 - beta * norm_A * r) * r**7
+        summ = pl.radial_summary(ctx)
+        assert summ.mass_lo == pytest.approx(peak_mode / 7.0, rel=1e-10)
+        assert summ.mass_hi == pytest.approx(peak_mode * 720.0 * math.exp(6.0) / 6.0**7, rel=1e-10)
 
     def test_containment_random_contexts(self, desk_instance_y):
         prob = desk_instance_y
         rng = np.random.default_rng(18)
         for _ in range(200):
             l, theta = random_shift_pair(rng)
-            ctx = pl.build_shift_context(prob, l, theta)
-            lo, hi = pl.shifted_mass_bounds(ctx)
-            mass = pl.shifted_radial_mass(ctx)
-            assert lo * (1 - 1e-9) <= mass <= hi * (1 + 1e-9)
+            summ = pl.radial_summary(pl.build_shift_context(prob, l, theta))
+            assert summ.mass_lo * (1 - 1e-9) <= summ.mass <= summ.mass_hi * (1 + 1e-9)
 
     def test_no_overflow_far_from_the_mode(self):
         # 1 x 2 design, l = 0, theta = e1: beta = 1 - ||y||, and h(0) = -||y||^2/2
         # is taken out in logs, so the recentered bracket passes the float
-        # range as inf instead of raising
+        # range as inf instead of raising, and the posterior's stays finite
         far = pl.make_problem(np.eye(1, 2), np.array([61.0]))
         ctx = pl.build_shift_context(far, np.zeros(2), np.eye(2)[0])
         assert ctx.beta[0, 0] == -60.0
-        assert pl.shifted_mass_bounds(ctx) == (math.inf, math.inf)
-        assert pl.shifted_radial_mass(ctx) == math.inf
-        # where it stays finite it is the centred bracket times e^(||y||^2/2)
+        log_j, log_lo, log_pm, _, _ = shifted_log_summaries(ctx)
+        assert log_concavity_bracket(float(log_lo[0]), float(log_pm[0]), 2) == (math.inf, math.inf)
+        assert log_j[0] > math.log(np.finfo(float).max)
+        summ = pl.radial_summary(ctx)
+        assert 0.0 < summ.mass_lo <= summ.mass <= summ.mass_hi < math.inf
+        # where it stays finite it is the posterior's bracket times e^(||y||^2/2)
         near = pl.make_problem(np.eye(1, 2), np.array([21.0]))
         ctx = pl.build_shift_context(near, np.zeros(2), np.eye(2)[0])
-        lo, hi = pl.shifted_mass_bounds(ctx)
-        summ = pl.radial_summary(pl.direction_stats(near, np.eye(2)[0]))
+        _, log_lo, log_pm, _, _ = shifted_log_summaries(ctx)
+        lo, hi = log_concavity_bracket(float(log_lo[0]), float(log_pm[0]), 2)
+        summ = pl.radial_summary(ctx)
         scale = math.exp(0.5 * 21.0**2)
         assert hi == pytest.approx(summ.mass_hi * scale, rel=1e-10)
         assert lo == pytest.approx(summ.mass_lo * scale, rel=1e-10)
-        assert pl.shifted_radial_mass(ctx) <= hi
+        assert recentred_mass(ctx) <= hi
 
 
 class TestBracketProperty:
@@ -384,7 +400,7 @@ class TestBracketProperty:
         batch = build_shift_batch(prob, np.zeros(p), thetas)
         rows = zip(*(np.exp(v + batch.h0) for v in (log_j, log_lo, log_pm)))
         for theta, (mass, mass_lo, peak_mode) in zip(thetas, rows):
-            summ = pl.radial_summary(pl.direction_stats(prob, theta))
+            summ = pl.radial_summary(pl.build_shift_context(prob, np.zeros(p), theta))
             assert summ.mass == pytest.approx(mass, rel=1e-11)
             assert summ.mass_lo == pytest.approx(mass_lo, rel=1e-11)
             assert summ.peak * summ.mode_r == pytest.approx(peak_mode, rel=1e-11)
@@ -439,7 +455,7 @@ class TestSampling:
         masses = np.empty(n)
         for i in range(n):
             ctx = pl.build_shift_context(prob, l, thetas[i])
-            masses[i] = pl.shifted_radial_mass(ctx)
+            masses[i] = recentred_mass(ctx)
         surf = pl.sphere_surface(7)
         h0 = -0.5 * float(np.linalg.norm(prob.A @ l - prob.y) ** 2) - float(np.abs(l).sum())
         z_f = surf * float(masses.mean())
@@ -552,8 +568,9 @@ class TestShiftBatch:
         assert batch.null[7] and batch.null.sum() == 1
         for i in range(len(thetas)):
             ctx = pl.build_shift_context(prob, l, thetas[i])
-            assert math.exp(log_j[i]) == pytest.approx(pl.shifted_radial_mass(ctx), rel=1e-12)
-            r = pl.shifted_mode_radius(ctx)
+            summ = pl.radial_summary(ctx)
+            assert math.exp(log_j[i] + batch.h0) == pytest.approx(summ.mass, rel=1e-12)
+            r = summ.mode_r
             assert log_pm[i] == pytest.approx(math.log(r) - potential(prob, ctx, r, p),
                                               rel=1e-12, abs=1e-12)
 
@@ -603,7 +620,7 @@ class TestEstimateZShifted:
         est = pl.estimate_z_shifted(prob, l, n, 31)
         ((gen, rows),) = sweep_chunks(31, n)
         assert rows == n
-        masses = [pl.shifted_radial_mass(pl.build_shift_context(prob, l, pl.sample_sphere(gen, 7)))
+        masses = [recentred_mass(pl.build_shift_context(prob, l, pl.sample_sphere(gen, 7)))
                   for _ in range(n)]
         surf = pl.sphere_surface(7)
         assert est.z_f == pytest.approx(surf * float(np.mean(masses)), rel=1e-12)
