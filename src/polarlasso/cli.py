@@ -362,6 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  description="Polar geometry of the l1-penalized Gaussian posterior")
     sub = ap.add_subparsers(dest="command", required=True)
     seed = _checked(int, lambda v: v >= 0, "non-negative")
+    positive_finite = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
 
     g = sub.add_parser("gen", help="generate a Bernoulli design instance")
     g.add_argument("--n", type=_positive(int), default=4)
@@ -378,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", choices=("polar", "fista", "both"), default="both")
     s.add_argument("--n-samples", type=_positive(int), default=100000)
     s.add_argument("--max-iter", type=_positive(int), default=lasso.FISTA_MAX_ITER)
-    s.add_argument("--tol", type=_positive(float), default=lasso.FISTA_TOL)
+    s.add_argument("--tol", type=positive_finite, default=lasso.FISTA_TOL)
     s.add_argument("--seed", type=seed, default=0)
     s.add_argument("--out", default="solution.json")
     s.set_defaults(func=cmd_solve)
@@ -407,7 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--problem", required=True)
     d.add_argument("--sampler", choices=("is", "rw"), default="rw")
     d.add_argument("--iters", type=_positive(int), default=1000000)
-    positive_finite = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
     d.add_argument("--q", type=positive_finite, default=mcmc.ChainConfig.q)
     d.add_argument("--rw-var", type=positive_finite, default=mcmc.ChainConfig.rw_variance)
     d.add_argument("--seed", type=seed, default=0)

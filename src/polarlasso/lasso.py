@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problem import ProblemInstance, chunk_buffers, map_chunks
-from .shifted import unit_shift_batch
 
 METHOD_POLAR = "polar"
 METHOD_FISTA = "fista"
@@ -48,6 +47,8 @@ def solve_fista(prob: ProblemInstance, max_iter: int = FISTA_MAX_ITER, tol: floa
     """
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     p = prob.p
     if prob.op_norm == 0.0:
         return LassoSolution(np.zeros(p), objective(prob, np.zeros(p)), METHOD_FISTA,
@@ -81,36 +82,25 @@ def solve_polar(prob: ProblemInstance, n_samples: int, rng) -> LassoSolution:
     largest square.  If no direction has beta <= 0 the mode is the origin.
 
     The sweep is consumed in the chunks of map_chunks; ties in beta^2
-    keep the first candidate in stream order.  Before the clip on s,
-    beta = (||theta||_1 - A theta . y)/||A theta||, whose sign does not depend
-    on the scale of theta, so each chunk's raw Gaussian rows v are screened
-    first: only the rows with ||v||_1 - v . (A^T y) <= margin are normalised,
-    into a chunk of otherwise zero rows, and scored (meta["n_scored"] counts
-    them).  A row of v with ||v||_1 = 0 is all zero, and is redrawn as
-    sample_sphere_batch redraws its rows of norm 0, so the scored rows are
-    those of sample_sphere_batch for the same generator.
-
-    The margin covers rounding.  The scored beta and the screen statistic
-    are each formed from at most p + n + 8 rounded sums and products, whose
-    terms sum in magnitude to at most ||v||_1 + |v| . (|A|^T |y|)
-    <= (1 + c) ||v||_1 with c = max_j (|A|^T |y|)_j, so each lies within
-    (p + n + 8) eps (1 + c) ||v||_1 of the exact ||v||_1 - v . (A^T y), to
-    first order in eps.  A row whose scored beta is <= 0 therefore passes a
-    screen with twice that margin; the margin is four times that again.  It
-    sets only how many rows are scored: a row that fails it would have
-    scored beta > 0, so neither the winner nor n_negative depends on it.
+    keep the first candidate in stream order.  beta = (||v||_1 - v . (A^T y))
+    / ||A v|| and the l it gives do not depend on the scale of v, so each
+    chunk is scored on its standard normal rows v as drawn, not normalised.
+    A row of v with ||v||_1 = 0 is all zero, and is redrawn as
+    sample_sphere_batch redraws its rows of norm 0, so the directions are
+    those of sample_sphere_batch for the same generator.  The numerator is
+    formed first: the rows where it is <= 0 are exactly those with
+    beta <= 0, and only a chunk that has one forms A v, on all its rows,
+    since BLAS rounds a row differently in a batch of another size.
     """
     p = prob.p
     A_T_y = prob.A.T @ prob.y
-    c = float(np.max(np.abs(prob.A).T @ np.abs(prob.y)))
-    margin = 8.0 * (p + prob.n + 8) * np.finfo(float).eps * (1.0 + c)
     ones = np.ones(p)  # |v| @ ones sums the rows faster than .sum(axis=1)
-    buffers = chunk_buffers(n_samples, p, p, p)
+    buffers = chunk_buffers(n_samples, p, p)
 
     def score(gen, count):
-        """(rows scored, rows with beta <= 0, the first (beta, theta, ||A theta||)
-        of largest beta^2 among them or None) of one chunk."""
-        v, abs_v, thetas = buffers(count)  # thetas stays zero between chunks
+        """(rows with beta <= 0, the first (beta, l) of largest beta^2 among
+        them or None) of one chunk."""
+        v, abs_v = buffers(count)
         gen.standard_normal(out=v)
         while True:
             l1 = np.abs(v, out=abs_v) @ ones
@@ -118,33 +108,21 @@ def solve_polar(prob: ProblemInstance, n_samples: int, rng) -> LassoSolution:
             if not np.any(bad):
                 break
             v[bad] = gen.standard_normal((int(bad.sum()), p))
-        rows = np.flatnonzero(l1 - v @ A_T_y <= margin * l1)
-        if not rows.size:
-            return 0, 0, None
-        picked = v[rows]
-        thetas[rows] = picked / np.linalg.norm(picked, axis=1)[:, None]
-        batch = unit_shift_batch(prob, np.zeros(p), thetas, rows)
-        betas = batch.beta[:, 0]  # ||theta||_1 > 0 on null rows
-        neg = np.flatnonzero(betas <= 0.0)
-        best = None
-        if neg.size:
-            i = neg[np.argmax(betas[neg] ** 2)]  # the first of equal squares
-            best = float(betas[i]), thetas[rows[i]].copy(), float(batch.norm_A[i])
-        thetas[rows] = 0.0
-        return rows.size, neg.size, best
+        num = l1 - v @ A_T_y
+        neg = np.flatnonzero(num <= 0.0)
+        if not neg.size:
+            return 0, None
+        norm_A = np.linalg.norm(v @ prob.A.T, axis=1)[neg]
+        betas = num[neg] / norm_A
+        i = np.argmax(betas**2)  # the first of equal squares
+        beta = float(betas[i])
+        return neg.size, (beta, -(beta / norm_A[i]) * v[neg[i]])
 
-    best_beta = None
-    best_theta = None
-    best_norm_A = None
-    neg_count = scored = 0
-    for n_rows, n_neg, best in map_chunks(score, rng, n_samples):
-        scored += n_rows
+    best_beta, x = None, np.zeros(p)
+    neg_count = 0
+    for n_neg, best in map_chunks(score, rng, n_samples):
         neg_count += n_neg
         if best is not None and (best_beta is None or best[0] * best[0] > best_beta * best_beta):
-            best_beta, best_theta, best_norm_A = best
-    meta = {"best_beta": best_beta, "n_samples": n_samples, "n_negative": neg_count, "n_scored": scored}
-    if best_beta is None:
-        x = np.zeros(p)
-    else:
-        x = -(best_beta / best_norm_A) * best_theta
+            best_beta, x = best
+    meta = {"best_beta": best_beta, "n_samples": n_samples, "n_negative": neg_count}
     return LassoSolution(x, objective(prob, x), METHOD_POLAR, meta)

@@ -148,8 +148,8 @@ def concentration_prob(q: float, p: int) -> float:
     """Lower bound P(q, p) = 1 - p Gamma(p, (p-1) q) e^(p-1) / (p-1)^p on the
     posterior probability of { ||x - l|| <= q r(theta) }, formed in logs with
     Gamma(p, x) = G_(p-1)(x, inf, beta = 1, kappa = 0) from the kernel."""
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if not 0 < q < math.inf:
+        raise ValueError("q must be positive and finite")
     if p < 2:
         raise ValueError("p must be at least 2")
     log_gamma = float(log_gaussian_moment(p - 1, (p - 1) * q, math.inf, 1.0, 0.0))
@@ -158,6 +158,6 @@ def concentration_prob(q: float, p: int) -> float:
 
 def lasso_ball_volume(z: float, p: int) -> float:
     """Lebesgue volume of the unit ball of the mass seminorm: Z / p."""
-    if z <= 0:
-        raise ValueError("z must be positive")
+    if not 0 < z < math.inf:
+        raise ValueError("z must be positive and finite")
     return z / p

@@ -13,13 +13,13 @@ moment, and
 with D_k = ||l||_1 - c_k and [a_k, b_k] the segment.  Where A theta != 0,
 s = ||A theta||, kappa = 1 and beta_k = l1_k/||A theta|| - b_l; on a null
 direction (||A theta|| <= NULL_TOL) the misfit is constant along the ray,
-and s = 1, kappa = 0, beta_k = l1_k.  unit_shift_batch alone forms the
-products with A and marks the null rows.  Every row goes through the one
+and s = 1, kappa = 0, beta_k = l1_k.  unit_shift_batch alone builds the
+segments and marks the null rows.  Every row goes through the one
 log-domain segment kernel, a whole batch of directions per call
 (build_shift_batch), so the result is reliable for any placement of l; a
 single direction is a batch of one (build_shift_context, read by
 radial_summary).  At l = 0 this is the paper's centred radial law J_p(theta),
-whose closed forms in beta radial.py keeps, as lasso.py takes its beta here.
+whose closed forms in beta radial.py keeps.
 """
 
 from __future__ import annotations
@@ -107,13 +107,8 @@ def build_shift_batch(prob: ProblemInstance, l: np.ndarray, thetas: np.ndarray) 
     return unit_shift_batch(prob, l, thetas / norms[:, None])
 
 
-def unit_shift_batch(prob: ProblemInstance, l: np.ndarray, thetas: np.ndarray,
-                     rows: np.ndarray | None = None) -> ShiftBatch:
-    """build_shift_batch of rows that are unit directions already (sphere
-    draws); of those in `rows` only, when given, the others need only be
-    finite.  The products with A are formed on every row even so: BLAS
-    rounds a row differently in a batch of another size, and a row's
-    statistics must not depend on which rows are scored with it.
+def unit_shift_batch(prob: ProblemInstance, l: np.ndarray, thetas: np.ndarray) -> ShiftBatch:
+    """build_shift_batch of rows that are unit directions already (sphere draws).
 
     Only coordinates in the support of l change sign along a ray.  Between
     the sign changes crossed and those ahead, ||r theta + l||_1 has slope
@@ -128,8 +123,6 @@ def unit_shift_batch(prob: ProblemInstance, l: np.ndarray, thetas: np.ndarray,
     y_l = prob.y - prob.A @ l
     A_thetas = thetas @ prob.A.T
     A_theta_y = A_thetas @ y_l
-    if rows is not None:
-        thetas, A_thetas, A_theta_y = thetas[rows], A_thetas[rows], A_theta_y[rows]
     norm_A = np.linalg.norm(A_thetas, axis=1)
     null = norm_A <= NULL_TOL
     scale = np.where(null, 1.0, norm_A)

@@ -68,7 +68,7 @@ class TestSolve:
             sol = json.load(fh)
         assert sol["fista"]["x"] == [0.0] * 7
         assert sol["polar"]["x"] == [0.0] * 7
-        assert sol["polar"]["meta"]["n_scored"] == 0  # no direction has beta <= 0 at y = 0
+        assert sol["polar"]["meta"]["n_negative"] == 0  # no direction has beta <= 0 at y = 0
 
     def test_unconverged_fista_exits_3(self, tmp_path, capsys):
         # one iteration does not reach the default --tol on an instance with y != 0;
@@ -323,6 +323,7 @@ class TestDiagnose:
     ["solve", "--n-samples", "0"],
     ["solve", "--tol", "-1"],
     ["solve", "--tol", "0"],
+    ["solve", "--tol", "inf"],
 ], ids=lambda argv: " ".join(argv))
 def test_nonpositive_numeric_argument_exits_2(tmp_path, problem_file, capsys, argv):
     # an argument error: usage and exit 2, no traceback and no output

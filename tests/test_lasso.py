@@ -1,5 +1,7 @@
 """Mode solvers: objective, FISTA baseline, and the polar sweep."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,12 @@ class TestFista:
         sol = pl.solve_fista(noisy_instance)
         assert sol.objective == pl.objective(noisy_instance, sol.x)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_bad_tol(self, noisy_instance, tol):
+        # tol = inf would stop after one step and report convergence
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            pl.solve_fista(noisy_instance, tol=tol)
+
     def test_beats_random_points(self, noisy_instance):
         sol = pl.solve_fista(noisy_instance)
         rng = np.random.default_rng(4)
@@ -99,9 +107,44 @@ class TestPolar:
         np.testing.assert_array_equal(a.x, b.x)
 
 
+def _raw_rows(gen, count, p):
+    """The standard normal rows of sample_sphere_batch, each zero row redrawn
+    as it redraws them, without its final division by the norms."""
+    v = gen.standard_normal((count, p))
+    norms = np.linalg.norm(v, axis=1)
+    bad = norms == 0.0
+    while np.any(bad):
+        v[bad] = gen.standard_normal((int(bad.sum()), p))
+        norms[bad] = np.linalg.norm(v[bad], axis=1)
+        bad = norms == 0.0
+    return v
+
+
 def _full_sweep(prob, chunks):
-    """The unscreened mode search: every row of every chunk normalised and
-    scored.  Returns (x, best beta, rows with beta <= 0)."""
+    """The unscreened mode search on raw rows: beta = (||v||_1 - v . A^T y)
+    / ||A v|| on every row of every chunk, with A v formed on the whole chunk.
+    Returns (x, best beta, rows with beta <= 0)."""
+    best_beta = best_v = best_norm_A = None
+    neg_count = 0
+    for gen, count in chunks:
+        v = _raw_rows(gen, count, prob.p)
+        num = np.abs(v) @ np.ones(prob.p) - v @ (prob.A.T @ prob.y)
+        norm_A = np.linalg.norm(v @ prob.A.T, axis=1)
+        betas = num / norm_A
+        neg = np.flatnonzero(betas <= 0.0)
+        neg_count += neg.size
+        if neg.size:
+            i = neg[np.argmax(betas[neg] ** 2)]
+            b = float(betas[i])
+            if best_beta is None or b * b > best_beta * best_beta:
+                best_beta, best_v, best_norm_A = b, v[i], float(norm_A[i])
+    x = np.zeros(prob.p) if best_beta is None else -(best_beta / best_norm_A) * best_v
+    return x, best_beta, neg_count
+
+
+def _builder_sweep(prob, chunks):
+    """The mode search on unit directions, every row's tilt read from its
+    segment batch.  Returns (x, best beta, rows with beta <= 0)."""
     best_beta = best_theta = best_norm_A = None
     neg_count = 0
     for gen, count in chunks:
@@ -119,21 +162,24 @@ def _full_sweep(prob, chunks):
     return x, best_beta, neg_count
 
 
+SCREEN_INSTANCES = [
+    (4, 7, 0.0),  # the desk design at y = 0
+    (4, 7, 2.0),
+    (1, 1, 1.0),  # half the rows have beta = 0 exactly
+    (2, 3, 10.0),  # most rows have beta <= 0
+    (10, 20, 5.0),
+    # few rows per chunk pass on these two, and BLAS rounds most products
+    # of a batch of a few rows differently from those of a whole chunk
+    (5, 64, 4.0),
+    (3, 300, 8.0),
+]
+
+
 class TestPolarScreen:
-    """The screened sweep scores only the rows that can have beta <= 0, and
+    """The sweep forms A v only for a chunk with a row of beta <= 0, and
     returns what scoring every row returns."""
 
-    @pytest.mark.parametrize("n, p, y_norm", [
-        (4, 7, 0.0),  # the desk design at y = 0
-        (4, 7, 2.0),
-        (1, 1, 1.0),  # half the rows have beta = 0 exactly
-        (2, 3, 10.0),  # most rows have beta <= 0
-        (10, 20, 5.0),
-        # few rows per chunk pass on these two, and BLAS rounds most products
-        # of a batch of a few rows differently from those of a whole chunk
-        (5, 64, 4.0),
-        (3, 300, 8.0),
-    ])
+    @pytest.mark.parametrize("n, p, y_norm", SCREEN_INSTANCES)
     def test_matches_full_sweep(self, n, p, y_norm):
         prob = scaled_instance(n, p, y_norm)
         n_samples = 2 * CHUNK + 5
@@ -143,7 +189,23 @@ class TestPolarScreen:
         assert sol.objective == pl.objective(prob, x)
         assert sol.meta["best_beta"] == best_beta
         assert sol.meta["n_negative"] == neg_count
-        assert neg_count <= sol.meta["n_scored"] <= n_samples
+        assert set(sol.meta) == {"best_beta", "n_samples", "n_negative"}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 9])
+    @pytest.mark.parametrize("n, p, y_norm", SCREEN_INSTANCES)
+    def test_agrees_with_the_builder_tilt(self, n, p, y_norm, seed):
+        # the tilt of the segment batch at l = 0, on the same directions
+        # normalised, is an independent form of the same beta
+        prob = scaled_instance(n, p, y_norm)
+        n_samples = 2 * CHUNK + 5
+        sol = pl.solve_polar(prob, n_samples, seed)
+        x, best_beta, neg_count = _builder_sweep(prob, sweep_chunks(seed, n_samples))
+        assert sol.meta["n_negative"] == neg_count
+        if best_beta is None:
+            assert sol.meta["best_beta"] is None
+        else:
+            assert sol.meta["best_beta"] == pytest.approx(best_beta, rel=1e-13)
+        np.testing.assert_allclose(sol.x, x, rtol=1e-13, atol=0.0)
 
     def test_zero_row_redrawn_as_sample_sphere_batch_does(self, monkeypatch):
         prob = scaled_instance(2, 3, 10.0)
@@ -166,7 +228,7 @@ class TestPolarScreen:
         solved, ref = ZeroFirstRow(), ZeroFirstRow()
         monkeypatch.setattr(problem, "sweep_chunks", lambda rng, n: [(solved, n)])
         sol = pl.solve_polar(prob, CHUNK, 0)
-        assert sol.meta["n_scored"] == 0
+        assert sol.meta["n_negative"] == 0
         assert sol.x.tobytes() == np.zeros(20).tobytes()
         sample_sphere_batch(ref, CHUNK, 20)
         assert solved.zeroed and ref.zeroed

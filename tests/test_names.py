@@ -13,10 +13,12 @@ that ``__all__`` does not export is reported as orphan code.
 
 import ast
 import builtins
+import inspect
 import symtable
 from pathlib import Path
 
 import polarlasso
+from polarlasso.shifted import unit_shift_batch
 
 SRC = Path(polarlasso.__file__).resolve().parent
 MODULE_DUNDERS = {"__file__", "__name__", "__doc__", "__spec__", "__package__", "__loader__"}
@@ -320,3 +322,26 @@ def test_no_process_wide_pool():
     found = [(module, line) for module, calls in made.items() for line, in_with in calls
              if module != "problem.py" or not in_with]
     assert not found, "ThreadPoolExecutor outside a `with` of problem.py (module, line): " + repr(found)
+
+
+def _imports_of(path, module):
+    """Lines of a module that import the package's `module` or a name from it."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            base = (node.module or "").removeprefix("polarlasso").lstrip(".")
+            if base == module or (not base and any(alias.name == module for alias in node.names)):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(alias.name == f"polarlasso.{module}" for alias in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_mode_search_builds_no_segment_batch():
+    # solve_polar scores beta on its raw Gaussian rows, so lasso.py needs
+    # nothing of shifted.py, and the batch builder keeps no option for it
+    assert _imports_of(SRC / "partition.py", "shifted"), "the import check no longer sees partition.py's"
+    found = _imports_of(SRC / "lasso.py", "shifted")
+    assert not found, "lasso.py imports from shifted.py (lines): " + repr(found)
+    params = list(inspect.signature(unit_shift_batch).parameters)
+    assert params == ["prob", "l", "thetas"], "unit_shift_batch parameters: " + repr(params)

@@ -57,6 +57,11 @@ class TestConcentrationProb:
     def test_small_q_may_go_negative(self):
         assert pl.concentration_prob(0.01, 7) < 0.0
 
+    @pytest.mark.parametrize("q", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_bad_q(self, q):
+        with pytest.raises(ValueError, match="q must be positive and finite"):
+            pl.concentration_prob(q, 7)
+
     @pytest.mark.parametrize("p", [2, 7, 20, 100, 150, 400, 1000])
     def test_matches_mpmath(self, p):
         # tail = p Gamma(p, (p-1) q) e^(p-1) / (p-1)^p; a power or factorial
@@ -159,3 +164,8 @@ class TestVolumes:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             pl.lasso_ball_volume(0.0, 7)
+
+    @pytest.mark.parametrize("z", [math.inf, math.nan])
+    def test_rejects_non_finite(self, z):
+        with pytest.raises(ValueError, match="z must be positive and finite"):
+            pl.lasso_ball_volume(z, 7)

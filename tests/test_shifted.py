@@ -1,6 +1,5 @@
 """Recentered-density machinery: segment geometry, closed-form masses, modes, sampling."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -12,8 +11,7 @@ import polarlasso as pl
 from conftest import shifted_potential
 from polarlasso._moments import log_gaussian_moment
 from polarlasso.problem import CHUNK, sample_laplace, sample_sphere_batch, sweep_chunks
-from polarlasso.shifted import (ShiftBatch, build_shift_batch, log_concavity_bracket, shifted_log_masses,
-                                shifted_log_summaries, unit_shift_batch)
+from polarlasso.shifted import build_shift_batch, log_concavity_bracket, shifted_log_masses, shifted_log_summaries
 
 
 def potential(prob, ctx, r, p):
@@ -573,28 +571,6 @@ class TestShiftBatch:
             r = summ.mode_r
             assert log_pm[i] == pytest.approx(math.log(r) - potential(prob, ctx, r, p),
                                               rel=1e-12, abs=1e-12)
-
-    @pytest.mark.parametrize("at_mode", [False, True])
-    def test_rows_match_full_batch(self, at_mode, oracles):
-        # the batch of the rows in `rows` is, bit for bit, those rows of the
-        # batch of every row, a null row among them
-        prob, mode = _instance_with_mode(10, 20, 42)
-        l = mode if at_mode else np.zeros(20)
-        assert not at_mode or np.count_nonzero(l) >= 3
-        rng = np.random.default_rng(26)
-        thetas = sample_sphere_batch(rng, 300, 20)
-        thetas[11] = oracles.null_space_direction(prob.A, rng)
-        rows = np.array([3, 11, 12, 150, 299])
-        full = unit_shift_batch(prob, l, thetas)
-        part = unit_shift_batch(prob, l, thetas, rows)
-        assert part.null.tolist() == [False, True, False, False, False]
-        assert part.h0 == full.h0 and part.l.tobytes() == full.l.tobytes()
-        per_row = [f.name for f in dataclasses.fields(ShiftBatch) if f.name not in ("l", "h0")]
-        assert {"thetas", "null", "norm_A", "s", "beta"} <= set(per_row)
-        for name in per_row:
-            got, want = getattr(part, name), getattr(full, name)[rows]
-            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
-            assert got.tobytes() == want.tobytes(), name
 
     def test_zero_shift_matches_centered_sweep(self, desk_instance_y):
         prob = desk_instance_y
