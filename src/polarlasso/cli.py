@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 argument errors, 3 numeric validation failures,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -81,7 +82,7 @@ def _write_json(path: str, payload) -> None:
 
 
 def _write_manifest(command: str, args: argparse.Namespace, outputs: list[str]) -> None:
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func",)}
+    cfg = vars(args)
     manifest = {
         "command": command,
         "config": cfg,
@@ -183,27 +184,33 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_partition(args: argparse.Namespace) -> int:
     prob = _load_problem_or_exit(args.problem)
     out: dict = {}
-    failed = False
+    ests: dict = {}  # route -> its estimate of Z
     if args.method in ("polar", "both"):
-        est = partition.estimate_z_polar(prob, args.n_samples, args.seed)
-        out["polar"] = vars(est)
-        failed = not est.z_min <= est.z <= est.z_max
+        ests["polar"] = partition.estimate_z_polar(prob, args.n_samples, args.seed)
+        out["polar"] = vars(ests["polar"])
     if args.method in ("naive", "both"):
-        est = partition.estimate_z_naive(prob, args.n_samples, args.seed)
-        out["naive"] = vars(est)
+        ests["naive"] = partition.estimate_z_naive(prob, args.n_samples, args.seed)
+        out["naive"] = vars(ests["naive"])
     if args.method != "both":
         # single-method runs use the flat schema directly
         out = {**out[args.method]}
     if args.shift:
         l = lasso.solve_fista(prob).x
-        est = partition.estimate_z_shifted(prob, l, SHIFT_DIRECTIONS, args.seed + 7)
+        est = ests["shift"] = partition.estimate_z_shifted(prob, l, SHIFT_DIRECTIONS, args.seed + 7)
         out["shift"] = {"z_f": est.z_f, "h0": est.h0, "z_from_shift": est.z,
                         "std_err": est.std_err, "z_min": est.z_min, "z_max": est.z_max,
                         "l": [float(v) for v in l], "n_samples": est.n_samples}
-        failed |= not est.z_min <= est.z <= est.z_max
     _write_json(args.out, out)
     _write_manifest("partition", args, [args.out])
     print(f"wrote {args.out}")
+    failed = False
+    for route, est in ests.items():
+        if not 0.0 < est.z < math.inf:  # underflowed to 0, or overflowed
+            print(f"polarlasso: the {route} estimate of Z, {est.z!r}, is not finite and positive",
+                  file=sys.stderr)
+            failed = True
+        # naive's bracket [0, inf] always holds
+        failed |= not est.z_min <= est.z <= est.z_max
     return EXIT_NUMERIC if failed else 0
 
 
@@ -357,7 +364,11 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     return main(argv)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first `main` call of a
+    process and reused: it holds no command function, since `main` looks
+    the command's function up by name at each call."""
     ap = argparse.ArgumentParser(prog="polarlasso",
                                  description="Polar geometry of the l1-penalized Gaussian posterior")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -372,7 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    type=_checked(float, lambda v: 0.0 <= v < math.inf, "non-negative and finite"),
                    help="norm of a seeded random observation (0 means y = 0)")
     g.add_argument("--out", default="problem.json")
-    g.set_defaults(func=cmd_gen)
 
     s = sub.add_parser("solve", help="compute the l1-penalized mode")
     s.add_argument("--problem", required=True)
@@ -382,7 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tol", type=positive_finite, default=lasso.FISTA_TOL)
     s.add_argument("--seed", type=seed, default=0)
     s.add_argument("--out", default="solution.json")
-    s.set_defaults(func=cmd_solve)
 
     z = sub.add_parser("partition", help="estimate the partition function")
     z.add_argument("--problem", required=True)
@@ -392,7 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
     z.add_argument("--shift", action="store_true",
                    help="also estimate through the recentered density")
     z.add_argument("--out", default="partition.json")
-    z.set_defaults(func=cmd_partition)
 
     c = sub.add_parser("curves", help="offset curves: closed form, expansion, mode scale")
     finite = _checked(float, math.isfinite, "finite")
@@ -402,7 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--p", type=_positive(int), default=7)
     c.add_argument("--m-terms", type=int, default=radial.EXPANSION_TERMS)
     c.add_argument("--out", default="curves.csv")
-    c.set_defaults(func=cmd_curves)
 
     d = sub.add_parser("diagnose", help="run a chain and its convergence diagnosis")
     d.add_argument("--problem", required=True)
@@ -415,26 +422,26 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sweep size for the ergodicity constant (is sampler)")
     d.add_argument("--emit-series", default=None, metavar="FILE")
     d.add_argument("--out", default="diagnosis.json")
-    d.set_defaults(func=cmd_diagnose)
 
     t = sub.add_parser("tables", help="write the reference tables")
     t.add_argument("--out-dir", default="tables")
     t.add_argument("--seed", type=seed, default=1)
     t.add_argument("--n-samples", type=_positive(int), default=100000)
     t.add_argument("--iters", type=_positive(int), default=1000000)
-    t.set_defaults(func=cmd_tables)
 
     r = sub.add_parser("rerun", help="replay a run manifest byte-identically")
     r.add_argument("manifest")
-    r.set_defaults(func=cmd_rerun)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # read from the module at each call, so a cmd_* rebound after the parser
+    # was built (as a tracer rebinds it) is the one that runs
+    command = {"gen": cmd_gen, "solve": cmd_solve, "partition": cmd_partition, "curves": cmd_curves,
+               "diagnose": cmd_diagnose, "tables": cmd_tables, "rerun": cmd_rerun}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except OSError as exc:
         print(f"polarlasso: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,13 +1,20 @@
 """Command-line surface: outputs, schemas, exit codes, manifest replay."""
 
+import argparse
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import polarlasso as pl
+from polarlasso import cli
 from polarlasso.cli import main
+
+# what a fresh interpreter needs on its path to import this polarlasso
+SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(pl.__file__)))
 
 
 def run(argv):
@@ -156,6 +163,40 @@ class TestPartition:
             assert exc.value.code == 2
             assert f"{name} is too large" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_unrepresentable_z_exits_3(self, tmp_path, capsys):
+        # JSON and manifest are written, then each route whose Z underflowed
+        # to 0 or overflowed to inf is named on stderr
+        big = tmp_path / "big.json"
+        pl.save_problem(pl.make_problem(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]),
+                                        np.array([1e3, 0.0])), str(big))
+        out = tmp_path / "z.json"
+        for extra, zeros in ((["--method", "both"], ("polar", "naive")),
+                             (["--method", "naive", "--shift"], ("naive", "shift"))):
+            assert run(["partition", "--problem", str(big), "--n-samples", "2000", *extra,
+                        "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert [line.split()[2] for line in err.splitlines()] == list(zeros)
+            assert all(line.endswith("0.0, is not finite and positive") for line in err.splitlines())
+            assert os.path.exists(str(out).replace(".json", ".manifest.json"))
+        # at p = 1100 naive's mean of e^(-misfit) 2^p overflows; polar's is finite
+        wide = tmp_path / "wide.json"
+        assert run(["gen", "--n", "2", "--p", "1100", "--y-norm", "1", "--out", str(wide)]) == 0
+        capsys.readouterr()
+        assert run(["partition", "--problem", str(wide), "--method", "both", "--n-samples", "200",
+                    "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "polarlasso: the naive estimate of Z, inf, is not finite and positive\n")
+        z = json.loads(out.read_text())
+        assert z["naive"]["z"] == float("inf") and 0.0 < z["polar"]["z"] < float("inf")
+
+    def test_desk_instance_exits_0(self, tmp_path, capsys):
+        desk = tmp_path / "desk.json"
+        assert run(["gen", "--n", "4", "--p", "7", "--y-norm", "2", "--seed", "1",
+                    "--out", str(desk)]) == 0
+        assert run(["partition", "--problem", str(desk), "--method", "both", "--shift",
+                    "--n-samples", "2000", "--out", str(tmp_path / "z.json")]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestCurves:
@@ -461,3 +502,107 @@ class TestManifestReplay:
         err = capsys.readouterr().err
         assert err.startswith("polarlasso: malformed manifest") and "Traceback" not in err
         assert not (tmp_path / "c.csv").exists()
+
+
+def _run_isolated(argv):
+    """The exit code of one command run in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": SRC_ROOT}
+    return subprocess.run([sys.executable, "-m", "polarlasso.cli", *argv], env=env,
+                          capture_output=True, timeout=120).returncode
+
+
+def _run_here(argv):
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestParserReuse:
+    """`main` builds one parser per process and looks the command up by name."""
+
+    def _sequence(self, runner, problem, out):
+        """Exit codes of a fixed run of commands writing to `out`, and the
+        bytes of every file they wrote, by name."""
+        codes = [runner(argv) for argv in (
+            ["partition", "--problem", problem, "--n-samples", "2000", "--seed", "5", "--shift",
+             "--out", f"{out}/z1.json"],
+            ["partition", "--problem", problem, "--n-samples", "2000", "--out", f"{out}/z2.json"],
+            ["diagnose", "--problem", problem, "--iters", "2000", "--seed", "3",
+             "--emit-series", f"{out}/s.csv", "--out", f"{out}/d1.json"],
+            ["diagnose", "--problem", problem, "--iters", "2000", "--out", f"{out}/d2.json"],
+            ["partition", "--problem", problem, "--seed", "-1", "--shift", "--out", f"{out}/bad.json"],
+        )]
+        os.remove(f"{out}/z1.json")
+        codes.append(runner(["rerun", f"{out}/z1.manifest.json"]))
+        return codes, {name: open(os.path.join(out, name), "rb").read() for name in sorted(os.listdir(out))}
+
+    def test_one_process_matches_separate_processes(self, tmp_path):
+        problem = str(tmp_path / "desk.json")
+        assert run(["gen", "--y-norm", "2", "--seed", "1", "--out", problem]) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        here = self._sequence(_run_here, problem, str(out))
+        for name in os.listdir(out):
+            os.remove(out / name)
+        assert here == self._sequence(_run_isolated, problem, str(out))
+        codes, files = here
+        assert codes == [0, 0, 0, 0, 2, 0]
+        assert sorted(files) == ["d1.json", "d1.manifest.json", "d2.json", "d2.manifest.json",
+                                 "s.csv", "z1.json", "z1.manifest.json", "z2.json", "z2.manifest.json"]
+        # the options a call set do not carry over to the next call of that command
+        z2 = json.loads(files["z2.manifest.json"])["config"]
+        assert z2["seed"] == 0 and z2["shift"] is False
+        d2 = json.loads(files["d2.manifest.json"])
+        assert d2["config"]["emit_series"] is None and d2["outputs"] == [str(out / "d2.json")]
+
+    def test_no_parser_built_after_the_first_call(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "c.csv")
+        assert run(["curves", "--steps", "3", "--out", out]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(["curves", "--steps", "3", "--out", out]) == 0
+        with pytest.raises(SystemExit):
+            run(["curves", "--steps", "0", "--out", out])
+        assert run(["rerun", out.replace(".csv", ".manifest.json")]) == 0
+        assert built == []
+        cli._build_parser.__wrapped__()  # an uncached build is counted
+        assert built
+
+    def test_dispatches_the_current_command_function(self, tmp_path, monkeypatch):
+        # a wrapper bound after the parser was built (as a tracer binds one)
+        # is the function that runs
+        argv = ["curves", "--steps", "3", "--out", str(tmp_path / "c.csv")]
+        assert run(argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_curves", lambda args: seen.append(args.steps) or 7)
+        assert run(argv) == 7 and seen == [3]
+        monkeypatch.undo()
+        assert run(argv) == 0 and seen == [3]
+
+    def test_import_builds_no_parser(self):
+        # start-up pays for neither the parser nor the thread pool module;
+        # the first main call builds the parser
+        code = (
+            "import argparse, sys\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import polarlasso.cli\n"
+            "print(len(built), 'concurrent.futures' in sys.modules)\n"
+            "polarlasso.cli._build_parser()\n"
+            "print(len(built) > 0)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC_ROOT},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0 False", "True"]
