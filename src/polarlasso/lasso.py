@@ -90,7 +90,8 @@ def solve_polar(prob: ProblemInstance, n_samples: int, rng) -> LassoSolution:
     those of sample_sphere_batch for the same generator.  The numerator is
     formed first: the rows where it is <= 0 are exactly those with
     beta <= 0, and only a chunk that has one forms A v, on all its rows,
-    since BLAS rounds a row differently in a batch of another size.
+    since BLAS rounds a row differently in a batch of another size; the
+    norms of A v are taken on those rows alone.
     """
     p = prob.p
     A_T_y = prob.A.T @ prob.y
@@ -112,7 +113,7 @@ def solve_polar(prob: ProblemInstance, n_samples: int, rng) -> LassoSolution:
         neg = np.flatnonzero(num <= 0.0)
         if not neg.size:
             return 0, None
-        norm_A = np.linalg.norm(v @ prob.A.T, axis=1)[neg]
+        norm_A = np.linalg.norm((v @ prob.A.T)[neg], axis=1)
         betas = num[neg] / norm_A
         i = np.argmax(betas**2)  # the first of equal squares
         beta = float(betas[i])

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problem import ProblemInstance, sample_laplace
-from .shifted import build_shift_batch, sample_posterior_batch, shifted_modes
+from .shifted import sample_posterior_batch, shifted_modes, unit_shift_batch
 
 KIND_INDEPENDENT = "independent_laplace"
 KIND_RANDOM_WALK = "random_walk"
@@ -243,7 +243,7 @@ def _state_diagnosis(prob: ProblemInstance, X: np.ndarray, l: np.ndarray,
     """(||x - l||, q r(theta, l), null) for every state x in the rows of X.
 
     theta is the direction of x - l and r the mode radius of the shifted
-    radial law along it, through build_shift_batch and shifted_modes (at
+    radial law along it, through unit_shift_batch and shifted_modes (at
     l = 0 the centred law).  A state at the centre gets r = inf; `null`
     marks states whose direction lies in the null space of A.  At most
     _DIAG_ROWS rows are processed at a time.
@@ -258,7 +258,7 @@ def _state_diagnosis(prob: ProblemInstance, X: np.ndarray, l: np.ndarray,
         norm[s:s + len(d)] = l2
         live = np.flatnonzero(l2 > 0.0)
         if live.size:
-            batch = build_shift_batch(prob, l, d[live])
+            batch = unit_shift_batch(prob, l, d[live] / l2[live, None])
             qr[live + s] = q * shifted_modes(batch)
             null[live + s] = batch.null
     return norm, qr, null

@@ -192,12 +192,17 @@ def sample_laplace(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def fill_laplace(rng: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Unit Laplace draws written to `out` and returned: laplace_from_uniforms
+    of uniforms drawn into `scratch`, an array of the same shape."""
+    return laplace_from_uniforms(rng.random(out=scratch), out)
+
+
+def laplace_from_uniforms(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Unit Laplace draws by per-coordinate inverse CDF, -sign(u) log1p(-2|u|),
-    written to `out` and returned, with the uniforms u in `scratch`, an array
-    of the same shape.  u = random() - 0.5 has the bits of
-    uniform(-0.5, 0.5) and leaves the generator in the same state, but is
+    of the uniforms `u` less 0.5 (shifted in place), written to `out`, an
+    array of the same shape, and returned.  u = random() - 0.5 has the bits
+    of uniform(-0.5, 0.5) and leaves the generator in the same state, but is
     drawn on numpy's faster fill path."""
-    u = rng.random(out=scratch)
     u -= 0.5
     a = np.abs(u, out=out)
     a *= -2.0

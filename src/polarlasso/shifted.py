@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._moments import log_gaussian_moment, tilted_peaks
-from .problem import ProblemInstance, sample_laplace
+from .problem import ProblemInstance, laplace_from_uniforms
 
 # below this image norm a direction is treated as belonging to the null space
 NULL_TOL = 1e-12
@@ -133,17 +133,27 @@ def unit_shift_batch(prob: ProblemInstance, l: np.ndarray, thetas: np.ndarray) -
         s = np.where(null, 0.0, np.clip(A_theta_y / (scale * norm_y_l), -1.0, 1.0))
     l1 = np.abs(thetas).sum(axis=1)
     support = np.flatnonzero(l)
-    abs_l, abs_t = np.abs(l[support]), np.abs(thetas[:, support])
-    minus = thetas[:, support] * l[support] < 0.0
-    ratios = np.divide(abs_l, abs_t, out=np.full(abs_t.shape, math.inf), where=minus)
-    order = np.argsort(ratios, axis=1, kind="stable")
-    zero = np.zeros((len(thetas), 1))
-    crossed_l, crossed_t = (np.concatenate([zero, np.cumsum(np.take_along_axis(
-        np.where(minus, v, 0.0), order, axis=1), axis=1)], axis=1) for v in (abs_l, abs_t))
+    t_s, l_s = thetas[:, support], l[support]  # the coordinates that can change sign
+    minus = t_s * l_s < 0.0
+    abs_l, abs_t = np.abs(l_s), np.abs(t_s)
+    with np.errstate(divide="ignore"):  # a coordinate that keeps its sign: ratio inf
+        ratios = abs_l / np.where(minus, abs_t, 0.0)
+    n, q = ratios.shape
+    # each row's sign changes in the order the ray crosses them, as flat indices
+    order = (np.argsort(ratios, axis=1, kind="stable") + q * np.arange(n)[:, None]).ravel()
+    breakpoints = np.full((n, q + 2), math.inf)
+    breakpoints[:, 0] = 0.0
+    breakpoints[:, 1:-1] = ratios.ravel()[order].reshape(n, q)
+    # |l_i| and |theta_i| summed over the sign changes crossed before each segment
+    crossed = np.zeros((2, n, q + 1))
+    crossed[0, :, 1:] = (abs_l * minus).ravel()[order].reshape(n, q)
+    crossed[1, :, 1:] = (abs_t * minus).ravel()[order].reshape(n, q)
+    for k in range(2, q + 1):
+        crossed[:, :, k] += crossed[:, :, k - 1]
+    crossed_l, crossed_t = crossed
     ahead_t = crossed_t[:, -1:] - crossed_t
     slope = l1[:, None] - 2.0 * ahead_t
     offset = l1 / scale - norm_y_l * s  # the tilt at l = 0
-    breakpoints = np.concatenate([zero, np.take_along_axis(ratios, order, axis=1), zero + math.inf], axis=1)
     l1_l = float(np.abs(l).sum())
     return ShiftBatch(
         l=l, thetas=thetas, null=null, scale=scale, h0=-0.5 * norm_y_l**2 - l1_l,
@@ -271,9 +281,11 @@ class ExactSamplerBudgetError(RuntimeError):
                          f"{proposals} accepted); its acceptance rate is below {self.accept_bound:.3g} at 95%")
 
 
-# prior proposals drawn per block, and the run of rejections that ends sampling
+# prior proposals drawn per block, the run of rejections that ends sampling
+# (at least a block), and the uniforms a pass of blocks may hold (1 MB)
 _PROPOSAL_ROWS = 256
 _REJECT_LIMIT = 2**24
+_PASS_UNIFORMS = 2**17
 
 
 def sample_posterior_batch(prob: ProblemInstance, n_draws: int, rng: np.random.Generator) -> np.ndarray:
@@ -291,25 +303,52 @@ def sample_posterior_batch(prob: ProblemInstance, n_draws: int, rng: np.random.G
     uniforms), and every accepted one is kept, in stream order, until there
     are n_draws; accepted proposals are i.i.d. draws from the target.
     Raises ExactSamplerBudgetError after _REJECT_LIMIT rejections in a row.
+
+    The blocks are drawn in passes, each one rng.random call whose rows are
+    blocks, and a block's product with A keeps the shape it has alone, so
+    its bits.  A pass that holds more blocks than the draws (or the budget)
+    need restores the generator and redraws the doubles of the blocks used,
+    so the generator ends where a block at a time ends it.
     """
     if n_draws < 1:
         raise ValueError("need n_draws >= 1")
+    rows, p = _PROPOSAL_ROWS, prob.p
+    width = rows * (p + 1)  # a block's uniforms: its Laplace rows, then its accept tests
+    cap = max(1, _PASS_UNIFORMS // width)
     kept = []
-    got = proposals = run = 0
+    got = blocks = run = 0
     while got < n_draws:
-        props = sample_laplace(rng, (_PROPOSAL_ROWS, prob.p))
-        resid = props @ prob.A.T - prob.y
-        log_acc = -0.5 * np.einsum("ij,ij->i", resid, resid)
-        idx = np.flatnonzero(np.log(rng.random(_PROPOSAL_ROWS)) <= log_acc)
-        proposals += _PROPOSAL_ROWS
-        if idx.size:
-            kept.append(props[idx[:n_draws - got]])
-            got += len(kept[-1])
-            run = _PROPOSAL_ROWS - 1 - int(idx[-1])
-        else:
-            run += _PROPOSAL_ROWS
-            if run >= _REJECT_LIMIT:
-                raise ExactSamplerBudgetError(proposals, got, run)
+        # blocks in this pass: one at first, as many as so far while none is
+        # accepted, then about half of those still expected at the acceptance
+        # rate so far, so that few passes overshoot; at least one, at most cap
+        k = min(cap, max(1, -(-(n_draws - got) * blocks // (2 * got)) if got else blocks))
+        start = rng.bit_generator.state
+        u = rng.random((k, width))
+        props = laplace_from_uniforms(u[:, :-rows], np.empty((k, rows * p))).reshape(k, rows, p)
+        resid = (props @ prob.A.T - prob.y).reshape(k * rows, -1)
+        log_acc = -0.5 * np.einsum("ij,ij->i", resid, resid).reshape(k, rows)
+        accept = np.log(u[:, -rows:]) <= log_acc
+        idx = np.flatnonzero(accept)  # stream positions within the pass
+        need = n_draws - got
+        # acceptance positions up to the one that completes the draws, led by
+        # the last one before the pass and, while the draws are incomplete,
+        # followed by the pass end.  The run after an acceptance at a reaches
+        # the limit in block (a + limit) // rows (the limit spans a block at
+        # least), which ends the sampling if it precedes the next one's block
+        marks = np.concatenate(([-1 - run], idx, [k * rows]))[:need + 1]
+        reach = (marks[:-1] + _REJECT_LIMIT) // rows
+        gaps = np.flatnonzero(reach < marks[1:] // rows)
+        used = int(reach[gaps[0]]) + 1 if gaps.size else min(int(marks[-1]) // rows + 1, k)
+        if used < k:
+            rng.bit_generator.state = start
+            rng.random(out=u[:used])
+        blocks += used
+        if gaps.size:
+            g = int(gaps[0])
+            raise ExactSamplerBudgetError(blocks * rows, got + g, used * rows - 1 - int(marks[g]))
+        kept.append(props.reshape(k * rows, p)[idx[:need]])
+        got += len(kept[-1])
+        run = k * rows - 1 - int(marks[-2])
     return np.concatenate(kept)
 
 

@@ -11,7 +11,8 @@ import polarlasso as pl
 from conftest import shifted_potential
 from polarlasso._moments import log_gaussian_moment
 from polarlasso.problem import CHUNK, sample_laplace, sample_sphere_batch, sweep_chunks
-from polarlasso.shifted import build_shift_batch, log_concavity_bracket, shifted_log_masses, shifted_log_summaries
+from polarlasso.shifted import (build_shift_batch, log_concavity_bracket, shifted_log_masses, shifted_log_summaries,
+                                unit_shift_batch)
 
 
 def potential(prob, ctx, r, p):
@@ -479,16 +480,53 @@ def _per_call_draw(prob, rng):
             return props[np.flatnonzero(accept)[0]].copy()
 
 
-def _accepted_stream(prob, n, rng):
-    """The accepted proposals of the same literal stream, in order, until
-    there are n, and the number of blocks drawn."""
-    rows = []
-    blocks = 0
-    while len(rows) < n:
+def _block_loop(prob, n, rng, limit=2**24):
+    """The sampler as a literal loop over 256-row blocks: the first n accepted
+    proposals in stream order, or the (proposals, accepted, rejected_run) of
+    the budget error it raises once `limit` rejections in a row end a block
+    that accepts none."""
+    kept = []
+    proposals = run = 0
+    while len(kept) < n:
         props, accept = _literal_block(prob, rng)
-        rows.extend(props[accept])
-        blocks += 1
-    return np.array(rows[:n]), blocks
+        idx = np.flatnonzero(accept)
+        proposals += 256
+        if idx.size:
+            kept.extend(props[idx[:n - len(kept)]])
+            run = 255 - int(idx[-1])
+        else:
+            run += 256
+            if run >= limit:
+                return proposals, len(kept), run
+    return np.array(kept)
+
+
+def _sampler_outcome(prob, n, rng):
+    """sample_posterior_batch's draws, or the fields of its budget error."""
+    try:
+        return pl.sample_posterior_batch(prob, n, rng)
+    except pl.ExactSamplerBudgetError as err:
+        return err.proposals, err.accepted, err.rejected_run
+
+
+class _RecordingGenerator(np.random.Generator):
+    """A PCG64 generator that records how many doubles each random call draws."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.sizes = []
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        self.sizes.append(int(np.prod(size if out is None else out.shape)))
+        return super().random(size, dtype, out)
+
+
+@pytest.fixture(scope="module")
+def exact_instances(desk_instance, desk_instance_y):
+    """Acceptance rates Z/2^p of about 50%, 9.5%, 6.5% and 1.3%."""
+    wide = pl.gen_bernoulli_matrix(10, 20, 3)
+    return [pl.make_problem(np.eye(1), np.array([1.0])), desk_instance, desk_instance_y,
+            pl.make_problem(0.7 * wide.A)]
 
 
 class TestExactBatch:
@@ -499,17 +537,17 @@ class TestExactBatch:
                 np.testing.assert_array_equal(pl.sample_posterior(desk_instance_y, rng),
                                               _per_call_draw(desk_instance_y, ref))
 
-    @pytest.mark.parametrize("n", [1, 5, 60])
-    def test_batch_is_the_accepted_stream(self, desk_instance, desk_instance_y, n):
-        for prob in (desk_instance, desk_instance_y):
-            for seed in (0, 1, 2):
+    @pytest.mark.parametrize("n", [1, 5, 60, 1000, 5000])
+    def test_batch_is_the_accepted_stream(self, exact_instances, n):
+        # passes of several blocks keep the draws and the generator's end
+        # state of a block at a time, whether or not a pass overshoots
+        for prob in exact_instances:
+            for seed in range(30):
                 rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
                 got = pl.sample_posterior_batch(prob, n, rng)
-                want, blocks = _accepted_stream(prob, n, ref)
-                assert got.shape == (n, 7)
-                np.testing.assert_array_equal(got, want)
+                assert got.shape == (n, prob.p)
+                np.testing.assert_array_equal(got, _block_loop(prob, n, ref))
                 assert rng.bit_generator.state == ref.bit_generator.state
-                assert blocks > 1 or n < 60  # 60 draws take several blocks
 
     def test_rejects_no_draws(self, desk_instance):
         for n in (0, -1):
@@ -528,18 +566,54 @@ class TestExactBatch:
         assert (err.proposals, err.accepted, err.rejected_run) == (2**24, 0, 2**24)
         assert err.accept_bound == 3.0 / 2**24
 
-    def test_rejection_run_restarts_at_each_acceptance(self, monkeypatch):
-        # 1 x 1, y = 5: Z/2 is 0.014, so the 129 blocks of these 500 draws hold
-        # 5 without an acceptance, but no 768 rejections in a row (at most 495)
+    @pytest.mark.parametrize("limit", [256, 3 * 256, 1000, 4 * 256, 5 * 256, 6 * 256, 7 * 256 + 1])
+    def test_budget_error_inside_a_pass(self, monkeypatch, limit):
+        # passes of 1, 1, 2 and 4 blocks: these limits end blocks 0, 2, 3,
+        # 3, 4, 5 and 7, first, inside and last in a pass; the error and the
+        # generator are those of a block at a time
         from polarlasso import shifted
 
-        monkeypatch.setattr(shifted, "_REJECT_LIMIT", 3 * 256)
-        prob = pl.make_problem(np.eye(1), np.array([5.0]))
-        assert pl.sample_posterior_batch(prob, 500, np.random.default_rng(0)).shape == (500, 1)
+        monkeypatch.setattr(shifted, "_REJECT_LIMIT", limit)
         far = pl.make_problem(np.eye(1), np.array([40.0]))
-        with pytest.raises(pl.ExactSamplerBudgetError) as exc:
-            pl.sample_posterior_batch(far, 1, np.random.default_rng(0))
-        assert exc.value.proposals == 3 * 256
+        rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+        assert _sampler_outcome(far, 1, rng) == _block_loop(far, 1, ref, limit)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_rejection_run_restarts_at_each_acceptance(self, monkeypatch):
+        # 1 x 1, y = 5: Z/2 is 0.014, so 500 draws take about 140 blocks, and
+        # whether a run reaches the limit, and where, depends on the seed
+        from polarlasso import shifted
+
+        prob = pl.make_problem(np.eye(1), np.array([5.0]))
+        kinds = {}
+        for limit in (256, 300, 512, 3 * 256):
+            monkeypatch.setattr(shifted, "_REJECT_LIMIT", limit)
+            for seed in range(10):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got, want = _sampler_outcome(prob, 500, rng), _block_loop(prob, 500, ref, limit)
+                kinds.setdefault(limit, set()).add(type(want))
+                if isinstance(want, tuple):
+                    assert got == want
+                else:
+                    np.testing.assert_array_equal(got, want)
+                assert rng.bit_generator.state == ref.bit_generator.state
+        # every sampling ends at 256 and none at 768 (its runs stay shorter)
+        assert kinds == {256: {tuple}, 300: {tuple, np.ndarray}, 512: {tuple, np.ndarray},
+                         3 * 256: {np.ndarray}}
+
+    @pytest.mark.parametrize("cap", [1, 3 * 256 * 8, 5 * 256 * 8 + 7])
+    def test_pass_stays_within_its_cap(self, monkeypatch, desk_instance_y, cap):
+        from polarlasso import shifted
+
+        monkeypatch.setattr(shifted, "_PASS_UNIFORMS", cap)
+        block = 256 * 8  # the uniforms of one block at p = 7
+        for seed in range(5):
+            rng, ref = _RecordingGenerator(seed), np.random.default_rng(seed)
+            np.testing.assert_array_equal(pl.sample_posterior_batch(desk_instance_y, 1000, rng),
+                                          _block_loop(desk_instance_y, 1000, ref))
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert max(rng.sizes) <= max(cap - cap % block, block)
+            assert max(rng.sizes) > block or cap < 2 * block
 
 
 def _instance_with_mode(n, p, seed, y_norm=3.0):
@@ -548,6 +622,43 @@ def _instance_with_mode(n, p, seed, y_norm=3.0):
     y = rng.standard_normal(n)
     prob = pl.make_problem(base.A, y * (y_norm / np.linalg.norm(y)))
     return prob, pl.solve_fista(prob).x
+
+
+def _reference_shift_arrays(prob, l, thetas):
+    """The fields of unit_shift_batch as a builder of fewer shortcuts formed
+    them: the support columns gathered per use and sorted by
+    take_along_axis, with the breakpoints and crossed sums concatenated."""
+    y_l = prob.y - prob.A @ l
+    A_thetas = thetas @ prob.A.T
+    A_theta_y = A_thetas @ y_l
+    norm_A = np.linalg.norm(A_thetas, axis=1)
+    null = norm_A <= 1e-12
+    scale = np.where(null, 1.0, norm_A)
+    norm_y_l = float(np.linalg.norm(y_l))
+    if norm_y_l == 0.0:
+        s = np.zeros(len(thetas))
+    else:
+        s = np.where(null, 0.0, np.clip(A_theta_y / (scale * norm_y_l), -1.0, 1.0))
+    l1 = np.abs(thetas).sum(axis=1)
+    support = np.flatnonzero(l)
+    abs_l, abs_t = np.abs(l[support]), np.abs(thetas[:, support])
+    minus = thetas[:, support] * l[support] < 0.0
+    ratios = np.divide(abs_l, abs_t, out=np.full(abs_t.shape, math.inf), where=minus)
+    order = np.argsort(ratios, axis=1, kind="stable")
+    zero = np.zeros((len(thetas), 1))
+    crossed_l, crossed_t = (np.concatenate([zero, np.cumsum(np.take_along_axis(
+        np.where(minus, v, 0.0), order, axis=1), axis=1)], axis=1) for v in (abs_l, abs_t))
+    ahead_t = crossed_t[:, -1:] - crossed_t
+    slope = l1[:, None] - 2.0 * ahead_t
+    offset = l1 / scale - norm_y_l * s
+    breakpoints = np.concatenate([zero, np.take_along_axis(ratios, order, axis=1), zero + math.inf], axis=1)
+    l1_l = float(np.abs(l).sum())
+    return dict(
+        l=l, thetas=thetas, null=null, scale=scale, h0=-0.5 * norm_y_l**2 - l1_l,
+        lo=breakpoints[:, :-1], hi=breakpoints[:, 1:], c=l1_l - 2.0 * crossed_l, slope=slope,
+        beta=np.where(null[:, None], slope, offset[:, None] - 2.0 * ahead_t / scale[:, None]),
+        norm_A=norm_A, s=s,
+    )
 
 
 class TestShiftBatch:
@@ -571,6 +682,28 @@ class TestShiftBatch:
             r = summ.mode_r
             assert log_pm[i] == pytest.approx(math.log(r) - potential(prob, ctx, r, p),
                                               rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("n, p", [(4, 7), (10, 20), (20, 50)])
+    def test_builder_keeps_every_bit(self, n, p, oracles):
+        # every array of the batch, null rows included, at l = 0 and at the
+        # FISTA mode, has the bytes of the reference builder
+        prob, mode = _instance_with_mode(n, p, 42)
+        assert np.count_nonzero(mode) >= 2
+        rng = np.random.default_rng(26)
+        thetas = sample_sphere_batch(rng, 300, p)
+        for i in (0, 11, 299):
+            thetas[i] = oracles.null_space_direction(prob.A, rng)
+        for l in (np.zeros(p), mode):
+            batch = unit_shift_batch(prob, l, thetas)
+            want = _reference_shift_arrays(prob, l, thetas)
+            assert np.count_nonzero(batch.null) == 3
+            for name, value in want.items():
+                got = getattr(batch, name)
+                if name == "h0":
+                    assert got == value
+                    continue
+                assert got.dtype == value.dtype and got.shape == value.shape, name
+                assert got.tobytes() == value.tobytes(), name
 
     def test_zero_shift_matches_centered_sweep(self, desk_instance_y):
         prob = desk_instance_y
