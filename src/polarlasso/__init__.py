@@ -7,7 +7,7 @@ radial-mode convergence diagnosis for Metropolis-Hastings chains.
 
 __version__ = "0.1.0"
 
-from .lasso import LassoSolution, objective, solve_fista, solve_polar
+from .lasso import LassoSolution, duality_gap, objective, solve_fista, solve_polar
 from .mcmc import (
     ChainConfig,
     ChainDiagnosis,
@@ -60,6 +60,7 @@ __all__ = [
     "build_shift_context",
     "concentration_prob",
     "criterion_coverage",
+    "duality_gap",
     "estimate_z_naive",
     "estimate_z_polar",
     "estimate_z_shifted",

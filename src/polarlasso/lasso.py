@@ -1,5 +1,6 @@
 """The l1-penalized mode, two ways: a polar sweep over directions with
-negative offset, and an accelerated proximal-gradient (FISTA) baseline."""
+negative offset, and an accelerated proximal-gradient (FISTA) baseline;
+each reports the duality gap that bounds its objective error."""
 
 from __future__ import annotations
 
@@ -35,6 +36,16 @@ def objective(prob: ProblemInstance, x: np.ndarray) -> float:
     return 0.5 * float(resid @ resid) + float(np.abs(x).sum())
 
 
+def duality_gap(prob: ProblemInstance, x: np.ndarray) -> float:
+    """A bound G >= objective(x) - objective(mode) from the dual point
+    u = r / max(1, ||A^T r||_inf), r = y - Ax:
+    G = ||r||^2/2 + ||x||_1 - ||y||^2/2 + ||y - u||^2/2."""
+    r = prob.y - prob.A @ x
+    u = r / max(1.0, float(np.abs(prob.A.T @ r).max()))
+    d = prob.y - u
+    return 0.5 * float(r @ r) + float(np.abs(x).sum()) - 0.5 * float(prob.y @ prob.y) + 0.5 * float(d @ d)
+
+
 def _soft(v: np.ndarray, thr: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
 
@@ -43,7 +54,8 @@ def solve_fista(prob: ProblemInstance, max_iter: int = FISTA_MAX_ITER, tol: floa
     """Accelerated proximal gradient with step 1/||A||^2 and unit l1 weight.
 
     Stops when the proximal-gradient residual ||x - prox(x - step grad)|| drops
-    below tol; a `converged` flag records whether that happened within budget.
+    below tol; a `converged` flag records whether that happened within budget,
+    and `gap` bounds the objective error of the x returned.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
@@ -52,7 +64,8 @@ def solve_fista(prob: ProblemInstance, max_iter: int = FISTA_MAX_ITER, tol: floa
     p = prob.p
     if prob.op_norm == 0.0:
         return LassoSolution(np.zeros(p), objective(prob, np.zeros(p)), METHOD_FISTA,
-                             {"iterations": 0, "converged": True, "step": math.inf})
+                             {"iterations": 0, "converged": True, "step": math.inf,
+                              "gap": duality_gap(prob, np.zeros(p))})
     step = 1.0 / prob.op_norm**2
     x = np.zeros(p)
     z = x.copy()
@@ -72,7 +85,7 @@ def solve_fista(prob: ProblemInstance, max_iter: int = FISTA_MAX_ITER, tol: floa
             break
     return LassoSolution(
         x, objective(prob, x), METHOD_FISTA,
-        {"iterations": iterations, "converged": converged, "step": step},
+        {"iterations": iterations, "converged": converged, "step": step, "gap": duality_gap(prob, x)},
     )
 
 
@@ -85,39 +98,63 @@ def solve_polar(prob: ProblemInstance, n_samples: int, rng) -> LassoSolution:
     keep the first candidate in stream order.  beta = (||v||_1 - v . (A^T y))
     / ||A v|| and the l it gives do not depend on the scale of v, so each
     chunk is scored on its standard normal rows v as drawn, not normalised.
-    A row of v with ||v||_1 = 0 is all zero, and is redrawn as
-    sample_sphere_batch redraws its rows of norm 0, so the directions are
-    those of sample_sphere_batch for the same generator.  The numerator is
-    formed first: the rows where it is <= 0 are exactly those with
-    beta <= 0, and only a chunk that has one forms A v, on all its rows,
-    since BLAS rounds a row differently in a batch of another size; the
-    norms of A v are taken on those rows alone.
+    Only the active coordinates, |(A^T y)_j| > 1, can make the numerator
+    negative, so a chunk draws them first, as one block, and forms their
+    part of it; it draws the other coordinates, as a second block, only
+    for the rows where that part is <= 0.  Each of those terms,
+    |v_j| - v_j (A^T y)_j, is >= 0 in floating point and is summed as it
+    is, so a row dropped after the first block has a numerator > 0 however
+    it would have been completed: the screen is exact, with no margin.  The
+    rows stay i.i.d. standard normal.  A row of all zeros is redrawn whole,
+    as sample_sphere_batch redraws its rows of norm 0.  A v and its norms
+    are formed on the rows with beta <= 0 alone, by einsum, which rounds a
+    row alike in a batch of any size (BLAS does not).
     """
     p = prob.p
     A_T_y = prob.A.T @ prob.y
-    ones = np.ones(p)  # |v| @ ones sums the rows faster than .sum(axis=1)
-    buffers = chunk_buffers(n_samples, p, p)
+    active = np.abs(A_T_y) > 1.0
+    cols_a, cols_r = np.flatnonzero(active), np.flatnonzero(~active)
+    k = cols_a.size
+    g_a, g_r = A_T_y[cols_a], A_T_y[cols_r]
+    ones_a, ones_r = np.ones(k), np.ones(p - k)  # faster row sums than .sum(axis=1)
+    buffers = chunk_buffers(n_samples, k, k, p - k, p - k)
+
+    def head(v, scratch=None):
+        return np.abs(v, out=scratch) @ ones_a - v @ g_a
+
+    def tail(v, scratch=None):
+        terms = np.abs(v, out=scratch)
+        terms -= v * g_r  # >= 0 term by term, since |g_r| <= 1
+        return terms @ ones_r
 
     def score(gen, count):
         """(rows with beta <= 0, the first (beta, l) of largest beta^2 among
         them or None) of one chunk."""
-        v, abs_v = buffers(count)
-        gen.standard_normal(out=v)
-        while True:
-            l1 = np.abs(v, out=abs_v) @ ones
-            bad = l1 == 0.0
-            if not np.any(bad):
+        va, abs_a, vr, abs_r = buffers(count)
+        gen.standard_normal(out=va)
+        partial = head(va, abs_a)
+        keep = np.flatnonzero(partial <= 0.0)
+        vr, abs_r = vr[:keep.size], abs_r[:keep.size]
+        gen.standard_normal(out=vr)
+        num = partial[keep] + tail(vr, abs_r)
+        while True:  # a row of all zeros has num = 0
+            zero = np.flatnonzero(num == 0.0)
+            zero = zero[~(va[keep[zero]].any(axis=1) | vr[zero].any(axis=1))]
+            if not zero.size:
                 break
-            v[bad] = gen.standard_normal((int(bad.sum()), p))
-        num = l1 - v @ A_T_y
+            w = gen.standard_normal((zero.size, p))
+            va[keep[zero]], vr[zero] = w[:, :k], w[:, k:]
+            num[zero] = head(w[:, :k]) + tail(w[:, k:])
         neg = np.flatnonzero(num <= 0.0)
         if not neg.size:
             return 0, None
-        norm_A = np.linalg.norm((v @ prob.A.T)[neg], axis=1)
+        v = np.empty((neg.size, p))
+        v[:, cols_a], v[:, cols_r] = va[keep[neg]], vr[neg]
+        norm_A = np.linalg.norm(np.einsum("ij,kj->ik", v, prob.A), axis=1)
         betas = num[neg] / norm_A
         i = np.argmax(betas**2)  # the first of equal squares
         beta = float(betas[i])
-        return neg.size, (beta, -(beta / norm_A[i]) * v[neg[i]])
+        return neg.size, (beta, -(beta / norm_A[i]) * v[i])
 
     best_beta, x = None, np.zeros(p)
     neg_count = 0
@@ -125,5 +162,6 @@ def solve_polar(prob: ProblemInstance, n_samples: int, rng) -> LassoSolution:
         neg_count += n_neg
         if best is not None and (best_beta is None or best[0] * best[0] > best_beta * best_beta):
             best_beta, x = best
-    meta = {"best_beta": best_beta, "n_samples": n_samples, "n_negative": neg_count}
+    meta = {"best_beta": best_beta, "n_samples": n_samples, "n_negative": neg_count,
+            "gap": duality_gap(prob, x)}
     return LassoSolution(x, objective(prob, x), METHOD_POLAR, meta)

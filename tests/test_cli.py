@@ -77,6 +77,17 @@ class TestSolve:
         assert sol["polar"]["x"] == [0.0] * 7
         assert sol["polar"]["meta"]["n_negative"] == 0  # no direction has beta <= 0 at y = 0
 
+    def test_both_methods_report_their_gap(self, tmp_path):
+        prob, out = tmp_path / "p.json", tmp_path / "sol.json"
+        assert run(["gen", "--y-norm", "2", "--out", str(prob)]) == 0
+        assert run(["solve", "--problem", str(prob), "--method", "both", "--n-samples", "5000",
+                    "--out", str(out)]) == 0
+        sol = json.loads(out.read_text())
+        inst = pl.load_problem(str(prob))
+        for method in ("fista", "polar"):
+            assert sol[method]["meta"]["gap"] == pl.duality_gap(inst, np.array(sol[method]["x"]))
+        assert 0.0 <= sol["fista"]["meta"]["gap"] < 1e-8 < sol["polar"]["meta"]["gap"]
+
     def test_unconverged_fista_exits_3(self, tmp_path, capsys):
         # one iteration does not reach the default --tol on an instance with y != 0;
         # the JSON and the manifest are written all the same

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 import polarlasso as pl
 from conftest import scaled_instance
@@ -107,29 +110,57 @@ class TestPolar:
         np.testing.assert_array_equal(a.x, b.x)
 
 
-def _raw_rows(gen, count, p):
-    """The standard normal rows of sample_sphere_batch, each zero row redrawn
-    as it redraws them, without its final division by the norms."""
-    v = gen.standard_normal((count, p))
-    norms = np.linalg.norm(v, axis=1)
-    bad = norms == 0.0
+def _split(prob):
+    """(A^T y, the active columns |(A^T y)_j| > 1, the other columns)."""
+    g = prob.A.T @ prob.y
+    active = np.abs(g) > 1.0
+    return g, np.flatnonzero(active), np.flatnonzero(~active)
+
+
+def _head(va, g_a):
+    """The numerator's part on the active coordinates, as the search forms it."""
+    return np.abs(va) @ np.ones(g_a.size) - va @ g_a
+
+
+def _tail(vr, g_r):
+    """The numerator's part on the other coordinates: |v_j| - v_j g_j term by
+    term, then summed."""
+    terms = np.abs(vr)
+    terms -= vr * g_r
+    return terms @ np.ones(g_r.size)
+
+
+def _two_block_rows(gen, count, prob):
+    """The rows the search keeps of a chunk, in the coordinates of A, and
+    their numerators ||v||_1 - v . A^T y: a (count, k) block of the active
+    coordinates, then the others only for the rows whose active part is <= 0,
+    each row of all zeros redrawn whole."""
+    g, cols_a, cols_r = _split(prob)
+    va = gen.standard_normal((count, cols_a.size))
+    partial = _head(va, g[cols_a])
+    keep = np.flatnonzero(partial <= 0.0)
+    vr = gen.standard_normal((keep.size, cols_r.size))
+    v = np.empty((keep.size, prob.p))
+    v[:, cols_a], v[:, cols_r] = va[keep], vr
+    num = partial[keep] + _tail(vr, g[cols_r])
+    bad = ~v.any(axis=1)
     while np.any(bad):
-        v[bad] = gen.standard_normal((int(bad.sum()), p))
-        norms[bad] = np.linalg.norm(v[bad], axis=1)
-        bad = norms == 0.0
-    return v
+        w = gen.standard_normal((int(bad.sum()), prob.p))
+        v[np.ix_(bad, cols_a)], v[np.ix_(bad, cols_r)] = w[:, :cols_a.size], w[:, cols_a.size:]
+        num[bad] = _head(w[:, :cols_a.size], g[cols_a]) + _tail(w[:, cols_a.size:], g[cols_r])
+        bad = ~v.any(axis=1)
+    return v, num
 
 
 def _full_sweep(prob, chunks):
-    """The unscreened mode search on raw rows: beta = (||v||_1 - v . A^T y)
-    / ||A v|| on every row of every chunk, with A v formed on the whole chunk.
-    Returns (x, best beta, rows with beta <= 0)."""
+    """The mode search that scores every row it keeps: beta = num / ||A v||
+    with A v formed on all of them, in every chunk.  Returns (x, best beta,
+    rows with beta <= 0)."""
     best_beta = best_v = best_norm_A = None
     neg_count = 0
     for gen, count in chunks:
-        v = _raw_rows(gen, count, prob.p)
-        num = np.abs(v) @ np.ones(prob.p) - v @ (prob.A.T @ prob.y)
-        norm_A = np.linalg.norm(v @ prob.A.T, axis=1)
+        v, num = _two_block_rows(gen, count, prob)
+        norm_A = np.linalg.norm(np.einsum("ij,kj->ik", v, prob.A), axis=1)
         betas = num / norm_A
         neg = np.flatnonzero(betas <= 0.0)
         neg_count += neg.size
@@ -143,12 +174,13 @@ def _full_sweep(prob, chunks):
 
 
 def _builder_sweep(prob, chunks):
-    """The mode search on unit directions, every row's tilt read from its
-    segment batch.  Returns (x, best beta, rows with beta <= 0)."""
+    """The mode search on the kept rows as unit directions, every row's tilt
+    read from its segment batch.  Returns (x, best beta, rows with beta <= 0)."""
     best_beta = best_theta = best_norm_A = None
     neg_count = 0
     for gen, count in chunks:
-        thetas = sample_sphere_batch(gen, count, prob.p)
+        v, _ = _two_block_rows(gen, count, prob)
+        thetas = v / np.linalg.norm(v, axis=1)[:, None]
         batch = unit_shift_batch(prob, np.zeros(prob.p), thetas)
         betas = batch.beta[:, 0]
         neg = np.flatnonzero(betas <= 0.0)
@@ -163,21 +195,31 @@ def _builder_sweep(prob, chunks):
 
 
 SCREEN_INSTANCES = [
-    (4, 7, 0.0),  # the desk design at y = 0
+    (4, 7, 0.0),  # the desk design at y = 0: no active coordinate
     (4, 7, 2.0),
-    (1, 1, 1.0),  # half the rows have beta = 0 exactly
+    (1, 1, 1.0),  # |A^T y| = 1, and half the rows have beta = 0 exactly
     (2, 3, 10.0),  # most rows have beta <= 0
     (10, 20, 5.0),
     # few rows per chunk pass on these two, and BLAS rounds most products
-    # of a batch of a few rows differently from those of a whole chunk
+    # of a batch of a few rows differently from those of a larger batch
     (5, 64, 4.0),
     (3, 300, 8.0),
 ]
 
 
+def bench_instance(n, p, y_norm, seed=42):
+    """The benchmark's instances: a Bernoulli design and y of norm y_norm,
+    drawn from default_rng([seed, n, p])."""
+    rng = np.random.default_rng([seed, n, p])
+    A = (2.0 * rng.integers(0, 2, size=(n, p)) - 1.0) / math.sqrt(n)
+    y = rng.standard_normal(n)
+    return pl.make_problem(A, y * (y_norm / np.linalg.norm(y)))
+
+
 class TestPolarScreen:
-    """The sweep forms A v only for a chunk with a row of beta <= 0, and
-    returns what scoring every row returns."""
+    """The sweep draws the active coordinates of every row, the others only
+    for the rows that can still pass, forms A v on the rows that pass, and
+    returns what scoring every kept row returns."""
 
     @pytest.mark.parametrize("n, p, y_norm", SCREEN_INSTANCES)
     def test_matches_full_sweep(self, n, p, y_norm):
@@ -189,7 +231,8 @@ class TestPolarScreen:
         assert sol.objective == pl.objective(prob, x)
         assert sol.meta["best_beta"] == best_beta
         assert sol.meta["n_negative"] == neg_count
-        assert set(sol.meta) == {"best_beta", "n_samples", "n_negative"}
+        assert sol.meta["gap"] == pl.duality_gap(prob, x)
+        assert set(sol.meta) == {"best_beta", "n_samples", "n_negative", "gap"}
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 9])
     @pytest.mark.parametrize("n, p, y_norm", SCREEN_INSTANCES)
@@ -209,29 +252,32 @@ class TestPolarScreen:
 
     def test_zero_row_redrawn_as_sample_sphere_batch_does(self, monkeypatch):
         prob = scaled_instance(2, 3, 10.0)
+        _, cols_a, _ = _split(prob)
         solved, ref = ZeroFirstRow(), ZeroFirstRow()
         monkeypatch.setattr(problem, "sweep_chunks", lambda rng, n: [(solved, n)])
         sol = pl.solve_polar(prob, 64, 0)
         x, best_beta, neg_count = _full_sweep(prob, [(ref, 64)])
         assert sol.x.tobytes() == x.tobytes()
         assert (sol.meta["best_beta"], sol.meta["n_negative"]) == (best_beta, neg_count)
-        # both drew the same replacement row after the first block
+        # both drew the same replacement row, of all p coordinates, after
+        # the two blocks
+        assert solved.zeroed == ref.zeroed == 2
         assert solved.gen.bit_generator.state == ref.gen.bit_generator.state
-        plain = np.random.default_rng(12)
-        plain.standard_normal((64, 3))
-        assert solved.gen.bit_generator.state != plain.bit_generator.state
+        kept = solved.sizes[1][0]
+        assert solved.sizes == [(64, cols_a.size), (kept, 3 - cols_a.size), (1, 3)]
 
     def test_zero_row_redrawn_in_a_chunk_that_passes_no_row(self, monkeypatch):
         # the screen passes no row of this chunk, and the zero row is still
-        # redrawn before it, as sample_sphere_batch redraws it
-        prob = scaled_instance(10, 20, 2.0)
+        # redrawn before it
+        prob = bench_instance(10, 20, 2.0)
         solved, ref = ZeroFirstRow(), ZeroFirstRow()
         monkeypatch.setattr(problem, "sweep_chunks", lambda rng, n: [(solved, n)])
         sol = pl.solve_polar(prob, CHUNK, 0)
         assert sol.meta["n_negative"] == 0
         assert sol.x.tobytes() == np.zeros(20).tobytes()
-        sample_sphere_batch(ref, CHUNK, 20)
-        assert solved.zeroed and ref.zeroed
+        _two_block_rows(ref, CHUNK, prob)
+        assert solved.zeroed == ref.zeroed == 2
+        assert solved.sizes[-1] == (1, 20)
         assert solved.gen.bit_generator.state == ref.gen.bit_generator.state
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -249,18 +295,196 @@ class TestPolarScreen:
 
 
 class ZeroFirstRow:
-    """A generator whose first normal block starts with a zero row."""
+    """A generator whose first two normal blocks each start with a zero row,
+    so that the first row of a chunk is all zeros; it records the shape of
+    every block it draws."""
 
     def __init__(self):
         self.gen = np.random.default_rng(12)
-        self.zeroed = False
+        self.zeroed = 0
+        self.sizes = []
 
     def standard_normal(self, size=None, out=None):
         v = self.gen.standard_normal(size, out=out)
-        if not self.zeroed:
+        self.sizes.append(v.shape)
+        if self.zeroed < 2 and len(v):
             v[0] = 0.0
-            self.zeroed = True
+            self.zeroed += 1
         return v
+
+
+class CountingGenerator:
+    """A chunk generator that records every block of normals it draws."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.blocks = []
+
+    def standard_normal(self, size=None, out=None):
+        v = self.gen.standard_normal(size, out=out)
+        self.blocks.append(v.copy())
+        return v
+
+
+DESIGNS = {"desk": (4, 7, 2.0, 3), "wide": (10, 20, 2.0, 5), "desk at y = 0": (4, 7, 0.0, 0)}
+
+
+class TestPolarDraws:
+    """What the search draws: the active block of every row, the rest only
+    for the rows that can still pass, and rows of the right law."""
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_draws_the_rest_only_for_kept_rows(self, monkeypatch, design):
+        n, p, y_norm, k = DESIGNS[design]
+        prob = bench_instance(n, p, y_norm)
+        g, cols_a, _ = _split(prob)
+        assert cols_a.size == k
+        chunks = []
+        real = problem.sweep_chunks
+
+        def counted(rng, n_samples):
+            chunks[:] = [(CountingGenerator(gen), rows) for gen, rows in real(rng, n_samples)]
+            return chunks
+
+        monkeypatch.setattr(problem, "sweep_chunks", counted)
+        n_samples = 3 * CHUNK + 100
+        sol = pl.solve_polar(prob, n_samples, 4)
+        assert len(chunks) == 4
+        kept_total = 0
+        for gen, rows in chunks:
+            first = gen.blocks[0]
+            kept = int(np.count_nonzero(_head(first, g[cols_a]) <= 0.0))
+            assert [b.shape for b in gen.blocks] == [(rows, k), (kept, p - k)]
+            assert sum(b.size for b in gen.blocks) == k * rows + kept * (p - k)
+            kept_total += kept
+        if k == 0:
+            assert kept_total == n_samples
+        else:
+            assert kept_total < n_samples / 2
+        assert sol.meta["n_samples"] == n_samples
+
+    @pytest.mark.parametrize("n, p, y_norm", [(4, 7, 2.0), (10, 20, 2.0), (2, 3, 10.0), (10, 20, 5.0)])
+    def test_dropped_rows_fail_for_every_completion(self, n, p, y_norm):
+        prob = scaled_instance(n, p, y_norm)
+        self._check_completions(prob, np.random.default_rng(n * p))
+
+    def test_dropped_rows_fail_where_a_term_can_vanish(self):
+        # A^T y = (1, 2, -1, 1): three coordinates with |g_j| = 1 exactly,
+        # where the rest term of the matching sign is 0
+        A = np.array([[1.0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]])
+        prob = pl.make_problem(A, np.array([1.0, 2.0, -1.0]))
+        g, cols_a, cols_r = _split(prob)
+        assert cols_a.tolist() == [1] and np.all(np.abs(g[cols_r]) == 1.0)
+        self._check_completions(prob, np.random.default_rng(5))
+
+    @staticmethod
+    def _check_completions(prob, rng):
+        g, cols_a, cols_r = _split(prob)
+        g_r = g[cols_r]
+        va = rng.standard_normal((CHUNK, cols_a.size))
+        partial = _head(va, g[cols_a])
+        dropped = partial[partial > 0.0]
+        assert dropped.size
+        mags = np.abs(rng.standard_normal((dropped.size, cols_r.size)))
+        completions = [
+            np.zeros((dropped.size, cols_r.size)),
+            np.where(g_r < 0, -1.0, 1.0) * mags,  # the sign that makes each term least
+            np.where(g_r < 0, -1.0, 1.0) * mags * 1e150,
+        ]
+        for vr in completions:
+            assert np.all(dropped + _tail(vr, g_r) > 0.0)
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(row=hst.integers(0, dropped.size - 1),
+               vr=hnp.arrays(float, cols_r.size, elements=hst.floats(-1e300, 1e300)))
+        def any_completion(row, vr):
+            assert dropped[row] + _tail(vr[None, :], g_r)[0] > 0.0
+
+        any_completion()
+
+    @pytest.mark.parametrize("n, p, y_norm", [(4, 7, 2.0), (2, 3, 10.0)])
+    def test_passing_fraction_has_the_law_of_uniform_directions(self, n, p, y_norm):
+        # pooled over 20 seeds, the fraction of rows with beta <= 0 agrees
+        # with that of sample_sphere_batch directions scored unscreened
+        prob = scaled_instance(n, p, y_norm)
+        g = prob.A.T @ prob.y
+        n_samples = 2 * CHUNK + 5
+        seeds = range(100, 120)
+        screened = sum(pl.solve_polar(prob, n_samples, s).meta["n_negative"] for s in seeds)
+        plain = 0
+        for s in seeds:
+            theta = sample_sphere_batch(np.random.default_rng([s, 7]), n_samples, p)
+            plain += int(np.count_nonzero(np.abs(theta).sum(axis=1) - theta @ g <= 0.0))
+        total = n_samples * len(seeds)
+        rate = (screened + plain) / (2 * total)
+        sigma = math.sqrt(rate * (1 - rate) * 2 / total)
+        assert 0.0 < rate < 1.0
+        assert abs(screened - plain) / total <= 4 * sigma
+
+
+def separable_instance(n, p, y_norm, seed):
+    """A = [diag(a), 0] with a ~ U(0.5, 1.5), and its exact mode: the soft
+    threshold sign(y_i) max(a_i |y_i| - 1, 0) / a_i^2, 0 on the zero columns."""
+    rng = np.random.default_rng([seed, n, p])
+    a = rng.uniform(0.5, 1.5, n)
+    y = rng.standard_normal(n)
+    y *= y_norm / np.linalg.norm(y)
+    A = np.zeros((n, p))
+    A[:, :n] = np.diag(a)
+    mode = np.zeros(p)
+    mode[:n] = np.sign(y) * np.maximum(a * np.abs(y) - 1.0, 0.0) / a**2
+    return pl.make_problem(A, y), mode
+
+
+SEPARABLE = [(4, 7, 2.0), (20, 20, 4.0), (20, 100, 6.0), (100, 100, 10.0), (50, 200, 8.0), (200, 200, 12.0)]
+
+
+class TestDualityGap:
+    @pytest.mark.parametrize("n, p, y_norm", SEPARABLE)
+    def test_vanishes_at_the_separable_mode(self, n, p, y_norm):
+        prob, mode = separable_instance(n, p, y_norm, 3)
+        assert np.any(mode)  # a mode away from 0
+        gap = pl.duality_gap(prob, mode)
+        assert abs(gap) <= 1e-12 * (1.0 + pl.objective(prob, mode))
+
+    @pytest.mark.parametrize("n, p, y_norm", SEPARABLE)
+    def test_bounds_the_objective_error(self, n, p, y_norm):
+        prob, mode = separable_instance(n, p, y_norm, 4)
+        best = pl.objective(prob, mode)
+        rng = np.random.default_rng(p)
+        points = [np.zeros(p), 2.0 * mode, mode + 1e-3 * rng.standard_normal(p)]
+        points += [rng.laplace(size=p) * scale for scale in (0.1, 1.0, 10.0)]
+        for x in points:
+            gap = pl.duality_gap(prob, x)
+            assert gap >= 0.0
+            assert gap >= (pl.objective(prob, x) - best) * (1.0 - 1e-12)
+
+    def test_both_methods_carry_it(self, noisy_instance):
+        fista = pl.solve_fista(noisy_instance)
+        polar = pl.solve_polar(noisy_instance, 20000, 1)
+        assert fista.meta["gap"] == pl.duality_gap(noisy_instance, fista.x)
+        assert polar.meta["gap"] == pl.duality_gap(noisy_instance, polar.x)
+        assert 0.0 <= fista.meta["gap"] < 1e-8 < polar.meta["gap"]
+
+    def test_fista_at_the_separable_mode(self):
+        prob, mode = separable_instance(50, 200, 8.0, 5)
+        sol = pl.solve_fista(prob)
+        np.testing.assert_allclose(sol.x, mode, atol=1e-8)
+        err = pl.objective(prob, sol.x) - pl.objective(prob, mode)
+        assert err * (1.0 - 1e-12) <= sol.meta["gap"] < 1e-8
+
+    def test_polar_zero_on_the_wide_instance_is_not_the_mode(self):
+        # no direction of the sweep has beta <= 0, yet ||A^T y||_inf = 1.39
+        # > 1, so 0 is not the mode; the gap of x = 0 is
+        # ||y||^2 (1 - 1/||A^T y||_inf)^2 / 2
+        prob = bench_instance(10, 20, 2.0)
+        sol = pl.solve_polar(prob, 100_000, 0)
+        assert sol.meta["n_negative"] == 0 and not np.any(sol.x)
+        g_inf = float(np.abs(prob.A.T @ prob.y).max())
+        assert g_inf == pytest.approx(1.394, abs=1e-3)
+        assert sol.meta["gap"] == pytest.approx(0.5 * 4.0 * (1.0 - 1.0 / g_inf) ** 2, rel=1e-12)
+        assert sol.meta["gap"] == pytest.approx(0.16, abs=0.005)
+        assert pl.solve_fista(prob).meta["gap"] < 1e-9
 
 
 class TestSolverAgreement:
