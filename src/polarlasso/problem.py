@@ -136,32 +136,58 @@ def map_chunks(work, seed_or_rng, n_samples: int):
     """work(gen, rows) for every chunk of sweep_chunks, in chunk order.
 
     The chunks are split here, so the seed's streams are spawned even if
-    the returned iterator is never read.  The chunks run in groups of W =
-    min(_WORKERS, chunks): the calling thread computes the first chunk of
-    each group and the sweep's own pool of W - 1 threads the rest, so W
-    chunks are in memory at once; a route that keeps its chunk arrays in
-    chunk_buffers holds one set per thread.  The pool starts a thread on
-    its first chunk only, so a sweep of one chunk or at one CPU starts
-    none; it is joined, after the chunk it runs, when the sweep ends, is
-    closed or raises.  Each chunk draws from its own generator and the
-    results come back in chunk order, so what a caller merges from them
-    does not depend on W; an exception comes from the first chunk that
-    raised it, as in a serial loop.
+    the returned iterator is never read.  The calling thread and the sweep's
+    own pool of W - 1 threads, W = min(_WORKERS, chunks), each claim the
+    next unclaimed chunk, so at most W chunks compute at once; a route that
+    keeps its chunk arrays in chunk_buffers holds one set per thread.  The
+    caller yields the results in chunk order: while the chunk it must yield
+    next is still computing, it computes the next unclaimed one, and it
+    waits only once none is left.  A sweep of one chunk or at one CPU
+    starts no thread.  When the sweep ends, is closed or raises, claims
+    stop and the pool is joined after the chunks it runs.  Each chunk draws
+    from its own generator and the results come back in chunk order, so
+    what a caller merges from them does not depend on W; an exception comes
+    from the first chunk that raised it, after every earlier result, as in
+    a serial loop.
     """
     chunks = sweep_chunks(seed_or_rng, n_samples)
-    return _grouped(work, chunks, min(_WORKERS, len(chunks)))
+    return _self_scheduled(work, chunks, min(_WORKERS, len(chunks)))
 
 
-def _grouped(work, chunks, size):
-    from concurrent.futures import ThreadPoolExecutor  # costs start-up time when imported eagerly
+def _self_scheduled(work, chunks, workers):
+    from concurrent.futures import Future, ThreadPoolExecutor  # costs start-up time when imported eagerly
 
-    with ThreadPoolExecutor(max(size - 1, 1), thread_name_prefix="polarlasso-chunk") as pool:
-        for start in range(0, len(chunks), size):
-            group = chunks[start:start + size]
-            pending = [pool.submit(work, gen, rows) for gen, rows in group[1:]]
-            yield work(*group[0])
-            for future in pending:
-                yield future.result()
+    lock = threading.Lock()
+    results = [Future() for _ in chunks]
+    unclaimed = list(range(len(chunks)))[::-1]  # popped in chunk order; cleared to stop claims
+
+    def claim():
+        with lock:
+            return unclaimed.pop() if unclaimed else None
+
+    def run(i):
+        try:
+            results[i].set_result(work(*chunks[i]))
+        except BaseException as exc:  # raised in chunk order, by the caller
+            with lock:
+                unclaimed.clear()  # claims go in chunk order, so every earlier chunk is claimed
+            results[i].set_exception(exc)
+
+    def drain():
+        while (i := claim()) is not None:
+            run(i)
+
+    with ThreadPoolExecutor(max(workers - 1, 1), thread_name_prefix="polarlasso-chunk") as pool:
+        for _ in range(workers - 1):
+            pool.submit(drain)
+        try:
+            for result in results:
+                while not result.done() and (i := claim()) is not None:
+                    run(i)
+                yield result.result()
+        finally:
+            with lock:
+                unclaimed.clear()
 
 
 def chunk_buffers(n_samples: int, *widths: int):
@@ -225,13 +251,19 @@ def save_problem(prob: ProblemInstance, path: str, seed: int | None = None) -> N
 
 
 def load_problem(path: str) -> ProblemInstance:
-    """Read an instance from the JSON schema written by save_problem."""
+    """Read an instance from the JSON schema written by save_problem: n and
+    p must be JSON integers >= 1 and A must hold exactly n * p entries."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
-        n = int(payload["n"])
-        p = int(payload["p"])
-        A = np.asarray(payload["A"], dtype=float).reshape(n, p)
+        n, p = payload["n"], payload["p"]
+        for key, value in (("n", n), ("p", p)):
+            if type(value) is not int or value < 1:  # not a bool, a float or a string
+                raise ValueError(f"{key} must be an integer >= 1, not {value!r}")
+        A = np.asarray(payload["A"], dtype=float)
+        if A.size != n * p:
+            raise ValueError(f"A must hold n * p = {n * p} entries, not {A.size}")
+        A = A.reshape(n, p)
         y = np.asarray(payload["y"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed problem file {path}: {exc}") from exc

@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles.
 
 The oracles evaluate the radial integrals straight from their defining
-integrands with adaptive quadrature; they never touch the closed-form code
-paths they are used to check.
+integrands with adaptive quadrature, and Z of a design with few rows from
+its Fourier identity with a tensor trapezoid rule; they never touch the
+closed-form code paths they are used to check.
 """
 
 from __future__ import annotations
@@ -134,6 +135,59 @@ def null_space_direction(A, rng):
     basis = null_space(A)
     v = basis @ rng.standard_normal(basis.shape[1])
     return v / np.linalg.norm(v)
+
+
+def exact_log_z(A, y, h=0.3, half_width=9.0):
+    """Oracle: log Z for a design of n <= 4 rows, at any p, by the Fourier identity
+
+        Z = 2^p E_{u ~ N(0, I_n)}[cos(u . y) prod_j 1 / (1 + (a_j . u)^2)],
+
+    a_j the columns of A: e^(-||v||^2/2) = E[cos(u . v)] and the unit
+    Laplace's characteristic function 1/(1 + t^2), joined by Fubini.  The
+    expectation is a tensor trapezoid rule in u with step h on
+    [-half_width, half_width]^n, one slice of the first coordinate at a
+    time.  Its error falls like exp(-2 pi / (h max_j ||a_j||)), the poles of
+    1/(1 + (a_j . u)^2) lying 1/||a_j|| off the real space.  It refuses
+    n > 4, a step with h max_j ||a_j|| > 0.3, an observation with
+    ||y|| > pi / h (cos(u . y) would get fewer than two nodes per period
+    along an axis) and a mean below 1e-6 (the rule's absolute error would
+    weigh on it).
+    """
+    A = np.asarray(A, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, p = A.shape
+    if n > 4:
+        raise ValueError("the tensor rule is meant for n <= 4")
+    if h * np.linalg.norm(A, axis=0).max() > 0.3:
+        raise ValueError("the step h is too coarse for the columns of A")
+    if np.linalg.norm(y) > math.pi / h:
+        raise ValueError("||y|| is too large for the step h")
+    k = round(half_width / h)
+    t = h * np.arange(-k, k + 1)
+    w = h * np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    w[[0, -1]] *= 0.5
+    rest, w_rest = np.zeros((1, 0)), np.ones(1)  # the nodes and weights of u_2..u_n
+    for _ in range(n - 1):
+        rest = np.hstack([np.repeat(rest, t.size, axis=0), np.tile(t, len(rest))[:, None]])
+        w_rest = np.outer(w_rest, w).ravel()
+    proj_rest, phase_rest = rest @ A[1:], rest @ y[1:]
+    mean = 0.0
+    for t0, w0 in zip(t, w):
+        proj = t0 * A[0] + proj_rest
+        f = np.cos(t0 * y[0] + phase_rest) * np.exp(-np.log1p(proj * proj).sum(axis=1))
+        mean += w0 * float(w_rest @ f)
+    if not mean >= 1e-6:
+        raise ValueError(f"Z / 2^p = {mean:.3g} is too small for the tensor rule")
+    return p * math.log(2.0) + math.log(mean)
+
+
+def benchmark_instance(n, p, y_norm, seed):
+    """The Bernoulli design and observation that perfbench's write_instance
+    writes for these arguments."""
+    rng = np.random.default_rng([seed, n, p])
+    A = (2.0 * rng.integers(0, 2, size=(n, p)) - 1.0) / math.sqrt(n)
+    y = rng.standard_normal(n)
+    return pl.make_problem(A, y * (y_norm / np.linalg.norm(y)))
 
 
 @pytest.fixture(scope="session")

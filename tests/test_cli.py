@@ -162,6 +162,14 @@ class TestPartition:
                 run(["partition", "--problem", str(path), "--out", str(tmp_path / "z.json")])
             assert exc.value.code == 2
 
+    def test_malformed_dimension_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": -1, "p": 7, "A": [0.5] * 28, "y": [1.0] * 4, "seed": None}))
+        with pytest.raises(SystemExit) as exc:
+            run(["partition", "--problem", str(path), "--out", str(tmp_path / "z.json")])
+        assert exc.value.code == 2
+        assert "n must be an integer >= 1, not -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["naive", "polar"])
     def test_overflowing_problem_exit_code(self, tmp_path, capsys, method):
         # finite entries whose squares overflow: y, then A

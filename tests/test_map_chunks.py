@@ -1,12 +1,15 @@
-"""problem.map_chunks: the chunks of a sweep on _WORKERS threads, merged in
+"""problem.map_chunks: the chunks of a sweep, claimed one at a time by the
+calling thread and the sweep's pool, _WORKERS threads in all, and merged in
 chunk order, so that every Monte Carlo route returns the same bytes at any
-worker count.  Each sweep runs on a pool of its own, joined when the sweep
-ends, so no thread outlives it and no sweep waits on another's chunks."""
+worker count.  The checks hold whichever thread runs which chunk.  Each
+sweep runs on a pool of its own, joined when the sweep ends, so no thread
+outlives it and no sweep waits on another's chunks."""
 
 import os
 import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -74,20 +77,24 @@ def test_split_even_if_unread():
         map_chunks(lambda gen, rows: None, 0, 0)
 
 
-# (workers, chunk that raises, whether the calling thread computes it): the
-# groups are (0, 1), (2, 3) at two workers and (0, 1, 2), (3) at three
+# (workers, chunk that raises, whether every later chunk raises too): the
+# exception must be the first failing chunk's, whichever thread computed it
 RAISES = [(2, 2, True), (2, 3, False), (3, 3, True), (3, 1, False)]
 
 
-@pytest.mark.parametrize("workers, bad, on_caller", RAISES, indirect=["workers"])
-def test_raises_from_the_chunk_that_raised(workers, bad, on_caller):
+def _fails(i, bad, later_raise):
+    return i == bad or (later_raise and i > bad)
+
+
+@pytest.mark.parametrize("workers, bad, later_raise", RAISES, indirect=["workers"])
+def test_raises_from_the_chunk_that_raised(workers, bad, later_raise):
     index = _chunk_index(5)
-    ran_on_caller = []
+    ran = []
 
     def work(gen, rows):
         i = index(gen)
-        if i == bad:
-            ran_on_caller.append(threading.current_thread() is threading.main_thread())
+        ran.append(i)
+        if _fails(i, bad, later_raise):
             raise FloatingPointError(f"chunk {i}")
         return i
 
@@ -97,17 +104,21 @@ def test_raises_from_the_chunk_that_raised(workers, bad, on_caller):
         for i in results:
             got.append(i)
     assert got == list(range(bad))
-    assert ran_on_caller == [on_caller]
+    # the pool is joined before the exception leaves map_chunks, so `ran` is
+    # final: every chunk up to the failing one ran once, no later one twice
+    assert [ran.count(i) for i in range(bad + 1)] == [1] * (bad + 1)
+    assert all(ran.count(i) <= 1 for i in range(bad + 1, 4))
 
 
-@pytest.mark.parametrize("workers, bad, on_caller", RAISES, indirect=["workers"])
-def test_route_raises_what_its_chunk_raised(monkeypatch, workers, bad, on_caller):
+@pytest.mark.parametrize("workers, bad, later_raise", RAISES, indirect=["workers"])
+def test_route_raises_what_its_chunk_raised(monkeypatch, workers, bad, later_raise):
     index = _chunk_index(5)
     draw = partition.fill_laplace
 
     def failing(gen, out, scratch):
-        if index(gen) == bad:
-            raise FloatingPointError(f"chunk {bad}")
+        i = index(gen)
+        if _fails(i, bad, later_raise):
+            raise FloatingPointError(f"chunk {i}")
         return draw(gen, out, scratch)
 
     monkeypatch.setattr(partition, "fill_laplace", failing)
@@ -123,9 +134,12 @@ def _chunk_threads():
 @pytest.mark.parametrize("end", ["exhausted", "closed", "raised"])
 def test_no_thread_outlives_a_sweep(workers, end):
     index = _chunk_index(6)
+    ran = []
 
     def work(gen, rows):
-        if end == "raised" and index(gen) == workers - 1:  # the pool's last chunk of group one
+        i = index(gen)
+        ran.append(i)
+        if end == "raised" and i == 1:
             raise FloatingPointError("chunk")
         return rows
 
@@ -135,39 +149,131 @@ def test_no_thread_outlives_a_sweep(workers, end):
         assert list(results) == [CHUNK, CHUNK, CHUNK, 5]
     elif end == "closed":
         assert next(results) == CHUNK
-        assert _chunk_threads()  # the pool runs the rest of the first group
         results.close()
     else:
         with pytest.raises(FloatingPointError):
             list(results)
     assert not _chunk_threads()
+    # joined, so no chunk runs after the sweep ended, and none ran twice
+    assert sorted(set(ran)) == sorted(ran)
+    count = len(ran)
+    assert next(results, None) is None
+    assert len(ran) == count
+
+
+def _pool_blocks_first_chunk(index, blocked, release):
+    """work for a two-thread sweep called from its calling thread: the pool
+    thread's first chunk sets blocked['event'] and waits for `release`, and
+    the calling thread starts no chunk before that; each chunk's index goes
+    to blocked['ran'], with whether the calling thread ran it."""
+    caller = threading.current_thread()
+    blocked["ran"] = []
+
+    def work(gen, rows):
+        i = index(gen)
+        on_caller = threading.current_thread() is caller
+        if on_caller:
+            blocked["event"].wait(30)
+        else:
+            blocked["chunk"] = i
+            blocked["event"].set()
+            release.wait(60)
+        blocked["ran"].append((i, on_caller))
+        return i
+
+    return work
+
+
+def _release_once_caller_ran(blocked, release, chunks, seen):
+    """Set `release` once the calling thread of a _pool_blocks_first_chunk
+    sweep has run every one of `chunks` but the blocked one, and record that
+    in `seen`; set it anyway after 30 s."""
+    assert blocked["event"].wait(30)
+    want = set(chunks) - {blocked["chunk"]}
+    for _ in range(3000):
+        if {i for i, on_caller in blocked["ran"] if on_caller} == want:
+            seen.append(want)
+            break
+        time.sleep(0.01)
+    release.set()
+
+
+@pytest.mark.parametrize("workers", [2], indirect=True)
+def test_caller_computes_past_a_blocked_pool_chunk(workers):
+    # while the pool's chunk is blocked, the calling thread computes every
+    # other chunk before it waits; released, the results come in chunk order
+    release = threading.Event()
+    blocked = {"event": threading.Event()}
+    seen = []
+    helper = threading.Thread(target=_release_once_caller_ran, args=(blocked, release, range(4), seen))
+    helper.start()
+    try:
+        got = list(map_chunks(_pool_blocks_first_chunk(_chunk_index(7), blocked, release), 7, N))
+    finally:
+        release.set()
+        helper.join(timeout=60)
+    assert got == [0, 1, 2, 3]
+    assert seen, f"the caller did not compute every chunk but {blocked['chunk']}: {blocked['ran']}"
+    assert sorted(i for i, _ in blocked["ran"]) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("workers", [2], indirect=True)
+def test_error_of_a_chunk_run_ahead_comes_in_order(workers):
+    # the calling thread runs chunk 2 ahead of the blocked pool chunk and it
+    # raises: the error waits for every earlier result, and the caller
+    # claims no chunk after it
+    release = threading.Event()
+    blocked = {"event": threading.Event()}
+    seen = []
+    blocking = _pool_blocks_first_chunk(_chunk_index(8), blocked, release)
+
+    def work(gen, rows):
+        i = blocking(gen, rows)
+        if i == 2:
+            raise FloatingPointError(f"chunk {i}")
+        return i
+
+    helper = threading.Thread(target=_release_once_caller_ran, args=(blocked, release, range(3), seen))
+    helper.start()
+    got = []
+    try:
+        with pytest.raises(FloatingPointError, match="chunk 2"):
+            for i in map_chunks(work, 8, N):
+                got.append(i)
+    finally:
+        release.set()
+        helper.join(timeout=60)
+    assert got == [0, 1]
+    assert seen, f"the caller did not compute chunks 0-2 but {blocked['chunk']}: {blocked['ran']}"
+    assert (3, True) not in blocked["ran"]
 
 
 @pytest.mark.parametrize("workers", [2], indirect=True)
 def test_a_blocked_sweep_holds_up_no_other(workers):
     # the first sweep's pool chunk blocks; a sweep in another thread has a
     # pool of its own, so it runs to the end meanwhile
-    index = _chunk_index(1)
     release = threading.Event()
+    blocked = {"event": threading.Event()}
+    first, other = [], []
 
-    def blocking(gen, rows):
-        if index(gen) == 1:
-            release.wait(120)
-        return rows
+    def run_first():
+        first.extend(map_chunks(_pool_blocks_first_chunk(_chunk_index(1), blocked, release), 1, N))
 
-    got = []
-    other = threading.Thread(target=lambda: got.extend(map_chunks(lambda gen, rows: rows, 2, N)))
-    first = map_chunks(blocking, 1, N)
+    sweeps = [threading.Thread(target=run_first),
+              threading.Thread(target=lambda: other.extend(map_chunks(lambda gen, rows: rows, 2, N)))]
     try:
-        assert next(first) == CHUNK
-        other.start()
-        other.join(timeout=30)
-        assert not other.is_alive()
+        sweeps[0].start()
+        assert blocked["event"].wait(30)
+        sweeps[1].start()
+        sweeps[1].join(timeout=30)
+        assert not sweeps[1].is_alive()
+        assert len(first) <= blocked["chunk"]  # nothing past the blocked chunk
     finally:
         release.set()
-        first.close()
-        other.join(timeout=30)
-    assert got == [CHUNK, CHUNK, CHUNK, 5]
+        for t in sweeps:
+            t.join(timeout=30)
+    assert other == [CHUNK, CHUNK, CHUNK, 5]
+    assert first == [0, 1, 2, 3]
 
 
 def test_concurrent_sweeps_stay_ordered(monkeypatch):
@@ -175,10 +281,14 @@ def test_concurrent_sweeps_stay_ordered(monkeypatch):
     # a short switch interval, so that a lost or misordered result would show
     monkeypatch.setattr(problem, "_WORKERS", 3)
     want = {seed: [gen.random(2).tobytes() for gen, _ in sweep_chunks(seed, N)] for seed in range(4)}
-    got = {}
+    got, runs = {}, {seed: [] for seed in range(4)}
 
     def sweep(seed):
-        got[seed] = list(map_chunks(lambda gen, rows: gen.random(2).tobytes(), seed, N))
+        def work(gen, rows):
+            runs[seed].append(rows)  # a chunk claimed twice would run twice
+            return gen.random(2).tobytes()
+
+        got[seed] = list(map_chunks(work, seed, N))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -192,6 +302,7 @@ def test_concurrent_sweeps_stay_ordered(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == want
+    assert all(sorted(rows) == [5, CHUNK, CHUNK, CHUNK] for rows in runs.values())
 
 
 def test_concurrent_routes_keep_their_buffers(monkeypatch):

@@ -5,9 +5,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
+from scipy.special import erfcx
 
 import polarlasso as pl
+from conftest import benchmark_instance, exact_log_z
 
 CONCENTRATION_TABLE = {
     2.0: "0.6672",
@@ -148,6 +150,59 @@ class TestNaiveEstimator:
         assert abs(naive.z - polar.z) <= 4.0 * combined
         assert naive.std_err > polar.std_err
         assert polar.z_min <= naive.z <= polar.z_max  # certified bounds hold for Z itself
+
+
+class TestExactZ:
+    """Every Z route against exact_log_z, the Fourier-identity oracle."""
+
+    def test_oracle_matches_dblquad(self):
+        prob = benchmark_instance(2, 7, 2.0, 42)
+        A, y = prob.A, prob.y
+
+        def integrand(u1, u0):
+            u = np.array([u0, u1])
+            g = math.exp(-0.5 * float(u @ u)) / (2.0 * math.pi)
+            return g * math.cos(float(u @ y)) / float(np.prod(1.0 + (u @ A) ** 2))
+
+        mean, _ = dblquad(integrand, -9.0, 9.0, -9.0, 9.0, epsabs=1e-14, epsrel=1e-13)
+        log_z = exact_log_z(A, y, h=0.2)
+        assert log_z == pytest.approx(7 * math.log(2.0) + math.log(mean), abs=1e-11)
+        assert log_z == pytest.approx(2.591682085924, abs=1e-11)
+        assert exact_log_z(A, y, h=0.1) == pytest.approx(log_z, abs=1e-11)
+
+    def test_oracle_matches_separable_closed_form(self):
+        # A = [diag(a), 0]: Z = 2^(p-n) prod_i e^(-y_i^2/2) (1/a_i) sqrt(pi/2)
+        # [erfcx((1 - a_i y_i)/(a_i sqrt 2)) + erfcx((1 + a_i y_i)/(a_i sqrt 2))]
+        a, y, p = np.array([0.7, 1.3]), np.array([0.8, -1.1]), 4
+        A = np.hstack([np.diag(a), np.zeros((2, p - 2))])
+        log_z = (p - 2) * math.log(2.0) + sum(
+            -yi * yi / 2 + math.log(math.sqrt(math.pi / 2) / ai
+                                    * (erfcx((1 - ai * yi) / (ai * math.sqrt(2))) + erfcx((1 + ai * yi) / (ai * math.sqrt(2)))))
+            for ai, yi in zip(a, y))
+        assert exact_log_z(A, y, h=0.1) == pytest.approx(log_z, abs=1e-12)
+        with pytest.raises(ValueError, match="too coarse"):
+            exact_log_z(A, y, h=0.3)
+
+    def test_oracle_at_zero_design(self):
+        y = np.array([1.0, 0.5, 0.2])
+        assert exact_log_z(np.zeros((3, 5)), y) == pytest.approx(5 * math.log(2.0) - 0.5 * float(y @ y), abs=1e-12)
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        # the desk-z and chains instance of the benchmark, with its exact log Z
+        prob = benchmark_instance(4, 7, 2.0, 42)
+        return prob, exact_log_z(prob.A, prob.y)
+
+    @pytest.mark.parametrize("route", ["polar", "naive", "shifted"])
+    def test_routes_cover_exact_z_on_desk(self, desk, route):
+        prob, log_z = desk
+        assert log_z == pytest.approx(1.862151306135, abs=1e-11)
+        l = pl.solve_fista(prob).x
+        for seed in (0, 1, 2):
+            est = {"polar": lambda: pl.estimate_z_polar(prob, 100_000, seed),
+                   "naive": lambda: pl.estimate_z_naive(prob, 100_000, seed),
+                   "shifted": lambda: pl.estimate_z_shifted(prob, l, 2048, seed)}[route]()
+            assert abs(est.z - math.exp(log_z)) <= 4.0 * est.std_err, (seed, est.z, est.std_err)
 
 
 class TestVolumes:

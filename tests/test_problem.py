@@ -1,5 +1,6 @@
 """Instance construction and per-direction statistics."""
 
+import json
 import math
 import warnings
 
@@ -217,6 +218,22 @@ class TestProblemIO:
         path = tmp_path / "bad.json"
         path.write_text('{"n": 2, "p": 3, "A": [1, 2], "y": [0, 0]}')
         with pytest.raises(ValueError):
+            pl.load_problem(str(path))
+
+    # int() and reshape alone would load each of these 28 entries as 4 x 7:
+    # reshape infers a -1, int() truncates 4.7 and takes True as 1
+    @pytest.mark.parametrize("field, value, match", [
+        ("n", -1, "n must be an integer >= 1, not -1"),
+        ("p", -1, "p must be an integer >= 1, not -1"),
+        ("n", 4.7, "n must be an integer >= 1, not 4.7"),
+        ("n", True, "n must be an integer >= 1, not True"),
+        ("p", 6, "A must hold n [*] p = 24 entries, not 28"),
+    ])
+    def test_rejects_malformed_dimensions(self, tmp_path, field, value, match):
+        payload = {"n": 4, "p": 7, "A": [0.5] * 28, "y": [1.0] * 4, field: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=match):
             pl.load_problem(str(path))
 
 
