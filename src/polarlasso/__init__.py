@@ -35,7 +35,7 @@ from .problem import (
     save_problem,
     zero_lasso_sufficient,
 )
-from .radial import mass_closed_form, mass_expansion, mode_radius_times_l1
+from .radial import ExpansionResult, expansion_coeff, mass_closed_form, mass_expansion, mode_radius_times_l1
 from .shifted import (
     ExactSamplerBudgetError,
     RadialSummary,
@@ -44,7 +44,6 @@ from .shifted import (
     sample_posterior,
     sample_posterior_batch,
 )
-from .special import ExpansionResult, expansion_coeff
 
 __all__ = [
     "ChainConfig",

@@ -81,8 +81,14 @@ def _write_json(path: str, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+# the options that name files: a manifest records them as absolute paths, so
+# that rerun reads and writes the same files from any directory
+_PATH_OPTIONS = ("problem", "out", "out_dir", "emit_series")
+
+
 def _write_manifest(command: str, args: argparse.Namespace, outputs: list[str]) -> None:
-    cfg = vars(args)
+    cfg = {key: os.path.abspath(value) if key in _PATH_OPTIONS and value is not None else value
+           for key, value in vars(args).items()}
     manifest = {
         "command": command,
         "config": cfg,

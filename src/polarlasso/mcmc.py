@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemInstance, sample_laplace
+from .problem import ProblemInstance, laplace_from_uniforms
 from .shifted import sample_posterior_batch, shifted_modes, unit_shift_batch
 
 KIND_INDEPENDENT = "independent_laplace"
@@ -46,7 +46,7 @@ class ChainConfig:
     def __post_init__(self):
         if self.kind not in (KIND_INDEPENDENT, KIND_RANDOM_WALK):
             raise ValueError(f"unknown chain kind {self.kind!r}")
-        if not isinstance(self.n_iter, (int, np.integer)) or self.n_iter < 1:
+        if isinstance(self.n_iter, bool) or not isinstance(self.n_iter, (int, np.integer)) or self.n_iter < 1:
             raise ValueError("n_iter must be a positive integer")
         if not 0 < self.rw_variance < math.inf:
             raise ValueError("rw_variance must be positive and finite")
@@ -140,7 +140,7 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig) -> tuple[ChainTrace, Chai
         block = min(_BLOCK, n_iter - done)
         if is_kind:
             acc = []
-            props = sample_laplace(rng, (block, p))
+            props = laplace_from_uniforms(rng.random((block, p)), np.empty((block, p)))
             prop_Ax = props @ A.T
             prop_mis = np.einsum("ij,ij->i", prop_Ax, prop_Ax) - 2.0 * (prop_Ax @ y)
             log_u = np.log(rng.random(block))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._moments import log_gaussian_moment
-from .problem import ProblemInstance, chunk_buffers, fill_laplace, map_chunks, sample_sphere_batch
+from .problem import ProblemInstance, chunk_buffers, laplace_from_uniforms, map_chunks, sample_sphere_batch
 from .shifted import _exp, log_concavity_bracket, shifted_log_summaries, unit_shift_batch
 
 METHOD_POLAR = "polar_mc"
@@ -135,7 +135,7 @@ def estimate_z_naive(prob: ProblemInstance, n_samples: int, rng) -> PartitionEst
 
     def log_weights(gen, count):
         x, u, resid = buffers(count)
-        np.matmul(fill_laplace(gen, x, u), prob.A.T, out=resid)
+        np.matmul(laplace_from_uniforms(gen.random(out=u), x), prob.A.T, out=resid)
         resid -= prob.y
         return -0.5 * np.einsum("ij,ij->i", resid, resid)
 
@@ -158,6 +158,8 @@ def concentration_prob(q: float, p: int) -> float:
 
 def lasso_ball_volume(z: float, p: int) -> float:
     """Lebesgue volume of the unit ball of the mass seminorm: Z / p."""
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
+        raise ValueError(f"p must be an integer >= 1, not {p!r}")
     if not 0 < z < math.inf:
         raise ValueError("z must be positive and finite")
     return z / p

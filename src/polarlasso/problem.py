@@ -166,12 +166,13 @@ def _self_scheduled(work, chunks, workers):
             return unclaimed.pop() if unclaimed else None
 
     def run(i):
+        future = results[i]  # the caller may clear the slot while it waits on the chunk
         try:
-            results[i].set_result(work(*chunks[i]))
+            future.set_result(work(*chunks[i]))
         except BaseException as exc:  # raised in chunk order, by the caller
             with lock:
                 unclaimed.clear()  # claims go in chunk order, so every earlier chunk is claimed
-            results[i].set_exception(exc)
+            future.set_exception(exc)
 
     def drain():
         while (i := claim()) is not None:
@@ -181,9 +182,10 @@ def _self_scheduled(work, chunks, workers):
         for _ in range(workers - 1):
             pool.submit(drain)
         try:
-            for result in results:
+            for k, result in enumerate(results):
                 while not result.done() and (i := claim()) is not None:
                     run(i)
+                results[k] = None  # released once the caller asks for the next
                 yield result.result()
         finally:
             with lock:
@@ -210,17 +212,6 @@ def chunk_buffers(n_samples: int, *widths: int):
         return [buf[:count] for buf in bufs]
 
     return buffers
-
-
-def sample_laplace(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit Laplace draws of the given shape: fill_laplace into new arrays."""
-    return fill_laplace(rng, np.empty(shape), np.empty(shape))
-
-
-def fill_laplace(rng: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Unit Laplace draws written to `out` and returned: laplace_from_uniforms
-    of uniforms drawn into `scratch`, an array of the same shape."""
-    return laplace_from_uniforms(rng.random(out=scratch), out)
 
 
 def laplace_from_uniforms(u: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -15,18 +15,50 @@ mass Phi(beta) = ||theta||_1^p J_p(theta) depends on the direction only
 through (beta, s); for large beta it admits the inverse-power expansion
 Phi(beta, M) whose truncation error is certified by the coefficient
 c(p, M).  These closed forms, and the mode times ||theta||_1 at y = 0, are
-what the curves command tabulates.
+what the curves command tabulates.  The coefficients c(p, r) are the one
+special function the kernel in _moments does not evaluate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 from ._moments import log_gaussian_moment
-from .special import ExpansionResult, expansion_coeff
 
 # default number of terms M of the inverse-power expansion
 EXPANSION_TERMS = 17
+
+
+@dataclass(frozen=True)
+class ExpansionResult:
+    """Truncated asymptotic value together with a guaranteed error bound."""
+
+    value: float
+    remainder_bound: float
+
+
+@functools.lru_cache(maxsize=4096)
+def expansion_coeff_exact(p: int, r: int) -> Fraction:
+    """c(p, r) = sum_k C(p-1, k) (-1)^(p-1-k) ((k+1)/2 - 1)...((k+1)/2 - r), exactly."""
+    if p < 1 or r < 1:
+        raise ValueError("need p >= 1 and r >= 1")
+    total = Fraction(0)
+    for k in range(p):
+        prod = Fraction(1)
+        half = Fraction(k + 1, 2)
+        for j in range(1, r + 1):
+            prod *= half - j
+        total += math.comb(p - 1, k) * (-1) ** (p - 1 - k) * prod
+    return total
+
+
+def expansion_coeff(p: int, r: int) -> float:
+    """c(p, r) as a float; the defining alternating sum cancels catastrophically
+    in floating point, so it is evaluated in exact rational arithmetic first."""
+    return float(expansion_coeff_exact(p, r))
 
 
 def mode_radius_times_l1(beta: float, p: int) -> float:

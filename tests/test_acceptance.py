@@ -16,7 +16,7 @@ import pytest
 import polarlasso as pl
 from polarlasso.mcmc import KIND_INDEPENDENT, KIND_RANDOM_WALK
 from polarlasso.problem import sample_sphere_batch
-from polarlasso.special import expansion_coeff_exact
+from polarlasso.radial import expansion_coeff_exact
 
 from conftest import quad_radial_mass, quad_shifted_mass, null_space_direction
 

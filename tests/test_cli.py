@@ -501,6 +501,25 @@ class TestManifestReplay:
         assert run(["rerun", manifest]) == 0
         assert (out.read_bytes(), series.read_bytes()) == blobs
 
+    def test_rerun_from_another_directory(self, tmp_path, monkeypatch):
+        # a run given relative paths replays from any directory: it reads and
+        # writes the files of the directory it ran in, manifests included
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        monkeypatch.chdir(a)
+        assert run(["gen", "--y-norm", "2", "--out", "prob.json"]) == 0
+        assert run(["partition", "--problem", "prob.json", "--n-samples", "2000", "--shift",
+                    "--out", "part.json"]) == 0
+        blobs = {f.name: f.read_bytes() for f in a.iterdir()}
+        (a / "prob.json").unlink()
+        (a / "part.json").unlink()
+        monkeypatch.chdir(b)
+        assert run(["rerun", "../a/prob.manifest.json"]) == 0
+        assert run(["rerun", "../a/part.manifest.json"]) == 0
+        assert {f.name: f.read_bytes() for f in a.iterdir()} == blobs
+        assert list(b.iterdir()) == []
+
     @pytest.mark.parametrize("blob", [b"{}", b"[1]", b'{"argv": "gen"}', b'{"argv": ["gen", 1]}',
                                       b"not json", b"\xff\xfe"], ids=repr)
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, blob):

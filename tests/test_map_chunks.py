@@ -5,11 +5,13 @@ worker count.  The checks hold whichever thread runs which chunk.  Each
 sweep runs on a pool of its own, joined when the sweep ends, so no thread
 outlives it and no sweep waits on another's chunks."""
 
+import gc
 import os
 import signal
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +30,13 @@ def _chunk_index(seed):
     state of the generator map_chunks hands to work."""
     keys = [gen.bit_generator.state["state"]["state"] for gen, _ in sweep_chunks(seed, N)]
     return lambda gen: keys.index(gen.bit_generator.state["state"]["state"])
+
+
+def _chunk_of_uniform(seed):
+    """The index of a chunk of sweep_chunks(seed, N), read from the first
+    uniform its generator draws."""
+    firsts = [gen.random() for gen, _ in sweep_chunks(seed, N)]
+    return firsts.index
 
 
 @pytest.fixture
@@ -112,18 +121,31 @@ def test_raises_from_the_chunk_that_raised(workers, bad, later_raise):
 
 @pytest.mark.parametrize("workers, bad, later_raise", RAISES, indirect=["workers"])
 def test_route_raises_what_its_chunk_raised(monkeypatch, workers, bad, later_raise):
-    index = _chunk_index(5)
-    draw = partition.fill_laplace
+    index = _chunk_of_uniform(5)
+    draw = partition.laplace_from_uniforms
 
-    def failing(gen, out, scratch):
-        i = index(gen)
+    def failing(u, out):
+        i = index(u.flat[0])
         if _fails(i, bad, later_raise):
             raise FloatingPointError(f"chunk {i}")
-        return draw(gen, out, scratch)
+        return draw(u, out)
 
-    monkeypatch.setattr(partition, "fill_laplace", failing)
+    monkeypatch.setattr(partition, "laplace_from_uniforms", failing)
     with pytest.raises(FloatingPointError, match=f"chunk {bad}"):
         pl.estimate_z_naive(scaled_instance(4, 7, 2.0), N, 5)
+
+
+@pytest.mark.parametrize("workers", [1, 2], indirect=True)
+def test_no_result_held_once_yielded(workers):
+    # a sweep holds no result the caller has moved past, so the memory a
+    # sweep keeps does not grow with its number of chunks
+    refs = []
+    for k, result in enumerate(map_chunks(lambda gen, rows: gen.random(rows), 5, N)):
+        refs.append(weakref.ref(result))
+        del result
+        if k >= 2:
+            gc.collect()
+            assert refs[k - 2]() is None, f"chunk {k - 2} is still held at chunk {k}"
 
 
 def _chunk_threads():

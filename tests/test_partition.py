@@ -224,3 +224,9 @@ class TestVolumes:
     def test_rejects_non_finite(self, z):
         with pytest.raises(ValueError, match="z must be positive and finite"):
             pl.lasso_ball_volume(z, 7)
+
+    @pytest.mark.parametrize("p", [0, -2, 2.5, True])
+    def test_rejects_p_not_a_positive_integer(self, p):
+        # p = 0 divided by zero and p = -2 returned a negative volume
+        with pytest.raises(ValueError, match="^p must be an integer >= 1"):
+            pl.lasso_ball_volume(1.0, p)

@@ -10,7 +10,7 @@ import pytest
 
 import polarlasso as pl
 from conftest import shifted_potential
-from polarlasso.problem import CHUNK, sample_laplace, sample_sphere_batch, sweep_chunks
+from polarlasso.problem import CHUNK, laplace_from_uniforms, sample_sphere_batch, sweep_chunks
 from polarlasso.shifted import build_shift_batch
 
 
@@ -265,7 +265,7 @@ class TestSamplers:
 
     def test_laplace_moments(self):
         rng = np.random.default_rng(8)
-        x = sample_laplace(rng, 200000)
+        x = laplace_from_uniforms(rng.random(200000), np.empty(200000))
         assert abs(float(np.mean(x))) < 0.02
         assert float(np.mean(np.abs(x))) == pytest.approx(1.0, abs=0.02)
         assert float(np.var(x)) == pytest.approx(2.0, abs=0.06)
@@ -273,12 +273,15 @@ class TestSamplers:
     @pytest.mark.parametrize("shape", [7, (256, 7), (8192, 20)])
     def test_laplace_bytes_match_literal_transform(self, shape):
         # the in-place transform gives the bytes of -sign(u) log1p(-2|u|) and
-        # leaves the generator where drawing the uniforms alone does
-        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-        x = sample_laplace(rng, shape)
+        # leaves the generator where drawing the uniforms alone does, whether
+        # the uniforms go to a new array or into one given as out=
+        rng, ref, into = (np.random.default_rng(9) for _ in range(3))
+        x = laplace_from_uniforms(rng.random(shape), np.empty(shape))
         u = ref.uniform(-0.5, 0.5, size=shape)
         assert x.tobytes() == (-np.sign(u) * np.log1p(-2.0 * np.abs(u))).tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
+        assert laplace_from_uniforms(into.random(out=np.empty(shape)), np.empty(shape)).tobytes() == x.tobytes()
+        assert into.bit_generator.state == ref.bit_generator.state
 
     def test_laplace_bytes_at_edge_uniforms(self):
         # the edge doubles random() can return, so u = random() - 0.5 is
@@ -293,7 +296,7 @@ class TestSamplers:
 
         u = r - 0.5
         with np.errstate(divide="ignore"):  # u = -0.5 maps to -inf
-            x = sample_laplace(Stub(), r.shape)
+            x = laplace_from_uniforms(Stub().random(r.shape), np.empty(r.shape))
             assert x.tobytes() == (-np.sign(u) * np.log1p(-2.0 * np.abs(u))).tobytes()
         assert x[0] == -math.inf and math.copysign(1.0, x[1]) == 1.0
         assert np.all(np.isfinite(x[1:]))

@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 import polarlasso as pl
 from conftest import shifted_potential
 from polarlasso._moments import log_gaussian_moment
-from polarlasso.problem import CHUNK, sample_laplace, sample_sphere_batch, sweep_chunks
+from polarlasso.problem import CHUNK, laplace_from_uniforms, sample_sphere_batch, sweep_chunks
 from polarlasso.shifted import (build_shift_batch, log_concavity_bracket, shifted_log_masses, shifted_log_summaries,
                                 unit_shift_batch)
 
@@ -429,7 +429,7 @@ class TestSampling:
             0.5 * np.linalg.norm(exact @ prob.A.T - prob.y, axis=1) ** 2
             + np.abs(exact).sum(axis=1)
         )
-        prior = sample_laplace(rng, (n, 7))
+        prior = laplace_from_uniforms(rng.random((n, 7)), np.empty((n, 7)))
         resid = prior @ prob.A.T - prob.y
         mis = 0.5 * np.einsum("ij,ij->i", resid, resid)
         w = np.exp(-mis)
@@ -466,7 +466,7 @@ class TestSampling:
 
 def _literal_block(prob, rng):
     """256 prior proposals, then their uniforms, and which proposals are accepted."""
-    props = sample_laplace(rng, (256, prob.p))
+    props = laplace_from_uniforms(rng.random((256, prob.p)), np.empty((256, prob.p)))
     resid = props @ prob.A.T - prob.y
     return props, np.log(rng.uniform(size=256)) <= -0.5 * np.einsum("ij,ij->i", resid, resid)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from polarlasso.special import expansion_coeff, expansion_coeff_exact
+from polarlasso.radial import expansion_coeff, expansion_coeff_exact
 
 
 class TestExpansionCoeff:
