@@ -81,14 +81,8 @@ def _write_json(path: str, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-# the options that name files: a manifest records them as absolute paths, so
-# that rerun reads and writes the same files from any directory
-_PATH_OPTIONS = ("problem", "out", "out_dir", "emit_series")
-
-
 def _write_manifest(command: str, args: argparse.Namespace, outputs: list[str]) -> None:
-    cfg = {key: os.path.abspath(value) if key in _PATH_OPTIONS and value is not None else value
-           for key, value in vars(args).items()}
+    cfg = vars(args)
     manifest = {
         "command": command,
         "config": cfg,
@@ -174,7 +168,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         sols.append(lasso.solve_fista(prob, args.max_iter, args.tol))
     if args.method in ("polar", "both"):
         sols.append(lasso.solve_polar(prob, args.n_samples, args.seed))
-    out: dict = {"problem": os.path.abspath(args.problem)}
+    out: dict = {"problem": args.problem}
     for sol in sols:
         out[sol.method] = {"x": [float(v) for v in sol.x], "objective": sol.objective, "meta": sol.meta}
     _write_json(args.out, out)
@@ -388,25 +382,25 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--y-norm", default=0.0,
                    type=_checked(float, lambda v: 0.0 <= v < math.inf, "non-negative and finite"),
                    help="norm of a seeded random observation (0 means y = 0)")
-    g.add_argument("--out", default="problem.json")
+    g.add_argument("--out", type=os.path.abspath, default="problem.json")
 
     s = sub.add_parser("solve", help="compute the l1-penalized mode")
-    s.add_argument("--problem", required=True)
+    s.add_argument("--problem", type=os.path.abspath, required=True)
     s.add_argument("--method", choices=("polar", "fista", "both"), default="both")
     s.add_argument("--n-samples", type=_positive(int), default=100000)
     s.add_argument("--max-iter", type=_positive(int), default=lasso.FISTA_MAX_ITER)
     s.add_argument("--tol", type=positive_finite, default=lasso.FISTA_TOL)
     s.add_argument("--seed", type=seed, default=0)
-    s.add_argument("--out", default="solution.json")
+    s.add_argument("--out", type=os.path.abspath, default="solution.json")
 
     z = sub.add_parser("partition", help="estimate the partition function")
-    z.add_argument("--problem", required=True)
+    z.add_argument("--problem", type=os.path.abspath, required=True)
     z.add_argument("--method", choices=("polar", "naive", "both"), default="polar")
     z.add_argument("--n-samples", type=_positive(int), default=100000)
     z.add_argument("--seed", type=seed, default=0)
     z.add_argument("--shift", action="store_true",
                    help="also estimate through the recentered density")
-    z.add_argument("--out", default="partition.json")
+    z.add_argument("--out", type=os.path.abspath, default="partition.json")
 
     c = sub.add_parser("curves", help="offset curves: closed form, expansion, mode scale")
     finite = _checked(float, math.isfinite, "finite")
@@ -415,10 +409,10 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--steps", type=_positive(int), default=500)
     c.add_argument("--p", type=_positive(int), default=7)
     c.add_argument("--m-terms", type=int, default=radial.EXPANSION_TERMS)
-    c.add_argument("--out", default="curves.csv")
+    c.add_argument("--out", type=os.path.abspath, default="curves.csv")
 
     d = sub.add_parser("diagnose", help="run a chain and its convergence diagnosis")
-    d.add_argument("--problem", required=True)
+    d.add_argument("--problem", type=os.path.abspath, required=True)
     d.add_argument("--sampler", choices=("is", "rw"), default="rw")
     d.add_argument("--iters", type=_positive(int), default=1000000)
     d.add_argument("--q", type=positive_finite, default=mcmc.ChainConfig.q)
@@ -426,11 +420,11 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--seed", type=seed, default=0)
     d.add_argument("--z-samples", type=_positive(int), default=20000,
                    help="sweep size for the ergodicity constant (is sampler)")
-    d.add_argument("--emit-series", default=None, metavar="FILE")
-    d.add_argument("--out", default="diagnosis.json")
+    d.add_argument("--emit-series", type=os.path.abspath, default=None, metavar="FILE")
+    d.add_argument("--out", type=os.path.abspath, default="diagnosis.json")
 
     t = sub.add_parser("tables", help="write the reference tables")
-    t.add_argument("--out-dir", default="tables")
+    t.add_argument("--out-dir", type=os.path.abspath, default="tables")
     t.add_argument("--seed", type=seed, default=1)
     t.add_argument("--n-samples", type=_positive(int), default=100000)
     t.add_argument("--iters", type=_positive(int), default=1000000)

@@ -166,7 +166,7 @@ def _self_scheduled(work, chunks, workers):
             return unclaimed.pop() if unclaimed else None
 
     def run(i):
-        future = results[i]  # the caller may clear the slot while it waits on the chunk
+        future = results[i]  # the caller clears the slot only once the chunk is done
         try:
             future.set_result(work(*chunks[i]))
         except BaseException as exc:  # raised in chunk order, by the caller
@@ -185,8 +185,9 @@ def _self_scheduled(work, chunks, workers):
             for k, result in enumerate(results):
                 while not result.done() and (i := claim()) is not None:
                     run(i)
-                results[k] = None  # released once the caller asks for the next
-                yield result.result()
+                value = result.result()
+                results[k] = None  # only now: a claimed chunk's run() may not have read its slot yet
+                yield value
         finally:
             with lock:
                 unclaimed.clear()

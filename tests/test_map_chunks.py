@@ -11,6 +11,7 @@ import signal
 import sys
 import threading
 import time
+import types
 import weakref
 
 import numpy as np
@@ -146,6 +147,58 @@ def test_no_result_held_once_yielded(workers):
         if k >= 2:
             gc.collect()
             assert refs[k - 2]() is None, f"chunk {k - 2} is still held at chunk {k}"
+
+
+@pytest.mark.parametrize("workers", [2], indirect=True)
+def test_a_chunk_claimed_but_not_yet_run_is_still_delivered(monkeypatch, workers):
+    # the pool thread is switched out between claiming a chunk and running
+    # it, until the caller has run every other chunk and waits on that one:
+    # the sweep still ends, with every result in chunk order
+    import concurrent.futures
+
+    reader, paused = [], []
+    pool_claimed, caller_waits = threading.Event(), threading.Event()
+
+    class Lock:
+        def __init__(self):
+            self._lock = threading.Lock()
+
+        def __enter__(self):
+            self._lock.acquire()
+
+        def __exit__(self, *exc):
+            self._lock.release()
+            if threading.current_thread() is not reader[0] and not paused:
+                pool_claimed.set()
+                paused.append(caller_waits.wait(30))
+
+    class Future(concurrent.futures.Future):
+        def result(self, timeout=None):
+            if threading.current_thread() is reader[0] and not self.done():
+                caller_waits.set()
+            return super().result(timeout)
+
+    monkeypatch.setattr(problem, "threading", types.SimpleNamespace(Lock=Lock, local=threading.local))
+    monkeypatch.setattr(concurrent.futures, "Future", Future)
+    index = _chunk_index(9)
+
+    def work(gen, rows):
+        if threading.current_thread() is reader[0]:
+            assert pool_claimed.wait(30)  # so the pool claims while chunks are left
+        return index(gen)
+
+    got = []
+
+    def read():
+        reader.append(threading.current_thread())
+        got.extend(map_chunks(work, 9, N))
+
+    t = threading.Thread(target=read, daemon=True)  # a lost chunk would block it for good
+    t.start()
+    t.join(timeout=30)
+    assert not t.is_alive(), "the sweep never ended"
+    assert paused == [True]
+    assert got == [0, 1, 2, 3]
 
 
 def _chunk_threads():
