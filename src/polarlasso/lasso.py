@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemInstance, chunk_buffers, map_chunks
+from .problem import ProblemInstance, _check_count, chunk_buffers, map_chunks
 
 METHOD_POLAR = "polar"
 METHOD_FISTA = "fista"
@@ -17,6 +17,14 @@ METHOD_FISTA = "fista"
 # FISTA's default iteration budget and residual tolerance
 FISTA_MAX_ITER = 20000
 FISTA_TOL = 1e-10
+# iterates whose stopping rule is decided at once: the check of a block
+# costs about 20 numpy calls, against 12 for that of one iterate, and up to
+# _FISTA_BLOCK - 1 updates (about 7.5 us each at 10 x 20) run past the
+# iterate that stops.  On eight Bernoulli instances from 4 x 7 to 20 x 50,
+# stopping after 10 to 446 iterates, 20 was fastest: a geometric mean 2.6%
+# below 16 and 12, and 2.8% and 5.8% below 24 and 32 (shared 2-vCPU x86
+# host, interleaved medians)
+_FISTA_BLOCK = 20
 
 
 @dataclass(frozen=True)
@@ -46,19 +54,68 @@ def duality_gap(prob: ProblemInstance, x: np.ndarray) -> float:
     return 0.5 * float(r @ r) + float(np.abs(x).sum()) - 0.5 * float(prob.y @ prob.y) + 0.5 * float(d @ d)
 
 
-def _soft(v: np.ndarray, thr: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
+def _soft(v: np.ndarray, thr: float, out: np.ndarray | None = None) -> np.ndarray:
+    return np.multiply(np.sign(v), np.maximum(np.abs(v) - thr, 0.0), out=out)
+
+
+def _prox_residual(prob: ProblemInstance, x: np.ndarray, step: float) -> float:
+    """||x - prox(x - step grad)||, the stopping rule as one iterate forms it."""
+    grad = prob.A.T @ (prob.A @ x - prob.y)
+    return float(np.linalg.norm(x - _soft(x - step * grad, step)))
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u the unit roundoff: the relative error
+    bound of k rounded operations in sequence."""
+    ku = k * np.finfo(float).eps / 2
+    return ku / (1.0 - ku)
+
+
+def _stopping_rule(prob: ProblemInstance, step: float, tol: float):
+    """first_stop(X): the first row of X whose _prox_residual is <= tol, or None.
+
+    The residuals of all rows come from two block products, which round
+    otherwise than _prox_residual.  To first order, each entry of
+    x - prox(x - step grad) is within gamma_{n+p+5} (|x| + step |A|^T (|A||x|
+    + |y|)) of its exact value in either, the norm of that bound is at most
+    ||x|| (1 + step ||A||_F^2) + step ||A||_F ||y||, and each norm of a
+    residual adds a relative error below gamma_{p+1}.  `band` is twice the
+    sum, with ||X||_F, which is at least every ||x||, in place of ||x||.  A
+    row whose block residual is within `band` of tol is decided by
+    _prox_residual itself, and any other row by its block value.
+    """
+    A, y = prob.A, prob.y
+    norm_A = float(np.linalg.norm(A))
+    g = 2.0 * _gamma(prob.n + prob.p + 5)
+    slope, offset = g * (1.0 + step * norm_A * norm_A), g * step * norm_A * prob.y_norm
+    rel = 2.0 * _gamma(prob.p + 1)
+
+    def first_stop(X: np.ndarray) -> int | None:
+        R = X @ A.T
+        R -= y
+        D = X - _soft(X - step * (R @ A), step)
+        norms = np.sqrt(np.einsum("ij,ij->i", D, D))
+        band = rel * norms + (slope * float(np.linalg.norm(X)) + offset)
+        for k in np.flatnonzero(norms - band <= tol):
+            if norms[k] + band[k] < tol or _prox_residual(prob, X[k].copy(), step) <= tol:
+                return int(k)
+        return None
+
+    return first_stop
 
 
 def solve_fista(prob: ProblemInstance, max_iter: int = FISTA_MAX_ITER, tol: float = FISTA_TOL) -> LassoSolution:
     """Accelerated proximal gradient with step 1/||A||^2 and unit l1 weight.
 
-    Stops when the proximal-gradient residual ||x - prox(x - step grad)|| drops
-    below tol; a `converged` flag records whether that happened within budget,
-    and `gap` bounds the objective error of the x returned.
+    Stops at the first iterate whose proximal-gradient residual
+    ||x - prox(x - step grad)|| is <= tol; a `converged` flag records whether
+    that happened within budget, and `gap` bounds the objective error of the
+    x returned.  The residuals are formed for blocks of _FISTA_BLOCK iterates
+    at once (the iterates do not depend on them), and one within rounding of
+    tol is formed again as a single iterate forms it, so the x returned is
+    the one a per-iterate check stops at.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
+    _check_count("max_iter", max_iter)
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     p = prob.p
@@ -66,23 +123,27 @@ def solve_fista(prob: ProblemInstance, max_iter: int = FISTA_MAX_ITER, tol: floa
         return LassoSolution(np.zeros(p), objective(prob, np.zeros(p)), METHOD_FISTA,
                              {"iterations": 0, "converged": True, "step": math.inf,
                               "gap": duality_gap(prob, np.zeros(p))})
+    A, A_T, y = prob.A, prob.A.T, prob.y
     step = 1.0 / prob.op_norm**2
+    first_stop = _stopping_rule(prob, step, tol)
+    X = np.empty((_FISTA_BLOCK, p))
     x = np.zeros(p)
     z = x.copy()
     t = 1.0
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        grad = prob.A.T @ (prob.A @ z - prob.y)
-        x_new = _soft(z - step * grad, step)
-        t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        x, t = x_new, t_new
-        grad_x = prob.A.T @ (prob.A @ x - prob.y)
-        resid = float(np.linalg.norm(x - _soft(x - step * grad_x, step)))
-        if resid <= tol:
-            converged = True
+    for start in range(0, max_iter, _FISTA_BLOCK):
+        block = X[:min(_FISTA_BLOCK, max_iter - start)]
+        for x_new in block:  # x is the row before, or the last row of the block before
+            grad = A_T @ (A @ z - y)
+            _soft(z - step * grad, step, out=x_new)
+            t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            z = x_new + ((t - 1.0) / t_new) * (x_new - x)
+            x, t = x_new, t_new
+        stop = first_stop(block)
+        if stop is not None:
+            x, iterations, converged = block[stop].copy(), start + stop + 1, True
             break
+    else:
+        x, iterations, converged = x.copy(), max_iter, False
     return LassoSolution(
         x, objective(prob, x), METHOD_FISTA,
         {"iterations": iterations, "converged": converged, "step": step, "gap": duality_gap(prob, x)},

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._moments import log_gaussian_moment
-from .problem import ProblemInstance, chunk_buffers, laplace_from_uniforms, map_chunks, sample_sphere_batch
+from .problem import (ProblemInstance, _check_count, chunk_buffers, laplace_from_uniforms, map_chunks,
+                      sample_sphere_batch)
 from .shifted import _exp, log_concavity_bracket, shifted_log_summaries, unit_shift_batch
 
 METHOD_POLAR = "polar_mc"
@@ -158,8 +159,7 @@ def concentration_prob(q: float, p: int) -> float:
 
 def lasso_ball_volume(z: float, p: int) -> float:
     """Lebesgue volume of the unit ball of the mass seminorm: Z / p."""
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
-        raise ValueError(f"p must be an integer >= 1, not {p!r}")
+    _check_count("p", p)
     if not 0 < z < math.inf:
         raise ValueError("z must be positive and finite")
     return z / p

@@ -114,6 +114,13 @@ def sample_sphere_batch(rng: np.random.Generator, count: int, p: int) -> np.ndar
     return v / norms[:, None]
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless value is an integer >= 1; a numpy integer
+    passes, a bool or a float does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+
+
 def sweep_chunks(seed_or_rng, n_samples: int):
     """The chunks of an n_samples-row Monte Carlo sweep, as (generator, rows) pairs.
 
@@ -122,8 +129,7 @@ def sweep_chunks(seed_or_rng, n_samples: int):
     a Generator's bit generator; a seed and a fresh Generator of that seed
     give the same chunks.
     """
-    if n_samples < 1:
-        raise ValueError("need n_samples >= 1")
+    _check_count("n_samples", n_samples)
     # default_rng returns a Generator unaltered, and makes a seed's SeedSequence
     seq = np.random.default_rng(seed_or_rng).bit_generator.seed_seq  # type: ignore[attr-defined]
     full, last = divmod(n_samples, CHUNK)
@@ -203,12 +209,12 @@ def chunk_buffers(n_samples: int, *widths: int):
     function, so no memory outlives the sweep; a chunk's result must not be
     a view of them.
     """
-    rows = min(n_samples, CHUNK)
     held = threading.local()
 
     def buffers(count: int) -> list[np.ndarray]:
         bufs = getattr(held, "bufs", None)
-        if bufs is None:
+        if bufs is None:  # in a chunk, so map_chunks has checked n_samples
+            rows = min(n_samples, CHUNK)
             bufs = held.bufs = [np.zeros((rows, width)) for width in widths]
         return [buf[:count] for buf in bufs]
 

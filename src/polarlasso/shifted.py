@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._moments import log_gaussian_moment, tilted_peaks
-from .problem import ProblemInstance, laplace_from_uniforms
+from .problem import ProblemInstance, _check_count, laplace_from_uniforms
 
 # below this image norm a direction is treated as belonging to the null space
 NULL_TOL = 1e-12
@@ -310,8 +310,7 @@ def sample_posterior_batch(prob: ProblemInstance, n_draws: int, rng: np.random.G
     need restores the generator and redraws the doubles of the blocks used,
     so the generator ends where a block at a time ends it.
     """
-    if n_draws < 1:
-        raise ValueError("need n_draws >= 1")
+    _check_count("n_draws", n_draws)
     rows, p = _PROPOSAL_ROWS, prob.p
     width = rows * (p + 1)  # a block's uniforms: its Laplace rows, then its accept tests
     cap = max(1, _PASS_UNIFORMS // width)

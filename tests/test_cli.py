@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -573,7 +574,7 @@ class TestParserReuse:
         )]
         os.remove(f"{out}/z1.json")
         codes.append(runner(["rerun", f"{out}/z1.manifest.json"]))
-        return codes, {name: open(os.path.join(out, name), "rb").read() for name in sorted(os.listdir(out))}
+        return codes, {name: Path(out, name).read_bytes() for name in sorted(os.listdir(out))}
 
     def test_one_process_matches_separate_processes(self, tmp_path):
         problem = str(tmp_path / "desk.json")

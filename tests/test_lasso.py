@@ -1,5 +1,6 @@
 """Mode solvers: objective, FISTA baseline, and the polar sweep."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 import polarlasso as pl
 from conftest import scaled_instance
 from polarlasso import problem
+from polarlasso.lasso import _FISTA_BLOCK, FISTA_MAX_ITER, FISTA_TOL
 from polarlasso.problem import CHUNK, sample_sphere_batch, sweep_chunks
 from polarlasso.shifted import unit_shift_batch
 
@@ -70,12 +72,121 @@ class TestFista:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             pl.solve_fista(noisy_instance, tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [True, 0, -1, 2.5, 100.0])
+    def test_rejects_max_iter_not_a_positive_integer(self, noisy_instance, max_iter):
+        with pytest.raises(ValueError, match=f"^max_iter must be an integer >= 1, not {max_iter!r}$"):
+            pl.solve_fista(noisy_instance, max_iter)
+
+    def test_accepts_numpy_integer_max_iter(self, noisy_instance):
+        assert pl.solve_fista(noisy_instance, np.int64(3)).meta["iterations"] == 3
+
     def test_beats_random_points(self, noisy_instance):
         sol = pl.solve_fista(noisy_instance)
         rng = np.random.default_rng(4)
         for _ in range(200):
             x = rng.standard_normal(7)
             assert pl.objective(noisy_instance, x) >= sol.objective - 1e-8
+
+
+def _soft(v, thr):
+    return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
+
+
+def _iterates(prob):
+    """FISTA's iterates x_1, x_2, ... and the residual of each,
+    ||x - prox(x - step grad)||, formed for that iterate alone."""
+    step = 1.0 / prob.op_norm**2
+    x = np.zeros(prob.p)
+    z = x.copy()
+    t = 1.0
+    while True:
+        grad = prob.A.T @ (prob.A @ z - prob.y)
+        x_new = _soft(z - step * grad, step)
+        t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        x, t = x_new, t_new
+        grad_x = prob.A.T @ (prob.A @ x - prob.y)
+        yield x, float(np.linalg.norm(x - _soft(x - step * grad_x, step)))
+
+
+def _fista_reference(prob, max_iter=FISTA_MAX_ITER, tol=FISTA_TOL):
+    """(x, objective, meta) of FISTA with its stopping rule checked on each
+    iterate in turn: the output solve_fista must give byte for byte."""
+    for iterations, (x, resid) in enumerate(itertools.islice(_iterates(prob), max_iter), 1):
+        if resid <= tol:
+            break
+    meta = {"iterations": iterations, "converged": resid <= tol, "step": 1.0 / prob.op_norm**2,
+            "gap": pl.duality_gap(prob, x)}
+    return x, pl.objective(prob, x), meta
+
+
+def _assert_matches_reference(prob, max_iter=FISTA_MAX_ITER, tol=FISTA_TOL):
+    sol = pl.solve_fista(prob, max_iter, tol)
+    x, obj, meta = _fista_reference(prob, max_iter, tol)
+    assert sol.x.tobytes() == x.tobytes()
+    assert sol.x.flags.owndata  # a copy, not a row of the block
+    assert repr(sol.objective) == repr(obj)
+    assert sol.meta == meta
+    return sol
+
+
+def _with_columns(n, p, seed, y_norm, edit):
+    prob = scaled_instance(n, p, y_norm, seed)
+    A = prob.A.copy()
+    edit(A)
+    return pl.make_problem(A, prob.y)
+
+
+def _zero_column(A):
+    A[:, 2] = 0.0
+
+
+def _duplicate_and_negated_columns(A):
+    A[:, 3], A[:, 5] = A[:, 0], -A[:, 1]
+
+
+FISTA_DESIGNS = {
+    **{f"bernoulli-{n}x{p}": (lambda y_norm, n=n, p=p: scaled_instance(n, p, y_norm, 5))
+       for n, p in [(1, 1), (1, 4), (2, 3), (3, 5), (4, 7), (10, 20), (2, 200)]},
+    "separable-20x100": lambda y_norm: separable_instance(20, 100, y_norm, 3)[0],
+    "zero-column": lambda y_norm: _with_columns(4, 7, 6, y_norm, _zero_column),
+    "duplicate-columns": lambda y_norm: _with_columns(4, 7, 7, y_norm, _duplicate_and_negated_columns),
+}
+
+
+class TestFistaBlockCheck:
+    """solve_fista decides its stopping rule for blocks of iterates; it must
+    stop where a check of each iterate in turn stops."""
+
+    @pytest.mark.parametrize("y_norm", [0.0, 0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("design", sorted(FISTA_DESIGNS))
+    def test_matches_the_per_iterate_check(self, design, y_norm):
+        prob = FISTA_DESIGNS[design](y_norm)
+        for max_iter in (1, _FISTA_BLOCK - 1, _FISTA_BLOCK, _FISTA_BLOCK + 1, FISTA_MAX_ITER):
+            _assert_matches_reference(prob, max_iter)
+
+    def test_budget_not_a_multiple_of_the_block(self):
+        prob = scaled_instance(10, 20, 2.0, 5)
+        max_iter = 3 * _FISTA_BLOCK + 5
+        sol = _assert_matches_reference(prob, max_iter)
+        assert sol.meta["iterations"] == max_iter and not sol.meta["converged"]
+
+    @pytest.mark.parametrize("design", ["bernoulli-4x7", "bernoulli-10x20", "separable-20x100", "zero-column",
+                                        "duplicate-columns"])
+    def test_stops_at_a_tie_and_not_just_below_it(self, design):
+        # tol = the residual of iterate k, > 0 and below every earlier one:
+        # FISTA stops at k; at the next float towards 0 it must not
+        prob = FISTA_DESIGNS[design](5.0)
+        best, records = math.inf, []
+        for k, (_, resid) in enumerate(itertools.islice(_iterates(prob), 300), 1):
+            if resid < best:
+                best = resid
+                if resid > 0.0:
+                    records.append((k, resid))
+        assert records[-1][0] > 4 * _FISTA_BLOCK
+        for k, resid in records:
+            assert _assert_matches_reference(prob, tol=resid).meta["iterations"] == k
+            assert _assert_matches_reference(prob, tol=np.nextafter(resid, 0.0)).meta["iterations"] != k
 
 
 class TestPolar:

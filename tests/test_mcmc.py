@@ -276,6 +276,11 @@ class TestCoverage:
         rng = np.random.default_rng(13)
         assert pl.criterion_coverage(desk_instance, 50.0, 500, rng) == 1.0
 
+    @pytest.mark.parametrize("n_draws", [True, 0, -1, 2.5, 100.0])
+    def test_rejects_n_draws_not_a_positive_integer(self, desk_instance, n_draws):
+        with pytest.raises(ValueError, match=f"^n_draws must be an integer >= 1, not {n_draws!r}$"):
+            pl.criterion_coverage(desk_instance, 5.0, n_draws, 0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_centre(self, desk_instance, bad):
         l = np.zeros(7)

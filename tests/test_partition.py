@@ -103,6 +103,19 @@ class TestPolarEstimator:
         with pytest.raises(ValueError):
             pl.estimate_z_polar(desk_instance, 0, 0)
 
+    @pytest.mark.parametrize("route", ["polar", "naive", "shifted", "solve_polar"])
+    @pytest.mark.parametrize("n_samples", [True, 0, -1, 2.5, 100.0])
+    def test_rejects_n_samples_not_a_positive_integer(self, desk_instance, route, n_samples):
+        # every sweep passes through sweep_chunks, which checks the count
+        run = {"polar": pl.estimate_z_polar, "naive": pl.estimate_z_naive, "solve_polar": pl.solve_polar,
+               "shifted": lambda prob, n, seed: pl.estimate_z_shifted(prob, np.zeros(7), n, seed)}[route]
+        with pytest.raises(ValueError, match=f"^n_samples must be an integer >= 1, not {n_samples!r}$"):
+            run(desk_instance, n_samples, 0)
+
+    def test_accepts_numpy_integer_n_samples(self, desk_instance):
+        a = pl.estimate_z_polar(desk_instance, np.int64(300), 4)
+        assert a == pl.estimate_z_polar(desk_instance, 300, 4)
+
     @pytest.mark.parametrize("n, p", [(2, 18), (10, 41)])
     def test_containment_past_order_seventeen(self, n, p):
         # directions with beta > 13 take the same kernel path at every order

@@ -556,6 +556,12 @@ class TestExactBatch:
             with pytest.raises(ValueError):
                 pl.criterion_coverage(desk_instance, 5.0, n, 0)
 
+    @pytest.mark.parametrize("n_draws", [True, 0, -1, 2.5, 100.0])
+    def test_rejects_n_draws_not_a_positive_integer(self, desk_instance, n_draws):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=f"^n_draws must be an integer >= 1, not {n_draws!r}$"):
+            pl.sample_posterior_batch(desk_instance, n_draws, rng)
+
     def test_rejection_budget(self):
         # 1 x 1, y = 40: Z/2 is about 1e-17, so no proposal is accepted
         prob = pl.make_problem(np.eye(1), np.array([40.0]))
