@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemInstance, _check_count, chunk_buffers, map_chunks
+from .problem import ProblemInstance, _check_count, _check_positive, chunk_buffers, map_chunks
 
 METHOD_POLAR = "polar"
 METHOD_FISTA = "fista"
@@ -116,8 +116,7 @@ def solve_fista(prob: ProblemInstance, max_iter: int = FISTA_MAX_ITER, tol: floa
     the one a per-iterate check stops at.
     """
     _check_count("max_iter", max_iter)
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    _check_positive("tol", tol)
     p = prob.p
     if prob.op_norm == 0.0:
         return LassoSolution(np.zeros(p), objective(prob, np.zeros(p)), METHOD_FISTA,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemInstance, laplace_from_uniforms
+from .problem import ProblemInstance, _check_positive, laplace_from_uniforms
 from .shifted import sample_posterior_batch, shifted_modes, unit_shift_batch
 
 KIND_INDEPENDENT = "independent_laplace"
@@ -48,10 +48,8 @@ class ChainConfig:
             raise ValueError(f"unknown chain kind {self.kind!r}")
         if isinstance(self.n_iter, bool) or not isinstance(self.n_iter, (int, np.integer)) or self.n_iter < 1:
             raise ValueError("n_iter must be a positive integer")
-        if not 0 < self.rw_variance < math.inf:
-            raise ValueError("rw_variance must be positive and finite")
-        if not 0 < self.q < math.inf:
-            raise ValueError("q must be positive and finite")
+        _check_positive("rw_variance", self.rw_variance)
+        _check_positive("q", self.q)
         for name, state in (("init", self.init), ("shift_l", self.shift_l)):
             if state is not None and not np.all(np.isfinite(state)):
                 raise ValueError(f"{name} must be finite")
@@ -268,8 +266,7 @@ def criterion_coverage(prob: ProblemInstance, q: float, n_draws: int, rng,
                        l: np.ndarray | None = None) -> float:
     """Empirical fraction of exact posterior draws with ||x - l|| <= q r(theta, l),
     the draws of sample_posterior_batch diagnosed in one batch."""
-    if not 0 < q < math.inf:
-        raise ValueError("q must be positive and finite")
+    _check_positive("q", q)
     rng = np.random.default_rng(rng)  # a Generator comes back unaltered
     l = _point(l, _chain_dimension(prob), "l")
     X = sample_posterior_batch(prob, n_draws, rng)

@@ -121,6 +121,12 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
 
 
+def _check_positive(name: str, value) -> None:
+    """Raise ValueError unless 0 < value < inf."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def sweep_chunks(seed_or_rng, n_samples: int):
     """The chunks of an n_samples-row Monte Carlo sweep, as (generator, rows) pairs.
 
@@ -255,9 +261,8 @@ def load_problem(path: str) -> ProblemInstance:
         payload = json.load(fh)
     try:
         n, p = payload["n"], payload["p"]
-        for key, value in (("n", n), ("p", p)):
-            if type(value) is not int or value < 1:  # not a bool, a float or a string
-                raise ValueError(f"{key} must be an integer >= 1, not {value!r}")
+        _check_count("n", n)
+        _check_count("p", p)
         A = np.asarray(payload["A"], dtype=float)
         if A.size != n * p:
             raise ValueError(f"A must hold n * p = {n * p} entries, not {A.size}")

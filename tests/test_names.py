@@ -273,6 +273,21 @@ def test_one_direction_batch_builder():
     assert not found, "NULL_TOL read outside shifted.py (module, line): " + repr(found)
 
 
+def test_one_estimate_builder():
+    # every Z route feeds its chunks of log weights to partition._LogMean,
+    # which alone exponentiates their mean and builds a PartitionEstimate;
+    # no route passes its sweep's state out through a nested generator
+    tree = ast.parse((SRC / "partition.py").read_text(encoding="utf-8"))
+    methods = [node.name for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "_LogMean"
+               for node in cls.body if isinstance(node, ast.FunctionDef)]
+    assert "estimate" in methods, "partition._LogMean.estimate is gone"
+    built = [hit for path in sorted(SRC.glob("*.py")) for hit in _calls(path, ("PartitionEstimate",))]
+    assert [hit[:2] for hit in built] == [("partition.py", "estimate")], \
+        "PartitionEstimate constructions (module, function, callee, line): " + repr(built)
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Nonlocal)]
+    assert not found, "nonlocal in partition.py (lines): " + repr(found)
+
+
 def _called(node):
     """The name a call node calls, bare or as an attribute; None for any other node."""
     if isinstance(node, ast.Call):

@@ -10,6 +10,9 @@ from scipy.special import erfcx
 
 import polarlasso as pl
 from conftest import benchmark_instance, exact_log_z
+from polarlasso.partition import _log_surface, _LogMean
+from polarlasso.problem import laplace_from_uniforms, map_chunks, sample_sphere_batch
+from polarlasso.shifted import _exp, shifted_log_summaries, unit_shift_batch
 
 CONCENTRATION_TABLE = {
     2.0: "0.6672",
@@ -163,6 +166,97 @@ class TestNaiveEstimator:
         assert abs(naive.z - polar.z) <= 4.0 * combined
         assert naive.std_err > polar.std_err
         assert polar.z_min <= naive.z <= polar.z_max  # certified bounds hold for Z itself
+
+
+def _log_mean_reference(chunks):
+    """(scale, mean, std_err) of the weights e^w over every chunk of log
+    weights w, relative to the running maximum of w: the reduction the Z
+    routes ran before _LogMean, which must give its output bit for bit."""
+    scale = -math.inf
+    total = total_sq = 0.0
+    n = 0
+    for w in chunks:
+        top = float(w.max())
+        if top > scale:
+            total *= math.exp(scale - top)
+            total_sq *= math.exp(2.0 * (scale - top))
+            scale = top
+        e = np.exp(w - scale)
+        total += float(e.sum())
+        total_sq += float((e * e).sum())
+        n += len(w)
+    mean = total / n
+    var = max(0.0, total_sq / n - mean * mean)
+    if n > 1:
+        var *= n / (n - 1)
+    return scale, mean, math.sqrt(var / n)
+
+
+def _reference(chunks, log_unit):
+    """(z, std_err, e^log_unit times the mean weight), exponentiated as the
+    routes did from _log_mean_reference."""
+    scale, mean, err = _log_mean_reference(chunks)
+    unit = _exp(log_unit + scale)
+    return unit * mean, unit * err, _exp(log_unit + scale + math.log(mean))
+
+
+def _accumulated(chunks, log_unit):
+    acc = _LogMean(sum(len(w) for w in chunks))
+    for w in chunks:
+        acc.add(w)
+    est = acc.estimate(log_unit, "test", 0.0, math.inf)
+    return est.z, est.std_err, acc.mean(log_unit)
+
+
+_RNG = np.random.default_rng(11)
+LOG_WEIGHT_STREAMS = {
+    # chunk maxima 0.5, 3, 3 (a tie), 1, 4, -2: rising, tied and falling
+    "maxima": [np.array([0.5, -1.0, 0.2]), np.array([3.0, 2.5, -4.0]), np.array([1.0, 3.0]),
+               np.array([1.0, -0.5]), np.array([4.0, 3.9, 0.1, -7.0]), np.array([-2.0])],
+    "random": [_RNG.normal(m, 2.0, size) for m, size in ((0, 8192), (5, 8192), (-3, 8192), (5, 1000))],
+    "one row": [np.array([0.7])],
+    # e^710 overflows a float, so only sums taken relative to the maximum stay finite
+    "spread past 1400": [np.array([-700.0, -705.0]), np.array([0.0, -2.0, -690.0]), np.array([710.0, 709.5]),
+                         np.array([-720.0])],
+}
+
+
+class TestLogMean:
+    """_LogMean against the reduction and exponentiations it replaced."""
+
+    @pytest.mark.parametrize("log_unit", [0.0, 3.5, -650.0])
+    @pytest.mark.parametrize("stream", list(LOG_WEIGHT_STREAMS))
+    def test_matches_reference_bit_for_bit(self, stream, log_unit):
+        chunks = LOG_WEIGHT_STREAMS[stream]
+        assert repr(_accumulated(chunks, log_unit)) == repr(_reference(chunks, log_unit))
+
+    @pytest.mark.parametrize("route", ["polar", "naive"])
+    def test_real_sweeps_on_desk(self, route):
+        # the log weights of each chunk as the route forms them, on the
+        # desk-z instance over three chunks, the last a partial one
+        prob, n_samples, seed = benchmark_instance(4, 7, 2.0, 42), 20000, 5
+        if route == "polar":
+            def work(gen, count):
+                batch = unit_shift_batch(prob, np.zeros(prob.p), sample_sphere_batch(gen, count, prob.p))
+                return shifted_log_summaries(batch)[0], batch.h0
+
+            chunks, h0 = zip(*map_chunks(work, seed, n_samples))
+            log_unit, est = h0[0] + _log_surface(prob.p), pl.estimate_z_polar(prob, n_samples, seed)
+        else:
+            def work(gen, count):
+                resid = laplace_from_uniforms(gen.random((count, prob.p)), np.empty((count, prob.p))) @ prob.A.T
+                resid -= prob.y
+                return -0.5 * np.einsum("ij,ij->i", resid, resid)
+
+            chunks = list(map_chunks(work, seed, n_samples))
+            log_unit, est = prob.p * math.log(2.0), pl.estimate_z_naive(prob, n_samples, seed)
+        assert [len(w) for w in chunks] == [8192, 8192, 3616]
+        want = _reference(chunks, log_unit)
+        assert repr(_accumulated(chunks, log_unit)) == repr(want)
+        assert repr((est.z, est.std_err)) == repr(want[:2])
+        if route == "polar":  # z_f, |S| times the mean mass, of the same sweep
+            z_f = pl.estimate_z_shifted(prob, np.zeros(prob.p), n_samples, seed).z_f
+            assert repr(z_f) == repr(_reference(chunks, _log_surface(prob.p))[2])
 
 
 class TestExactZ:
