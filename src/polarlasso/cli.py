@@ -146,13 +146,10 @@ def _observation(n: int, norm: float, seed: int) -> np.ndarray:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.p < args.n:
-        print("polarlasso: need --p >= --n", file=sys.stderr)
-        return 2
     y = _observation(args.n, args.y_norm, args.seed) if args.y_norm > 0.0 else None
     try:
         prob = problem.gen_bernoulli_matrix(args.n, args.p, args.seed, y)
-    except ValueError as exc:  # a --y-norm whose square overflows
+    except ValueError as exc:  # --p < --n, or a --y-norm whose square overflows
         print(f"polarlasso: {exc}", file=sys.stderr)
         return 2
     problem.save_problem(prob, args.out, seed=args.seed)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemInstance, _check_count, _check_positive, chunk_buffers, map_chunks
+from .problem import ProblemInstance, _check_count, _check_point, _check_positive, chunk_buffers, map_chunks
 
 METHOD_POLAR = "polar"
 METHOD_FISTA = "fista"
@@ -37,9 +37,7 @@ class LassoSolution:
 
 def objective(prob: ProblemInstance, x: np.ndarray) -> float:
     """||Ax - y||^2/2 + ||x||_1."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (prob.p,):
-        raise ValueError(f"x must have length {prob.p}")
+    x = _check_point("x", x, prob.p)
     resid = prob.A @ x - prob.y
     return 0.5 * float(resid @ resid) + float(np.abs(x).sum())
 
@@ -48,6 +46,7 @@ def duality_gap(prob: ProblemInstance, x: np.ndarray) -> float:
     """A bound G >= objective(x) - objective(mode) from the dual point
     u = r / max(1, ||A^T r||_inf), r = y - Ax:
     G = ||r||^2/2 + ||x||_1 - ||y||^2/2 + ||y - u||^2/2."""
+    x = _check_point("x", x, prob.p)
     r = prob.y - prob.A @ x
     u = r / max(1.0, float(np.abs(prob.A.T @ r).max()))
     d = prob.y - u
@@ -113,17 +112,19 @@ def solve_fista(prob: ProblemInstance, max_iter: int = FISTA_MAX_ITER, tol: floa
     x returned.  The residuals are formed for blocks of _FISTA_BLOCK iterates
     at once (the iterates do not depend on them), and one within rounding of
     tol is formed again as a single iterate forms it, so the x returned is
-    the one a per-iterate check stops at.
+    the one a per-iterate check stops at.  Where the step is not finite
+    (A = 0, or ||A|| below about 7.5e-155) x = 0 is returned at once.
     """
     _check_count("max_iter", max_iter)
     _check_positive("tol", tol)
     p = prob.p
-    if prob.op_norm == 0.0:
+    sq = prob.op_norm**2
+    step = 1.0 / sq if sq > 0.0 else math.inf
+    if step == math.inf:  # ||y||^2 is finite, so ||A^T y||_inf <= ||A|| ||y|| < 1: the mode is 0
         return LassoSolution(np.zeros(p), objective(prob, np.zeros(p)), METHOD_FISTA,
-                             {"iterations": 0, "converged": True, "step": math.inf,
+                             {"iterations": 0, "converged": True, "step": step,
                               "gap": duality_gap(prob, np.zeros(p))})
     A, A_T, y = prob.A, prob.A.T, prob.y
-    step = 1.0 / prob.op_norm**2
     first_stop = _stopping_rule(prob, step, tol)
     X = np.empty((_FISTA_BLOCK, p))
     x = np.zeros(p)

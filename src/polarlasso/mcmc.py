@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemInstance, _check_positive, laplace_from_uniforms
+from .problem import ProblemInstance, _check_point, _check_positive, laplace_from_uniforms
 from .shifted import sample_posterior_batch, shifted_modes, unit_shift_batch
 
 KIND_INDEPENDENT = "independent_laplace"
@@ -194,16 +194,8 @@ def _chain_dimension(prob: ProblemInstance) -> int:
 
 
 def _point(value, p: int, name: str) -> np.ndarray:
-    """`value` as a float vector of length p, zeros when it is None; a wrong
-    length or a non-finite entry raises a ValueError that names it."""
-    if value is None:
-        return np.zeros(p)
-    v = np.asarray(value, dtype=float)
-    if v.shape != (p,):
-        raise ValueError(f"{name} must have length {p}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite")
-    return v
+    """`value` checked by problem._check_point, or zeros when it is None."""
+    return np.zeros(p) if value is None else _check_point(name, value, p)
 
 
 def _random_walk_block(x: np.ndarray, Ax: np.ndarray, l1x: float, y: np.ndarray, steps: np.ndarray,

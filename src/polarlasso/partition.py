@@ -38,8 +38,7 @@ class ShiftedEstimate(PartitionEstimate):
 
 def _log_surface(p: int) -> float:
     """log of the surface area of the unit sphere in R^p: log 2 + (p/2) log pi - lgamma(p/2)."""
-    if p < 1:
-        raise ValueError("p must be positive")
+    _check_count("p", p)
     return math.log(2.0) + (p / 2.0) * math.log(math.pi) - math.lgamma(p / 2.0)
 
 

@@ -104,6 +104,7 @@ def sample_sphere(rng: np.random.Generator, p: int) -> np.ndarray:
 def sample_sphere_batch(rng: np.random.Generator, count: int, p: int) -> np.ndarray:
     """Uniform sphere draws, one per row: standard normal rows over their
     norms, each zero row redrawn until it is nonzero."""
+    _check_count("p", p)  # a row of width 0 stays zero however often it is redrawn
     v = rng.standard_normal((count, p))
     norms = np.linalg.norm(v, axis=1)
     bad = norms == 0.0
@@ -119,6 +120,16 @@ def _check_count(name: str, value) -> None:
     passes, a bool or a float does not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+
+
+def _check_point(name: str, value, p: int) -> np.ndarray:
+    """`value` as a float vector; ValueError unless it has length p and finite entries."""
+    v = np.asarray(value, dtype=float)
+    if v.shape != (p,):
+        raise ValueError(f"{name} must have length {p}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    return v
 
 
 def _check_positive(name: str, value) -> None:

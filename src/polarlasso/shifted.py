@@ -15,9 +15,9 @@ s = ||A theta||, kappa = 1 and beta_k = l1_k/||A theta|| - b_l; on a null
 direction (||A theta|| <= NULL_TOL) the misfit is constant along the ray,
 and s = 1, kappa = 0, beta_k = l1_k.  unit_shift_batch alone builds the
 segments and marks the null rows.  Every row goes through the one
-log-domain segment kernel, a whole batch of directions per call
-(build_shift_batch), so the result is reliable for any placement of l; a
-single direction is a batch of one (build_shift_context, read by
+log-domain segment kernel, a whole batch of unit directions per call, so
+the result is reliable for any placement of l; a single direction, of any
+nonzero length, is a batch of one (build_shift_context, read by
 radial_summary).  At l = 0 this is the paper's centred radial law J_p(theta),
 whose closed forms in beta radial.py keeps.
 """
@@ -25,12 +25,12 @@ whose closed forms in beta radial.py keeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._moments import log_gaussian_moment, tilted_peaks
-from .problem import ProblemInstance, _check_count, laplace_from_uniforms
+from .problem import ProblemInstance, _check_count, _check_point, laplace_from_uniforms
 
 # below this image norm a direction is treated as belonging to the null space
 NULL_TOL = 1e-12
@@ -63,22 +63,24 @@ class ShiftBatch:
     pad their tail with empty segments lo = hi = inf.  norm_A = ||A theta||
     and s is the cosine of A theta against y - A l (0 if y = A l).  Null rows
     (||A theta|| <= NULL_TOL) have s = 0, scale = 1 and b_l = 0, so there
-    beta = slope; elsewhere scale = norm_A.  h0 = h(0) is the log of the
-    factor that recenters the density.  The repr leaves out norm_A and s.
+    beta = slope; elsewhere scale = norm_A; kappa, the curvature of the
+    kernel, is 1, or 0 on null rows.  h0 = h(0) is the log of the factor
+    that recenters the density.
     """
 
     l: np.ndarray
     thetas: np.ndarray
     null: np.ndarray
     scale: np.ndarray
+    kappa: np.ndarray
     h0: float
     lo: np.ndarray
     hi: np.ndarray
     c: np.ndarray
     slope: np.ndarray
     beta: np.ndarray
-    norm_A: np.ndarray = field(repr=False)
-    s: np.ndarray = field(repr=False)
+    norm_A: np.ndarray
+    s: np.ndarray
 
     @property
     def theta(self) -> np.ndarray:
@@ -90,36 +92,17 @@ class ShiftBatch:
         """Dimension of the directions: the row width of thetas."""
         return self.thetas.shape[1]
 
-    @property
-    def kappa(self) -> np.ndarray:
-        """Curvature of the kernel per row: 1, or 0 on null rows."""
-        return np.where(self.null, 0.0, 1.0)
-
-
-def build_shift_batch(prob: ProblemInstance, l: np.ndarray, thetas: np.ndarray) -> ShiftBatch:
-    """Segment decomposition of the recentered density along every row of `thetas`."""
-    thetas = np.asarray(thetas, dtype=float)
-    if not np.all(np.isfinite(thetas)):
-        raise ValueError("thetas must be finite")
-    norms = np.linalg.norm(thetas, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("directions must be nonzero")
-    return unit_shift_batch(prob, l, thetas / norms[:, None])
-
 
 def unit_shift_batch(prob: ProblemInstance, l: np.ndarray, thetas: np.ndarray) -> ShiftBatch:
-    """build_shift_batch of rows that are unit directions already (sphere draws).
+    """Segment decomposition of the recentered density along every row of
+    `thetas`, rows that are unit directions already (sphere draws).
 
     Only coordinates in the support of l change sign along a ray.  Between
     the sign changes crossed and those ahead, ||r theta + l||_1 has slope
     ||theta||_1 - 2 sum_ahead |theta_i| and intercept ||l||_1 - 2 sum_crossed |l_i|,
     so the tilt is the l = 0 offset less 2 sum_ahead |theta_i| / ||A theta||.
     """
-    l = np.asarray(l, dtype=float)
-    if l.shape != (prob.p,):
-        raise ValueError(f"l must have length {prob.p}")
-    if not np.all(np.isfinite(l)):
-        raise ValueError("l must be finite")
+    l = _check_point("l", l, prob.p)
     y_l = prob.y - prob.A @ l
     A_thetas = thetas @ prob.A.T
     A_theta_y = A_thetas @ y_l
@@ -159,13 +142,17 @@ def unit_shift_batch(prob: ProblemInstance, l: np.ndarray, thetas: np.ndarray) -
         l=l, thetas=thetas, null=null, scale=scale, h0=-0.5 * norm_y_l**2 - l1_l,
         lo=breakpoints[:, :-1], hi=breakpoints[:, 1:], c=l1_l - 2.0 * crossed_l, slope=slope,
         beta=np.where(null[:, None], slope, offset[:, None] - 2.0 * ahead_t / scale[:, None]),
-        norm_A=norm_A, s=s,
+        kappa=np.where(null, 0.0, 1.0), norm_A=norm_A, s=s,
     )
 
 
 def build_shift_context(prob: ProblemInstance, l: np.ndarray, theta: np.ndarray) -> ShiftBatch:
-    """Segment decomposition along one (not necessarily normalized) direction: a batch of one."""
-    return build_shift_batch(prob, l, np.asarray(theta, dtype=float)[None, :])
+    """Segment decomposition along one nonzero, not necessarily unit, direction: a batch of one."""
+    thetas = _check_point("thetas", theta, prob.p)[None, :]
+    norms = np.linalg.norm(thetas, axis=1)  # the row norm, rounded as in a batch of rows
+    if norms[0] == 0.0:
+        raise ValueError("directions must be nonzero")
+    return unit_shift_batch(prob, l, thetas / norms[:, None])
 
 
 def shifted_log_masses(batch: ShiftBatch) -> np.ndarray:

@@ -16,6 +16,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 import polarlasso as pl
+from polarlasso.shifted import unit_shift_batch
 
 # the oracles integrate peak-rescaled densities whose far tails are flat zero;
 # the resulting roundoff warnings are expected and harmless
@@ -43,6 +44,16 @@ def scaled_instance(n, p, y_norm, seed=42):
     base = pl.gen_bernoulli_matrix(n, p, seed)
     y = np.random.default_rng(seed + 1).standard_normal(n)
     return pl.make_problem(base.A, y * (y_norm / np.linalg.norm(y)))
+
+
+def tiny_design(scale):
+    """The 4 x 7 Bernoulli design of seed 1 times `scale`, with y = 1."""
+    return pl.make_problem(scale * pl.gen_bernoulli_matrix(4, 7, 1).A, np.ones(4))
+
+
+def shift_batch(prob, l, thetas):
+    """unit_shift_batch of the rows of `thetas` over their norms, each row any nonzero direction."""
+    return unit_shift_batch(prob, l, thetas / np.linalg.norm(thetas, axis=1)[:, None])
 
 
 def neg_log_density_on_ray(A, y, theta, r):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import polarlasso as pl
+from conftest import tiny_design
 from polarlasso import cli
 from polarlasso.cli import main
 
@@ -107,6 +108,15 @@ class TestSolve:
                  "--out", str(tmp_path / "s.json")])
         assert exc.value.code == 4
 
+    @pytest.mark.parametrize("scale", [1e-158, 1e-165])
+    def test_design_whose_squared_norm_underflows(self, tmp_path, scale):
+        # 1/||A||^2 is not finite, and the mode is 0 (||A^T y||_inf < 1)
+        prob, out = tmp_path / "p.json", tmp_path / "sol.json"
+        pl.save_problem(tiny_design(scale), str(prob))
+        assert run(["solve", "--problem", str(prob), "--method", "fista", "--out", str(out)]) == 0
+        fista = json.loads(out.read_text())["fista"]
+        assert fista["x"] == [0.0] * 7 and fista["meta"]["converged"] is True
+
 
 class TestPartition:
     def test_polar_output_schema(self, tmp_path, problem_file):
@@ -153,6 +163,15 @@ class TestPartition:
         assert sh["std_err"] > 0.0
         assert sh["z_from_shift"] == pytest.approx(np.exp(sh["h0"]) * sh["z_f"], rel=1e-12)
         assert any(v != 0.0 for v in sh["l"])  # a nonzero mode: several segments per ray
+
+    @pytest.mark.parametrize("scale", [1e-158, 1e-165])
+    def test_shift_at_a_design_whose_squared_norm_underflows(self, tmp_path, scale):
+        # FISTA's step 1/||A||^2 is not finite there; the mode, and so the centre, is 0
+        prob, out = tmp_path / "p.json", tmp_path / "z.json"
+        pl.save_problem(tiny_design(scale), str(prob))
+        assert run(["partition", "--problem", str(prob), "--method", "naive",
+                    "--n-samples", "2000", "--seed", "5", "--shift", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["shift"]["l"] == [0.0] * 7
 
     def test_non_finite_problem_exit_code(self, tmp_path):
         for A, y in (([float("nan")] + [1.0] * 5, [0.0, 0.0]),
@@ -428,6 +447,8 @@ def test_invalid_argument_exits_2(tmp_path, problem_file, capsys, argv):
     assert err.startswith(("usage:", "polarlasso:")) and "Traceback" not in err
     if "--seed" in argv:
         assert "--seed: must be non-negative, got '-" in err
+    if argv[:3] == ["gen", "--n", "5"]:  # the rule of problem.gen_bernoulli_matrix
+        assert err == "polarlasso: need p >= n >= 1\n"
     assert not os.path.exists(out)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 from hypothesis.extra import numpy as hnp
 
 import polarlasso as pl
-from conftest import scaled_instance
+from conftest import scaled_instance, tiny_design
 from polarlasso import problem
 from polarlasso.lasso import _FISTA_BLOCK, FISTA_MAX_ITER, FISTA_TOL
 from polarlasso.problem import CHUNK, sample_sphere_batch, sweep_chunks
@@ -38,8 +38,15 @@ class TestObjective:
         assert pl.objective(desk_instance, x) == pytest.approx(1.5)  # unit column
 
     def test_dimension_mismatch(self, desk_instance):
-        with pytest.raises(ValueError):
-            pl.objective(desk_instance, np.zeros(5))
+        # both name a wrong-length or non-finite x (objective returned nan for one)
+        for function in (pl.objective, pl.duality_gap):
+            with pytest.raises(ValueError, match="^x must have length 7$"):
+                function(desk_instance, np.zeros(5))
+            for bad in (math.nan, math.inf):
+                x = np.zeros(7)
+                x[3] = bad
+                with pytest.raises(ValueError, match="^x must be finite$"):
+                    function(desk_instance, x)
 
 
 class TestFista:
@@ -47,6 +54,16 @@ class TestFista:
         sol = pl.solve_fista(desk_instance)
         np.testing.assert_array_equal(sol.x, np.zeros(7))
         assert sol.meta["converged"]
+
+    @pytest.mark.parametrize("scale", [1e-158, 1e-165])
+    def test_design_whose_squared_norm_underflows(self, scale):
+        # the step 1/||A||^2 is inf (1e-158), or ||A||^2 is 0 (1e-165); there
+        # ||A^T y||_inf <= ||A|| ||y|| < 1, so the mode is exactly 0
+        prob = tiny_design(scale)
+        assert 0.0 < prob.op_norm < 7.5e-155
+        sol = pl.solve_fista(prob)
+        np.testing.assert_array_equal(sol.x, np.zeros(7))
+        assert sol.meta == {"iterations": 0, "converged": True, "step": math.inf, "gap": 0.0}
 
     def test_identity_design_soft_threshold(self):
         y = np.array([2.5, -0.4, 0.0, 1.2])

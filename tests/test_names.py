@@ -273,6 +273,30 @@ def test_one_direction_batch_builder():
     assert not found, "NULL_TOL read outside shifted.py (module, line): " + repr(found)
 
 
+def _raises_with(path, text):
+    """Lines of a module whose `raise` builds a message holding `text`, in a
+    string constant or an f-string part."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and any(isinstance(c, ast.Constant) and isinstance(c.value, str) and text in c.value
+                    for c in ast.walk(node.exc))]
+
+
+def test_one_owner_per_argument_rule():
+    # problem.py owns the rule for a point (problem._check_point) and for a
+    # dimension or count (problem._check_count); other modules call them,
+    # and no multi-row wrapper of unit_shift_batch restates its checks
+    assert _raises_with(SRC / "problem.py", "must have length"), "problem.py no longer checks lengths"
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py")) if path.name != "problem.py"
+             for line in _raises_with(path, "must have length")]
+    assert not found, "length checks outside problem.py (module, line): " + repr(found)
+    defined = [path.name for path in sorted(SRC.glob("*.py")) if "build_shift_batch" in _module_defs(path)]
+    assert not defined, "build_shift_batch defined in: " + repr(defined)
+    counted = {hit[1] for path in sorted(SRC.glob("*.py")) for hit in _calls(path, ("_check_count",))}
+    missing = {"sample_sphere_batch", "_log_surface"} - counted
+    assert not missing, "functions that no longer call _check_count: " + repr(sorted(missing))
+
+
 def test_one_estimate_builder():
     # every Z route feeds its chunks of log weights to partition._LogMean,
     # which alone exponentiates their mean and builds a PartitionEstimate;

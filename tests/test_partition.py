@@ -1,6 +1,7 @@
 """Partition-function estimators, bounds, and the concentration table."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -41,8 +42,10 @@ class TestSphereSurface:
         assert pl.sphere_surface(p) == pytest.approx(float(want), rel=1e-13)
 
     def test_rejects_bad_dimension(self):
-        with pytest.raises(ValueError):
-            pl.sphere_surface(0)
+        # the rule of problem._check_count: 2.5 gave 9.23 and True gave 2
+        for p in (0, -1, 2.5, True):
+            with pytest.raises(ValueError, match=re.escape(f"p must be an integer >= 1, not {p!r}")):
+                pl.sphere_surface(p)
 
 
 class TestConcentrationProb:

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import mpmath as mp
@@ -9,9 +12,11 @@ import numpy as np
 import pytest
 
 import polarlasso as pl
-from conftest import shifted_potential
+from conftest import shift_batch, shifted_potential
 from polarlasso.problem import CHUNK, laplace_from_uniforms, sample_sphere_batch, sweep_chunks
-from polarlasso.shifted import build_shift_batch
+
+# what a fresh interpreter needs on its path to import this polarlasso
+SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(pl.__file__)))
 
 
 class TestGeneration:
@@ -191,7 +196,7 @@ class TestOffsetBounds:
         prob = desk_instance_y
         bound = pl.beta_lower_bound(prob)
         rng = np.random.default_rng(6)
-        batch = build_shift_batch(prob, np.zeros(7), sample_sphere_batch(rng, 5000, 7))
+        batch = shift_batch(prob, np.zeros(7), sample_sphere_batch(rng, 5000, 7))
         assert np.all(batch.beta[~batch.null, 0] >= bound - 1e-10)
 
     def test_zero_mode_sufficient_condition(self, desk_instance):
@@ -257,6 +262,16 @@ class TestSamplers:
     def test_sweep_chunks_rejects_empty(self, n):
         with pytest.raises(ValueError):
             sweep_chunks(0, n)
+
+    @pytest.mark.parametrize("call", ["sample_sphere(rng, 0)", "sample_sphere_batch(rng, 3, 0)"])
+    def test_sphere_rejects_zero_dimension(self, call):
+        # a row of width 0 has norm 0 however often it is redrawn; run in a
+        # subprocess, so that an endless redraw fails the test and does not hang it
+        code = f"import numpy as np; from polarlasso.problem import *; rng = np.random.default_rng(0); {call}"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": SRC_ROOT})
+        assert done.returncode != 0
+        assert "p must be an integer >= 1, not 0" in done.stderr
 
     def test_sphere_batch_unit_norm(self):
         rng = np.random.default_rng(7)

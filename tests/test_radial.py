@@ -8,9 +8,9 @@ import pytest
 from scipy.integrate import quad
 
 import polarlasso as pl
-from conftest import shifted_potential
+from conftest import shift_batch, shifted_potential
 from polarlasso.problem import sample_sphere_batch
-from polarlasso.shifted import build_shift_batch, shifted_log_summaries
+from polarlasso.shifted import shifted_log_summaries
 
 
 def ray(prob, theta):
@@ -26,7 +26,7 @@ def ray_potential(prob, batch, r):
 def centred_rows(prob, thetas):
     """(log mass, log mass_lo, log(peak * mode)) of the centred radial law
     along every row of `thetas`: the l = 0 segment batch, times e^h(0)."""
-    batch = build_shift_batch(prob, np.zeros(prob.p), thetas)
+    batch = shift_batch(prob, np.zeros(prob.p), thetas)
     log_mass, log_lo, log_pm, _, _ = shifted_log_summaries(batch)
     return log_mass + batch.h0, log_lo + batch.h0, log_pm + batch.h0
 

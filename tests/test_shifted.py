@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import polarlasso as pl
-from conftest import shifted_potential
+from conftest import shift_batch, shifted_potential
 from polarlasso._moments import log_gaussian_moment
 from polarlasso.problem import CHUNK, laplace_from_uniforms, sample_sphere_batch, sweep_chunks
-from polarlasso.shifted import (build_shift_batch, log_concavity_bracket, shifted_log_masses, shifted_log_summaries,
-                                unit_shift_batch)
+from polarlasso.shifted import log_concavity_bracket, shifted_log_masses, shifted_log_summaries, unit_shift_batch
 
 
 def potential(prob, ctx, r, p):
@@ -62,7 +61,7 @@ def centred_offset(prob, theta):
 def random_batch(prob, rng, count, p=7):
     """A batch of `count` random directions at one random shift."""
     l, _ = random_shift_pair(rng, p)
-    return build_shift_batch(prob, l, rng.standard_normal((count, p)))
+    return shift_batch(prob, l, rng.standard_normal((count, p)))
 
 
 class TestContext:
@@ -75,10 +74,10 @@ class TestContext:
         theta[2] = bad
         with pytest.raises(ValueError, match="thetas must be finite"):
             pl.build_shift_context(desk_instance_y, l, theta)
-        thetas = rng.standard_normal((5, 7))
-        thetas[4, 0] = bad
-        with pytest.raises(ValueError, match="thetas must be finite"):
-            build_shift_batch(desk_instance_y, l, thetas)
+        with pytest.raises(ValueError, match="^thetas must have length 7$"):
+            pl.build_shift_context(desk_instance_y, l, np.ones(5))
+        with pytest.raises(ValueError, match="^directions must be nonzero$"):
+            pl.build_shift_context(desk_instance_y, l, np.zeros(7))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_shift(self, desk_instance_y, bad):
@@ -151,7 +150,7 @@ class TestContext:
         rng = np.random.default_rng(6)
         thetas = rng.standard_normal((3, 7))
         thetas[1] = oracles.null_space_direction(desk_instance.A, rng)
-        batch = build_shift_batch(desk_instance, rng.standard_normal(7), thetas)
+        batch = shift_batch(desk_instance, rng.standard_normal(7), thetas)
         np.testing.assert_array_equal(batch.null, [False, True, False])
         np.testing.assert_array_equal(batch.kappa, [1.0, 0.0, 1.0])
         np.testing.assert_array_equal(batch.scale[1], 1.0)
@@ -391,12 +390,12 @@ class TestBracketProperty:
         l[idx] = rng.standard_normal(idx.size) * rng.uniform(0.1, 3.0)
         thetas = sample_sphere_batch(rng, 64, p)
         for shift in (l, np.zeros(p)):
-            log_j, log_lo, log_pm, _, _ = shifted_log_summaries(build_shift_batch(prob, shift, thetas))
+            log_j, log_lo, log_pm, _, _ = shifted_log_summaries(shift_batch(prob, shift, thetas))
             assert np.all(log_lo <= log_j + 1e-9), np.max(log_lo - log_j)
             if p > 1:  # at p = 1 the upper constant is inf
                 upper = math.lgamma(p) + p - 1 - p * math.log(p - 1)
                 assert np.all(log_j <= log_pm + upper + 1e-9), np.max(log_j - log_pm - upper)
-        batch = build_shift_batch(prob, np.zeros(p), thetas)
+        batch = shift_batch(prob, np.zeros(p), thetas)
         rows = zip(*(np.exp(v + batch.h0) for v in (log_j, log_lo, log_pm)))
         for theta, (mass, mass_lo, peak_mode) in zip(thetas, rows):
             summ = pl.radial_summary(pl.build_shift_context(prob, np.zeros(p), theta))
@@ -677,7 +676,7 @@ class TestShiftBatch:
         rng = np.random.default_rng(24)
         thetas = sample_sphere_batch(rng, 150, p)
         thetas[7] = oracles.null_space_direction(prob.A, rng)  # a curvature-0 row in the same call
-        batch = build_shift_batch(prob, l, thetas)
+        batch = shift_batch(prob, l, thetas)
         log_j = shifted_log_masses(batch)
         _, _, log_pm, _, _ = shifted_log_summaries(batch)
         assert batch.null[7] and batch.null.sum() == 1
@@ -714,7 +713,7 @@ class TestShiftBatch:
     def test_zero_shift_matches_centered_sweep(self, desk_instance_y):
         prob = desk_instance_y
         thetas = sample_sphere_batch(np.random.default_rng(25), 400, 7)
-        log_j = shifted_log_masses(build_shift_batch(prob, np.zeros(7), thetas))
+        log_j = shifted_log_masses(shift_batch(prob, np.zeros(7), thetas))
         # the centred closed form e^(-||y||^2/2) H_6(beta) / ||A theta||^7,
         # with beta = (||theta||_1 - A theta . y)/||A theta|| formed here
         A_thetas = thetas @ prob.A.T
