@@ -35,6 +35,13 @@ _NEWTON_TOL = 1e-3
 _BLOCK = 2048
 
 
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Raise ValueError unless value is an integer >= least; a numpy integer
+    passes, a bool or a float does not.  Every integer rule of the package."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+
+
 def tilted_peaks(m: int, beta, kappa=1.0) -> np.ndarray:
     """Peak u* of u^m e^(-kappa u^2/2 - beta u) on u >= 0, elementwise.
 
@@ -60,8 +67,7 @@ def log_gaussian_moment(m: int, a, b, beta, kappa=1.0) -> np.ndarray:
     e^(g(u) - g(c)) over each side; every node value is at most one, so no
     tilt or order can over- or underflow the result.
     """
-    if m < 0 or int(m) != m:
-        raise ValueError("m must be a nonnegative integer")
+    _check_count("m", m, 0)
     m = int(m)
     a, b, beta, kappa = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, beta, kappa)))
     if not np.all((a >= 0.0) & (a < b)):

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemInstance, _check_count, _check_point, _check_positive, chunk_buffers, map_chunks
+from ._moments import _check_count
+from .problem import ProblemInstance, _check_point, _check_positive, chunk_buffers, map_chunks
 
 METHOD_POLAR = "polar"
 METHOD_FISTA = "fista"

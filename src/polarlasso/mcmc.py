@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._moments import _check_count
 from .problem import ProblemInstance, _check_point, _check_positive, laplace_from_uniforms
 from .shifted import sample_posterior_batch, shifted_modes, unit_shift_batch
 
@@ -46,8 +47,7 @@ class ChainConfig:
     def __post_init__(self):
         if self.kind not in (KIND_INDEPENDENT, KIND_RANDOM_WALK):
             raise ValueError(f"unknown chain kind {self.kind!r}")
-        if isinstance(self.n_iter, bool) or not isinstance(self.n_iter, (int, np.integer)) or self.n_iter < 1:
-            raise ValueError("n_iter must be a positive integer")
+        _check_count("n_iter", self.n_iter)
         _check_positive("rw_variance", self.rw_variance)
         _check_positive("q", self.q)
         for name, state in (("init", self.init), ("shift_l", self.shift_l)):
@@ -86,6 +86,7 @@ class ChainDiagnosis:
 def tv_bound(t, z: float, p: int):
     """Uniform-ergodicity total-variation bound (1 - z/2^p)^t of the independent
     sampler, elementwise over an array t; z/2^p by exact scaling (ldexp)."""
+    _check_count("p", p)
     frac = math.ldexp(z, -p)
     if not (z > 0.0 and frac < 1.0):
         raise ValueError("z must lie in (0, 2^p)")
@@ -105,7 +106,8 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig) -> tuple[ChainTrace, Chai
     summary diagnosis.  Fixed seeds reproduce everything bit-exactly; the
     proposal stream is consumed in fixed-size blocks independent of outcomes.
     """
-    p = _chain_dimension(prob)
+    p = prob.p
+    _check_count("p", p, 2)  # the criterion's bound P(q, p) needs p >= 2
     A = prob.A
     y = prob.y
     n_iter = cfg.n_iter
@@ -186,13 +188,6 @@ def run_chain(prob: ProblemInstance, cfg: ChainConfig) -> tuple[ChainTrace, Chai
     return ChainTrace(norm_x=norm_x, q_r_theta=q_r, criterion=crit), diag
 
 
-def _chain_dimension(prob: ProblemInstance) -> int:
-    """p of the instance, at least 2 as the criterion's bound P(q, p) needs."""
-    if prob.p < 2:
-        raise ValueError("p must be at least 2")
-    return prob.p
-
-
 def _point(value, p: int, name: str) -> np.ndarray:
     """`value` checked by problem._check_point, or zeros when it is None."""
     return np.zeros(p) if value is None else _check_point(name, value, p)
@@ -260,7 +255,8 @@ def criterion_coverage(prob: ProblemInstance, q: float, n_draws: int, rng,
     the draws of sample_posterior_batch diagnosed in one batch."""
     _check_positive("q", q)
     rng = np.random.default_rng(rng)  # a Generator comes back unaltered
-    l = _point(l, _chain_dimension(prob), "l")
+    _check_count("p", prob.p, 2)
+    l = _point(l, prob.p, "l")
     X = sample_posterior_batch(prob, n_draws, rng)
     norm, qr, _ = _state_diagnosis(prob, X, l, q)
     return int(np.count_nonzero(norm <= qr)) / n_draws

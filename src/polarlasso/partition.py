@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._moments import log_gaussian_moment
-from .problem import (ProblemInstance, _check_count, _check_positive, chunk_buffers, laplace_from_uniforms,
+from ._moments import _check_count, log_gaussian_moment
+from .problem import (ProblemInstance, _check_positive, chunk_buffers, laplace_from_uniforms,
                       map_chunks, sample_sphere_batch)
 from .shifted import _exp, log_concavity_bracket, shifted_log_summaries, unit_shift_batch
 
@@ -145,8 +145,7 @@ def concentration_prob(q: float, p: int) -> float:
     Below q ~ 1.647 at p = 7 (1.386 at p = 20, 1.145 at p = 200) the bound
     is negative, so vacuous: P(1, 7) = -3.40."""
     _check_positive("q", q)
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    _check_count("p", p, 2)
     log_gamma = float(log_gaussian_moment(p - 1, (p - 1) * q, math.inf, 1.0, 0.0))
     return 1.0 - p * math.exp(log_gamma + p - 1 - p * math.log(p - 1))
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._moments import _check_count
+
 # rows per chunk of a Monte Carlo sweep; each chunk has its own generator, so
 # an estimate does not depend on how many workers consume the chunks
 CHUNK = 8192
@@ -59,13 +61,9 @@ def make_problem(A: np.ndarray, y: np.ndarray | None = None) -> ProblemInstance:
     n, p = A.shape
     if p < n or n < 1:
         raise ValueError("need p >= n >= 1")
-    if y is None:
-        y = np.zeros(n)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (n,):
-        raise ValueError(f"y must have length {n}")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(y))):
-        raise ValueError("A and y must be finite")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("A must be finite")
+    y = np.zeros(n) if y is None else _check_point("y", y, n)
     op_norm = float(np.linalg.norm(A, 2))
     with np.errstate(over="ignore"):
         y_sq = float(y @ y)
@@ -76,9 +74,10 @@ def make_problem(A: np.ndarray, y: np.ndarray | None = None) -> ProblemInstance:
 
 
 def gen_bernoulli_matrix(n: int, p: int, seed: int, y: np.ndarray | None = None) -> ProblemInstance:
-    """Instance whose entries are i.i.d. +-1/sqrt(n), each sign with probability 1/2."""
-    if p < n or n < 1:
-        raise ValueError("need p >= n >= 1")
+    """Instance whose entries are i.i.d. +-1/sqrt(n), each sign with probability 1/2;
+    make_problem refuses p < n."""
+    _check_count("n", n)
+    _check_count("p", p)
     rng = np.random.default_rng(seed)
     A = (2.0 * rng.integers(0, 2, size=(n, p)) - 1.0) / math.sqrt(n)
     return make_problem(A, y)
@@ -113,13 +112,6 @@ def sample_sphere_batch(rng: np.random.Generator, count: int, p: int) -> np.ndar
         norms[bad] = np.linalg.norm(v[bad], axis=1)
         bad = norms == 0.0
     return v / norms[:, None]
-
-
-def _check_count(name: str, value) -> None:
-    """Raise ValueError unless value is an integer >= 1; a numpy integer
-    passes, a bool or a float does not."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
 
 
 def _check_point(name: str, value, p: int) -> np.ndarray:

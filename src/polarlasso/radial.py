@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._moments import log_gaussian_moment
+from ._moments import _check_count, log_gaussian_moment
 
 # default number of terms M of the inverse-power expansion
 EXPANSION_TERMS = 17
@@ -40,11 +40,12 @@ class ExpansionResult:
     remainder_bound: float
 
 
-@functools.lru_cache(maxsize=4096)
+# typed: True and 3.0 must miss the entries of 1 and 3, and reach the check
+@functools.lru_cache(maxsize=4096, typed=True)
 def expansion_coeff_exact(p: int, r: int) -> Fraction:
     """c(p, r) = sum_k C(p-1, k) (-1)^(p-1-k) ((k+1)/2 - 1)...((k+1)/2 - r), exactly."""
-    if p < 1 or r < 1:
-        raise ValueError("need p >= 1 and r >= 1")
+    _check_count("p", p)
+    _check_count("r", r)
     total = Fraction(0)
     for k in range(p):
         prod = Fraction(1)
@@ -65,6 +66,7 @@ def mode_radius_times_l1(beta: float, p: int) -> float:
     """r(theta) ||theta||_1 as a function of the offset when y = 0:
     beta (-beta + sqrt(beta^2 + 4(p-1))) / 2, rationalised at beta > 0 to
     2 (p-1) beta / (beta + sqrt(beta^2 + 4(p-1))), which does not cancel."""
+    _check_count("p", p)
     root = math.hypot(beta, 2.0 * math.sqrt(p - 1))
     if beta > 0:
         return 2.0 * (p - 1) * beta / (beta + root)
@@ -77,6 +79,7 @@ def mass_closed_form(beta: float, s: float, y_norm: float, p: int) -> float:
     Evaluates e^(-||y||^2/2) (beta + s ||y||)^p H_(p-1)(beta), with H taken
     from the log-domain segment kernel on [0, inf), as every mass in use is.
     """
+    _check_count("p", p)
     if beta < 0:
         raise ValueError("mass_closed_form requires beta >= 0")
     log_h = float(log_gaussian_moment(p - 1, 0.0, math.inf, beta))
@@ -90,10 +93,10 @@ def mass_expansion(beta: float, s: float, y_norm: float, p: int, m_terms: int = 
             2^(p-1) sum_{r=p}^{M-1} c(p, r) (beta^2/2)^(p-1-r)]
     |remainder| <= e^(-||y||^2/2) (1 + s||y||/beta)^p 2^(p-1) |c(p, M)| / (beta^2/2)^(M-p+1)
     """
+    _check_count("p", p)
+    _check_count("m_terms", m_terms, p + 1)
     if beta <= 0:
         raise ValueError("expansion needs beta > 0")
-    if m_terms < p + 1:
-        raise ValueError("expansion needs M >= p + 1")
     x = beta * beta / 2.0
     prefactor = math.exp(-0.5 * y_norm * y_norm) * (1.0 + y_norm * s / beta) ** p
     core = math.factorial(p - 1) + (2.0 ** (p - 1)) * math.fsum(

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._moments import log_gaussian_moment, tilted_peaks
-from .problem import ProblemInstance, _check_count, _check_point, laplace_from_uniforms
+from ._moments import _check_count, log_gaussian_moment, tilted_peaks
+from .problem import ProblemInstance, _check_point, laplace_from_uniforms
 
 # below this image norm a direction is treated as belonging to the null space
 NULL_TOL = 1e-12
@@ -148,10 +148,10 @@ def unit_shift_batch(prob: ProblemInstance, l: np.ndarray, thetas: np.ndarray) -
 
 def build_shift_context(prob: ProblemInstance, l: np.ndarray, theta: np.ndarray) -> ShiftBatch:
     """Segment decomposition along one nonzero, not necessarily unit, direction: a batch of one."""
-    thetas = _check_point("thetas", theta, prob.p)[None, :]
+    thetas = _check_point("theta", theta, prob.p)[None, :]
     norms = np.linalg.norm(thetas, axis=1)  # the row norm, rounded as in a batch of rows
     if norms[0] == 0.0:
-        raise ValueError("directions must be nonzero")
+        raise ValueError("theta must be nonzero")
     return unit_shift_batch(prob, l, thetas / norms[:, None])
 
 

@@ -386,7 +386,7 @@ class TestDiagnose:
         assert run(["diagnose", "--problem", str(path), "--sampler", sampler, "--iters", "100",
                     "--z-samples", "200", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == "polarlasso: p must be at least 2\n"
+        assert err == "polarlasso: p must be an integer >= 2, not 1\n"
         assert not out.exists()
 
 

@@ -64,7 +64,7 @@ class TestConfig:
     @pytest.mark.parametrize("n_iter", [math.nan, 2.5, 10.0, "10", True])
     def test_rejects_non_integer_n_iter(self, n_iter):
         # a bool is an int to isinstance; True would run one iteration
-        with pytest.raises(ValueError, match="n_iter must be a positive integer"):
+        with pytest.raises(ValueError, match="n_iter must be an integer >= 1"):
             pl.ChainConfig(kind=KIND_RANDOM_WALK, n_iter=n_iter)
 
     def test_accepts_numpy_integer_n_iter(self, desk_instance):
@@ -308,10 +308,10 @@ class TestCoverage:
         monkeypatch.setattr(mcmc, "sample_posterior_batch", lambda *a: pytest.fail("drew"))
         monkeypatch.setattr(mcmc, "laplace_from_uniforms", lambda *a: pytest.fail("drew"))
         prob = pl.make_problem(np.eye(1), np.array([0.5]))
-        with pytest.raises(ValueError, match="^p must be at least 2$"):
+        with pytest.raises(ValueError, match="^p must be an integer >= 2, not 1$"):
             pl.criterion_coverage(prob, 5.0, 100, 14)
         for kind in (KIND_INDEPENDENT, KIND_RANDOM_WALK):
-            with pytest.raises(ValueError, match="^p must be at least 2$"):
+            with pytest.raises(ValueError, match="^p must be an integer >= 2, not 1$"):
                 pl.run_chain(prob, pl.ChainConfig(kind=kind, n_iter=10))
 
     def test_mean_norm_loose_cap(self, desk_instance):

@@ -3,11 +3,13 @@ curvature kappa = 1 (directions with A theta != 0) and kappa = 0 (null
 directions)."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import polarlasso as pl
 from polarlasso._moments import _BLOCK, log_gaussian_moment, tilted_peaks
 
 ORDERS = (0, 1, 6, 19, 40)
@@ -211,3 +213,44 @@ def test_rejects_bad_segments():
         log_gaussian_moment(3, 1.0, math.inf, 0.0, 0.0)
     with pytest.raises(ValueError, match="kappa"):
         log_gaussian_moment(3, 0.0, 1.0, 1.0, 0.5)
+
+
+# the public functions that take a dimension p, with the least p each
+# accepts; sphere_surface and lasso_ball_volume have theirs in test_partition
+DIMENSION_TAKERS = {
+    "mode_radius_times_l1": (lambda p: pl.mode_radius_times_l1(2.0, p), 1),
+    "mass_closed_form": (lambda p: pl.mass_closed_form(1.0, 0.0, 0.0, p), 1),
+    "mass_expansion": (lambda p: pl.mass_expansion(10.0, 0.0, 0.0, p), 1),
+    "expansion_coeff": (lambda p: pl.expansion_coeff(p, 3), 1),
+    "concentration_prob": (lambda p: pl.concentration_prob(5.0, p), 2),
+    "tv_bound": (lambda p: pl.tv_bound(1, 1.0, p), 1),
+    "sample_sphere": (lambda p: pl.sample_sphere(np.random.default_rng(0), p), 1),
+    "gen_bernoulli_matrix": (lambda p: pl.gen_bernoulli_matrix(1, p, 0), 1),
+}
+
+
+@pytest.mark.parametrize("p", [0, 2.5, 7.0, True], ids=repr)
+@pytest.mark.parametrize("name", sorted(DIMENSION_TAKERS))
+def test_dimension_takes_the_count_rule(name, p):
+    # one rule and one message for every p: 2.5 gave a mode radius of 1.1623,
+    # 0 a math domain error, and a float a TypeError or the kernel's "m"
+    call, least = DIMENSION_TAKERS[name]
+    pl.expansion_coeff(1, 3)  # True must not be served the cached c(1, 3)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'p must be an integer >= {least}, not {p!r}')}$"):
+        call(p)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: log_gaussian_moment(-1, 0.0, 1.0, 0.0), "m must be an integer >= 0, not -1"),
+    (lambda: log_gaussian_moment(2.0, 0.0, 1.0, 0.0), "m must be an integer >= 0, not 2.0"),
+    (lambda: pl.mass_expansion(10.0, 0.0, 0.0, 7, 5), "m_terms must be an integer >= 8, not 5"),
+    (lambda: pl.expansion_coeff(3, 0), "r must be an integer >= 1, not 0"),
+    (lambda: pl.concentration_prob(5.0, 1), "p must be an integer >= 2, not 1"),
+    (lambda: pl.ChainConfig(kind="random_walk", n_iter=0), "n_iter must be an integer >= 1, not 0"),
+    (lambda: pl.gen_bernoulli_matrix(2, 3.5, 1), "p must be an integer >= 1, not 3.5"),
+    (lambda: pl.gen_bernoulli_matrix(0, 3, 1), "n must be an integer >= 1, not 0"),
+], ids=["m", "m-float", "m_terms", "r", "p-below-2", "n_iter", "gen-p", "gen-n"])
+def test_other_counts_take_the_count_rule(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+

@@ -282,18 +282,29 @@ def _raises_with(path, text):
                     for c in ast.walk(node.exc))]
 
 
+# phrases of an integer rule's message, and the functions that must apply it
+COUNT_PHRASES = ("must be an integer", "at least", "nonnegative integer", "positive integer", "needs M")
+COUNTED = {"sample_sphere_batch", "_log_surface", "mode_radius_times_l1", "mass_closed_form", "mass_expansion",
+           "expansion_coeff_exact", "concentration_prob", "tv_bound", "__post_init__", "log_gaussian_moment"}
+
+
 def test_one_owner_per_argument_rule():
-    # problem.py owns the rule for a point (problem._check_point) and for a
-    # dimension or count (problem._check_count); other modules call them,
-    # and no multi-row wrapper of unit_shift_batch restates its checks
+    # problem.py owns the rule for a point (problem._check_point) and
+    # _moments.py, which every numeric module may import, the rule for a
+    # dimension, order or count (_moments._check_count); other modules call
+    # them, and no multi-row wrapper of unit_shift_batch restates its checks
     assert _raises_with(SRC / "problem.py", "must have length"), "problem.py no longer checks lengths"
     found = [(path.name, line) for path in sorted(SRC.glob("*.py")) if path.name != "problem.py"
              for line in _raises_with(path, "must have length")]
     assert not found, "length checks outside problem.py (module, line): " + repr(found)
     defined = [path.name for path in sorted(SRC.glob("*.py")) if "build_shift_batch" in _module_defs(path)]
     assert not defined, "build_shift_batch defined in: " + repr(defined)
+    assert _raises_with(SRC / "_moments.py", "must be an integer"), "_moments.py no longer checks counts"
+    found = [(path.name, phrase, line) for path in sorted(SRC.glob("*.py")) if path.name != "_moments.py"
+             for phrase in COUNT_PHRASES for line in _raises_with(path, phrase)]
+    assert not found, "integer rules outside _moments.py (module, phrase, line): " + repr(found)
     counted = {hit[1] for path in sorted(SRC.glob("*.py")) for hit in _calls(path, ("_check_count",))}
-    missing = {"sample_sphere_batch", "_log_surface"} - counted
+    missing = COUNTED - counted
     assert not missing, "functions that no longer call _check_count: " + repr(sorted(missing))
 
 

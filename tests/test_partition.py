@@ -1,5 +1,6 @@
 """Partition-function estimators, bounds, and the concentration table."""
 
+import functools
 import math
 import re
 
@@ -297,22 +298,33 @@ class TestExactZ:
         y = np.array([1.0, 0.5, 0.2])
         assert exact_log_z(np.zeros((3, 5)), y) == pytest.approx(5 * math.log(2.0) - 0.5 * float(y @ y), abs=1e-12)
 
-    @pytest.fixture(scope="class")
-    def desk(self):
-        # the desk-z and chains instance of the benchmark, with its exact log Z
-        prob = benchmark_instance(4, 7, 2.0, 42)
-        return prob, exact_log_z(prob.A, prob.y)
-
-    @pytest.mark.parametrize("route", ["polar", "naive", "shifted"])
-    def test_routes_cover_exact_z_on_desk(self, desk, route):
-        prob, log_z = desk
-        assert log_z == pytest.approx(1.862151306135, abs=1e-11)
+    @pytest.mark.parametrize("n, route", [pytest.param(n, route, id=route if n == 4 else f"{n}x7-{route}")
+                                          for n in (4, 2, 3) for route in ("polar", "naive", "shifted")])
+    def test_routes_cover_exact_z_on_desk(self, n, route):
+        # the desk-z and chains design (4 x 7) and its 2- and 3-row versions
+        prob, log_z = _exact_design(n)
+        _, want, tol = EXACT_LOG_Z[n]
+        assert log_z == pytest.approx(want, abs=tol)
         l = pl.solve_fista(prob).x
         for seed in (0, 1, 2):
             est = {"polar": lambda: pl.estimate_z_polar(prob, 100_000, seed),
                    "naive": lambda: pl.estimate_z_naive(prob, 100_000, seed),
                    "shifted": lambda: pl.estimate_z_shifted(prob, l, 2048, seed)}[route]()
             assert abs(est.z - math.exp(log_z)) <= 4.0 * est.std_err, (seed, est.z, est.std_err)
+
+
+# n -> (step h, log Z, its tolerance) of benchmark_instance(n, 7, 2.0, 42) by
+# exact_log_z.  Below n = 4 the columns repeat more often, and the default
+# h = 0.3 reads 1.8e-7 (2 x 7) and 8.9e-11 (3 x 7) high, so h = 0.2 is used
+EXACT_LOG_Z = {2: (0.2, 2.5916820859, 1e-9), 3: (0.2, 1.9660551965, 1e-9), 4: (0.3, 1.862151306135, 1e-11)}
+
+
+@functools.cache
+def _exact_design(n):
+    """The benchmark design with n rows and its exact log Z, made once: at
+    n = 4 the tensor rule takes seconds."""
+    prob = benchmark_instance(n, 7, 2.0, 42)
+    return prob, exact_log_z(prob.A, prob.y, h=EXACT_LOG_Z[n][0])
 
 
 class TestVolumes:

@@ -129,7 +129,7 @@ class TestDirectionStats:
     def test_rejects_non_finite_entry(self, desk_instance_y, bad):
         theta = np.ones(7)
         theta[3] = bad
-        with pytest.raises(ValueError, match="thetas must be finite"):
+        with pytest.raises(ValueError, match="theta must be finite"):
             ray(desk_instance_y, theta)
 
 

@@ -72,11 +72,11 @@ class TestContext:
         rng = np.random.default_rng(40)
         l, theta = random_shift_pair(rng)
         theta[2] = bad
-        with pytest.raises(ValueError, match="thetas must be finite"):
+        with pytest.raises(ValueError, match="theta must be finite"):
             pl.build_shift_context(desk_instance_y, l, theta)
-        with pytest.raises(ValueError, match="^thetas must have length 7$"):
+        with pytest.raises(ValueError, match="^theta must have length 7$"):
             pl.build_shift_context(desk_instance_y, l, np.ones(5))
-        with pytest.raises(ValueError, match="^directions must be nonzero$"):
+        with pytest.raises(ValueError, match="^theta must be nonzero$"):
             pl.build_shift_context(desk_instance_y, l, np.zeros(7))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
