@@ -42,6 +42,18 @@ def _check_count(name: str, value, least: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
 
 
+def _check_real(name: str, value, sign: str = "") -> None:
+    """Raise ValueError unless every entry of a scalar or array value is
+    finite and, for sign "positive" or "non-negative", > 0 or >= 0.  Every
+    real rule of the package, in the words of the CLI's argparse types."""
+    v = np.asarray(value, dtype=float)
+    ok = np.isfinite(v)
+    if sign:
+        ok &= v > 0.0 if sign == "positive" else v >= 0.0
+    if not np.all(ok):
+        raise ValueError(f"{name} must be {sign + ' and ' if sign else ''}finite")
+
+
 def tilted_peaks(m: int, beta, kappa=1.0) -> np.ndarray:
     """Peak u* of u^m e^(-kappa u^2/2 - beta u) on u >= 0, elementwise.
 

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._moments import _check_count
-from .problem import ProblemInstance, _check_point, _check_positive, chunk_buffers, map_chunks
+from ._moments import _check_count, _check_real
+from .problem import ProblemInstance, _check_point, chunk_buffers, map_chunks
 
 METHOD_POLAR = "polar"
 METHOD_FISTA = "fista"
@@ -117,7 +117,7 @@ def solve_fista(prob: ProblemInstance, max_iter: int = FISTA_MAX_ITER, tol: floa
     (A = 0, or ||A|| below about 7.5e-155) x = 0 is returned at once.
     """
     _check_count("max_iter", max_iter)
-    _check_positive("tol", tol)
+    _check_real("tol", tol, "positive")
     p = prob.p
     sq = prob.op_norm**2
     step = 1.0 / sq if sq > 0.0 else math.inf

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._moments import _check_count
-from .problem import ProblemInstance, _check_point, _check_positive, laplace_from_uniforms
+from ._moments import _check_count, _check_real
+from .problem import ProblemInstance, _check_point, laplace_from_uniforms
 from .shifted import sample_posterior_batch, shifted_modes, unit_shift_batch
 
 KIND_INDEPENDENT = "independent_laplace"
@@ -48,11 +48,11 @@ class ChainConfig:
         if self.kind not in (KIND_INDEPENDENT, KIND_RANDOM_WALK):
             raise ValueError(f"unknown chain kind {self.kind!r}")
         _check_count("n_iter", self.n_iter)
-        _check_positive("rw_variance", self.rw_variance)
-        _check_positive("q", self.q)
+        _check_real("rw_variance", self.rw_variance, "positive")
+        _check_real("q", self.q, "positive")
         for name, state in (("init", self.init), ("shift_l", self.shift_l)):
-            if state is not None and not np.all(np.isfinite(state)):
-                raise ValueError(f"{name} must be finite")
+            if state is not None:
+                _check_real(name, state)
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,9 @@ class ChainDiagnosis:
 
 def tv_bound(t, z: float, p: int):
     """Uniform-ergodicity total-variation bound (1 - z/2^p)^t of the independent
-    sampler, elementwise over an array t; z/2^p by exact scaling (ldexp)."""
+    sampler, elementwise over an array t >= 0; z/2^p by exact scaling (ldexp)."""
     _check_count("p", p)
+    _check_real("t", t, "non-negative")
     frac = math.ldexp(z, -p)
     if not (z > 0.0 and frac < 1.0):
         raise ValueError("z must lie in (0, 2^p)")
@@ -253,7 +254,7 @@ def criterion_coverage(prob: ProblemInstance, q: float, n_draws: int, rng,
                        l: np.ndarray | None = None) -> float:
     """Empirical fraction of exact posterior draws with ||x - l|| <= q r(theta, l),
     the draws of sample_posterior_batch diagnosed in one batch."""
-    _check_positive("q", q)
+    _check_real("q", q, "positive")
     rng = np.random.default_rng(rng)  # a Generator comes back unaltered
     _check_count("p", prob.p, 2)
     l = _point(l, prob.p, "l")

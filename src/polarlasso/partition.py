@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._moments import _check_count, log_gaussian_moment
-from .problem import (ProblemInstance, _check_positive, chunk_buffers, laplace_from_uniforms,
-                      map_chunks, sample_sphere_batch)
+from ._moments import _check_count, _check_real, log_gaussian_moment
+from .problem import ProblemInstance, chunk_buffers, laplace_from_uniforms, map_chunks, sample_sphere_batch
 from .shifted import _exp, log_concavity_bracket, shifted_log_summaries, unit_shift_batch
 
 METHOD_POLAR = "polar_mc"
@@ -144,7 +143,7 @@ def concentration_prob(q: float, p: int) -> float:
     Gamma(p, x) = G_(p-1)(x, inf, beta = 1, kappa = 0) from the kernel.
     Below q ~ 1.647 at p = 7 (1.386 at p = 20, 1.145 at p = 200) the bound
     is negative, so vacuous: P(1, 7) = -3.40."""
-    _check_positive("q", q)
+    _check_real("q", q, "positive")
     _check_count("p", p, 2)
     log_gamma = float(log_gaussian_moment(p - 1, (p - 1) * q, math.inf, 1.0, 0.0))
     return 1.0 - p * math.exp(log_gamma + p - 1 - p * math.log(p - 1))
@@ -153,5 +152,5 @@ def concentration_prob(q: float, p: int) -> float:
 def lasso_ball_volume(z: float, p: int) -> float:
     """Lebesgue volume of the unit ball of the mass seminorm: Z / p."""
     _check_count("p", p)
-    _check_positive("z", z)
+    _check_real("z", z, "positive")
     return z / p

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._moments import _check_count
+from ._moments import _check_count, _check_real
 
 # rows per chunk of a Monte Carlo sweep; each chunk has its own generator, so
 # an estimate does not depend on how many workers consume the chunks
@@ -61,8 +61,7 @@ def make_problem(A: np.ndarray, y: np.ndarray | None = None) -> ProblemInstance:
     n, p = A.shape
     if p < n or n < 1:
         raise ValueError("need p >= n >= 1")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("A must be finite")
+    _check_real("A", A)
     y = np.zeros(n) if y is None else _check_point("y", y, n)
     op_norm = float(np.linalg.norm(A, 2))
     with np.errstate(over="ignore"):
@@ -103,6 +102,7 @@ def sample_sphere(rng: np.random.Generator, p: int) -> np.ndarray:
 def sample_sphere_batch(rng: np.random.Generator, count: int, p: int) -> np.ndarray:
     """Uniform sphere draws, one per row: standard normal rows over their
     norms, each zero row redrawn until it is nonzero."""
+    _check_count("count", count, 0)
     _check_count("p", p)  # a row of width 0 stays zero however often it is redrawn
     v = rng.standard_normal((count, p))
     norms = np.linalg.norm(v, axis=1)
@@ -119,15 +119,8 @@ def _check_point(name: str, value, p: int) -> np.ndarray:
     v = np.asarray(value, dtype=float)
     if v.shape != (p,):
         raise ValueError(f"{name} must have length {p}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite")
+    _check_real(name, v)
     return v
-
-
-def _check_positive(name: str, value) -> None:
-    """Raise ValueError unless 0 < value < inf."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite")
 
 
 def sweep_chunks(seed_or_rng, n_samples: int):

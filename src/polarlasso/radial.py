@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._moments import _check_count, log_gaussian_moment
+from ._moments import _check_count, _check_real, log_gaussian_moment
 
 # default number of terms M of the inverse-power expansion
 EXPANSION_TERMS = 17
@@ -67,6 +67,7 @@ def mode_radius_times_l1(beta: float, p: int) -> float:
     beta (-beta + sqrt(beta^2 + 4(p-1))) / 2, rationalised at beta > 0 to
     2 (p-1) beta / (beta + sqrt(beta^2 + 4(p-1))), which does not cancel."""
     _check_count("p", p)
+    _check_real("beta", beta)
     root = math.hypot(beta, 2.0 * math.sqrt(p - 1))
     if beta > 0:
         return 2.0 * (p - 1) * beta / (beta + root)
@@ -80,8 +81,9 @@ def mass_closed_form(beta: float, s: float, y_norm: float, p: int) -> float:
     from the log-domain segment kernel on [0, inf), as every mass in use is.
     """
     _check_count("p", p)
-    if beta < 0:
-        raise ValueError("mass_closed_form requires beta >= 0")
+    _check_real("beta", beta, "non-negative")
+    _check_real("s", s)
+    _check_real("y_norm", y_norm, "non-negative")
     log_h = float(log_gaussian_moment(p - 1, 0.0, math.inf, beta))
     return math.exp(log_h - 0.5 * y_norm * y_norm) * (beta + s * y_norm) ** p
 
@@ -95,8 +97,9 @@ def mass_expansion(beta: float, s: float, y_norm: float, p: int, m_terms: int = 
     """
     _check_count("p", p)
     _check_count("m_terms", m_terms, p + 1)
-    if beta <= 0:
-        raise ValueError("expansion needs beta > 0")
+    _check_real("beta", beta, "positive")
+    _check_real("s", s)
+    _check_real("y_norm", y_norm, "non-negative")
     x = beta * beta / 2.0
     prefactor = math.exp(-0.5 * y_norm * y_norm) * (1.0 + y_norm * s / beta) ** p
     core = math.factorial(p - 1) + (2.0 ** (p - 1)) * math.fsum(

@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import erfcx
 
 import polarlasso as pl
 from polarlasso.shifted import unit_shift_batch
@@ -204,6 +205,35 @@ def benchmark_instance(n, p, y_norm, seed):
     A = (2.0 * rng.integers(0, 2, size=(n, p)) - 1.0) / math.sqrt(n)
     y = rng.standard_normal(n)
     return pl.make_problem(A, y * (y_norm / np.linalg.norm(y)))
+
+
+def separable_instance(n, p, y_norm, seed):
+    """A = [diag(a), 0] with a ~ U(0.5, 1.5), and its exact mode: the soft
+    threshold sign(y_i) max(a_i |y_i| - 1, 0) / a_i^2, 0 on the zero columns."""
+    rng = np.random.default_rng([seed, n, p])
+    a = rng.uniform(0.5, 1.5, n)
+    y = rng.standard_normal(n)
+    y *= y_norm / np.linalg.norm(y)
+    A = np.zeros((n, p))
+    A[:, :n] = np.diag(a)
+    mode = np.zeros(p)
+    mode[:n] = np.sign(y) * np.maximum(a * np.abs(y) - 1.0, 0.0) / a**2
+    return pl.make_problem(A, y), mode
+
+
+def separable_log_z(prob):
+    """Oracle: log Z of a design A = [diag(a), 0] with a_i > 0, in closed form:
+
+        Z = 2^(p-n) prod_i e^(-y_i^2/2) (1/a_i) sqrt(pi/2)
+            [erfcx((1 - a_i y_i)/(a_i sqrt 2)) + erfcx((1 + a_i y_i)/(a_i sqrt 2))],
+
+    each row a one-dimensional integral of a Gaussian against a unit Laplace."""
+    n, p = prob.A.shape
+    a, y = np.diag(prob.A[:, :n]).copy(), prob.y
+    if not (np.all(a > 0.0) and np.array_equal(prob.A, np.hstack([np.diag(a), np.zeros((n, p - n))]))):
+        raise ValueError("A must be [diag(a), 0] with a > 0")
+    pair = erfcx((1.0 - a * y) / (a * math.sqrt(2.0))) + erfcx((1.0 + a * y) / (a * math.sqrt(2.0)))
+    return (p - n) * math.log(2.0) + float(np.sum(-0.5 * y * y + np.log(math.sqrt(math.pi / 2.0) / a * pair)))
 
 
 @pytest.fixture(scope="session")

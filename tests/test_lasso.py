@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 from hypothesis.extra import numpy as hnp
 
 import polarlasso as pl
-from conftest import scaled_instance, tiny_design
+from conftest import scaled_instance, separable_instance, tiny_design
 from polarlasso import problem
 from polarlasso.lasso import _FISTA_BLOCK, FISTA_MAX_ITER, FISTA_TOL
 from polarlasso.problem import CHUNK, sample_sphere_batch, sweep_chunks
@@ -548,20 +548,6 @@ class TestPolarDraws:
         sigma = math.sqrt(rate * (1 - rate) * 2 / total)
         assert 0.0 < rate < 1.0
         assert abs(screened - plain) / total <= 4 * sigma
-
-
-def separable_instance(n, p, y_norm, seed):
-    """A = [diag(a), 0] with a ~ U(0.5, 1.5), and its exact mode: the soft
-    threshold sign(y_i) max(a_i |y_i| - 1, 0) / a_i^2, 0 on the zero columns."""
-    rng = np.random.default_rng([seed, n, p])
-    a = rng.uniform(0.5, 1.5, n)
-    y = rng.standard_normal(n)
-    y *= y_norm / np.linalg.norm(y)
-    A = np.zeros((n, p))
-    A[:, :n] = np.diag(a)
-    mode = np.zeros(p)
-    mode[:n] = np.sign(y) * np.maximum(a * np.abs(y) - 1.0, 0.0) / a**2
-    return pl.make_problem(A, y), mode
 
 
 SEPARABLE = [(4, 7, 2.0), (20, 20, 4.0), (20, 100, 6.0), (100, 100, 10.0), (50, 200, 8.0), (200, 200, 12.0)]

@@ -4,6 +4,7 @@ directions)."""
 
 import math
 import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import polarlasso as pl
 from polarlasso._moments import _BLOCK, log_gaussian_moment, tilted_peaks
+from polarlasso.problem import sample_sphere_batch
 
 ORDERS = (0, 1, 6, 19, 40)
 BETAS = (-40.0, -5.0, 0.0, 3.8, 13.0, 50.0, 200.0, 1e6)
@@ -249,8 +251,55 @@ def test_dimension_takes_the_count_rule(name, p):
     (lambda: pl.ChainConfig(kind="random_walk", n_iter=0), "n_iter must be an integer >= 1, not 0"),
     (lambda: pl.gen_bernoulli_matrix(2, 3.5, 1), "p must be an integer >= 1, not 3.5"),
     (lambda: pl.gen_bernoulli_matrix(0, 3, 1), "n must be an integer >= 1, not 0"),
-], ids=["m", "m-float", "m_terms", "r", "p-below-2", "n_iter", "gen-p", "gen-n"])
+    (lambda: sample_sphere_batch(np.random.default_rng(0), 2.5, 3), "count must be an integer >= 0, not 2.5"),
+    (lambda: sample_sphere_batch(np.random.default_rng(0), True, 3), "count must be an integer >= 0, not True"),
+    (lambda: sample_sphere_batch(np.random.default_rng(0), -1, 3), "count must be an integer >= 0, not -1"),
+], ids=["m", "m-float", "m_terms", "r", "p-below-2", "n_iter", "gen-p", "gen-n", "count", "count-bool",
+        "count-negative"])
 def test_other_counts_take_the_count_rule(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_no_draws_is_an_empty_batch():
+    assert sample_sphere_batch(np.random.default_rng(0), 0, 3).shape == (0, 3)
+
+
+# every real argument of a public function: name -> (call of the value, the
+# argument's name, its sign: "" finite, "non-negative" or "positive")
+REAL_TAKERS = {
+    "mass_closed_form-beta": (lambda v: pl.mass_closed_form(v, 0.0, 0.0, 7), "beta", "non-negative"),
+    "mass_closed_form-s": (lambda v: pl.mass_closed_form(1.0, v, 1.0, 7), "s", ""),
+    "mass_closed_form-y_norm": (lambda v: pl.mass_closed_form(1.0, 0.5, v, 7), "y_norm", "non-negative"),
+    "mass_expansion-beta": (lambda v: pl.mass_expansion(v, 0.0, 0.0, 7), "beta", "positive"),
+    "mass_expansion-s": (lambda v: pl.mass_expansion(10.0, v, 1.0, 7), "s", ""),
+    "mass_expansion-y_norm": (lambda v: pl.mass_expansion(10.0, 0.5, v, 7), "y_norm", "non-negative"),
+    "mode_radius_times_l1-beta": (lambda v: pl.mode_radius_times_l1(v, 7), "beta", ""),
+    "tv_bound-t": (lambda v: pl.tv_bound(v, 1.0, 7), "t", "non-negative"),
+    "ChainConfig-q": (lambda v: pl.ChainConfig(kind="random_walk", n_iter=10, q=v), "q", "positive"),
+    "ChainConfig-rw_variance": (lambda v: pl.ChainConfig(kind="random_walk", n_iter=10, rw_variance=v),
+                                "rw_variance", "positive"),
+    "criterion_coverage-q": (lambda v: pl.criterion_coverage(pl.gen_bernoulli_matrix(4, 7, 42), v, 10, 0),
+                             "q", "positive"),
+    "concentration_prob-q": (lambda v: pl.concentration_prob(v, 7), "q", "positive"),
+    "solve_fista-tol": (lambda v: pl.solve_fista(pl.gen_bernoulli_matrix(4, 7, 42), tol=v), "tol", "positive"),
+    "lasso_ball_volume-z": (lambda v: pl.lasso_ball_volume(v, 7), "z", "positive"),
+}
+# the finite value each sign refuses
+OUT_OF_RANGE = {"non-negative": -1.0, "positive": 0.0}
+
+
+@pytest.mark.parametrize("name, value", [
+    pytest.param(name, value, id=f"{name}-{value!r}") for name, (_, _, sign) in sorted(REAL_TAKERS.items())
+    for value in (math.nan, math.inf, -math.inf) + ((OUT_OF_RANGE[sign],) if sign else ())
+] + [pytest.param("tv_bound-t", np.array([0, 1, -1]), id="tv_bound-t-array")])
+def test_reals_take_the_real_rule(name, value):
+    # one rule and one message for every real: nan gave nan, a negative t a
+    # bound of 1.0079, and an infinite beta a RuntimeWarning or 720.0
+    call, arg, sign = REAL_TAKERS[name]
+    message = f"{arg} must be {sign + ' and ' if sign else ''}finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
 

@@ -286,13 +286,21 @@ def _raises_with(path, text):
 COUNT_PHRASES = ("must be an integer", "at least", "nonnegative integer", "positive integer", "needs M")
 COUNTED = {"sample_sphere_batch", "_log_surface", "mode_radius_times_l1", "mass_closed_form", "mass_expansion",
            "expansion_coeff_exact", "concentration_prob", "tv_bound", "__post_init__", "log_gaussian_moment"}
+# phrases of a real rule's message, and the functions that must apply it
+REAL_PHRASES = ("must be finite", "positive and finite", "non-negative and finite", "requires beta", "needs beta")
+REAL_CHECKED = {"mass_closed_form", "mass_expansion", "mode_radius_times_l1", "tv_bound", "__post_init__",
+                "solve_fista", "criterion_coverage", "concentration_prob", "lasso_ball_volume", "_check_point",
+                "make_problem"}
 
 
 def test_one_owner_per_argument_rule():
-    # problem.py owns the rule for a point (problem._check_point) and
-    # _moments.py, which every numeric module may import, the rule for a
-    # dimension, order or count (_moments._check_count); other modules call
-    # them, and no multi-row wrapper of unit_shift_batch restates its checks
+    # problem.py owns the rule for a point's length (problem._check_point),
+    # and _moments.py, which every numeric module may import, the rule for a
+    # dimension, order or count (_moments._check_count) and the rule for a
+    # real value, scalar or array, finite and maybe positive or non-negative
+    # (_moments._check_real); other modules call them, and no multi-row
+    # wrapper of unit_shift_batch restates its checks.  The CLI's argparse
+    # types keep their own texts: they check outside input at the parse
     assert _raises_with(SRC / "problem.py", "must have length"), "problem.py no longer checks lengths"
     found = [(path.name, line) for path in sorted(SRC.glob("*.py")) if path.name != "problem.py"
              for line in _raises_with(path, "must have length")]
@@ -306,6 +314,15 @@ def test_one_owner_per_argument_rule():
     counted = {hit[1] for path in sorted(SRC.glob("*.py")) for hit in _calls(path, ("_check_count",))}
     missing = COUNTED - counted
     assert not missing, "functions that no longer call _check_count: " + repr(sorted(missing))
+    assert _raises_with(SRC / "_moments.py", "finite"), "_moments.py no longer checks reals"
+    found = [(path.name, phrase, line) for path in sorted(SRC.glob("*.py")) if path.name != "_moments.py"
+             for phrase in REAL_PHRASES for line in _raises_with(path, phrase)]
+    assert not found, "real rules outside _moments.py (module, phrase, line): " + repr(found)
+    defined = [path.name for path in sorted(SRC.glob("*.py")) if "_check_positive" in _module_defs(path)]
+    assert not defined, "_check_positive defined in: " + repr(defined)
+    checked = {hit[1] for path in sorted(SRC.glob("*.py")) for hit in _calls(path, ("_check_real",))}
+    missing = REAL_CHECKED - checked
+    assert not missing, "functions that no longer call _check_real: " + repr(sorted(missing))
 
 
 def test_one_estimate_builder():

@@ -8,10 +8,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
-from scipy.special import erfcx
 
 import polarlasso as pl
-from conftest import benchmark_instance, exact_log_z
+from conftest import benchmark_instance, exact_log_z, separable_instance, separable_log_z
 from polarlasso.partition import _log_surface, _LogMean
 from polarlasso.problem import laplace_from_uniforms, map_chunks, sample_sphere_batch
 from polarlasso.shifted import _exp, shifted_log_summaries, unit_shift_batch
@@ -263,6 +262,11 @@ class TestLogMean:
             assert repr(z_f) == repr(_reference(chunks, _log_surface(prob.p))[2])
 
 
+# polar reads -5.82 sigma at seed 2, shifted -12.12 and -7.52 sigma at seeds 1
+# and 2: the CLT error bar misses once the weights are heavy-tailed
+HEAVY_TAIL = pytest.mark.xfail(strict=True, reason="heavy-tailed weights on 20 x 50, ROADMAP item 2")
+
+
 class TestExactZ:
     """Every Z route against exact_log_z, the Fourier-identity oracle."""
 
@@ -282,14 +286,9 @@ class TestExactZ:
         assert exact_log_z(A, y, h=0.1) == pytest.approx(log_z, abs=1e-11)
 
     def test_oracle_matches_separable_closed_form(self):
-        # A = [diag(a), 0]: Z = 2^(p-n) prod_i e^(-y_i^2/2) (1/a_i) sqrt(pi/2)
-        # [erfcx((1 - a_i y_i)/(a_i sqrt 2)) + erfcx((1 + a_i y_i)/(a_i sqrt 2))]
         a, y, p = np.array([0.7, 1.3]), np.array([0.8, -1.1]), 4
         A = np.hstack([np.diag(a), np.zeros((2, p - 2))])
-        log_z = (p - 2) * math.log(2.0) + sum(
-            -yi * yi / 2 + math.log(math.sqrt(math.pi / 2) / ai
-                                    * (erfcx((1 - ai * yi) / (ai * math.sqrt(2))) + erfcx((1 + ai * yi) / (ai * math.sqrt(2)))))
-            for ai, yi in zip(a, y))
+        log_z = separable_log_z(pl.make_problem(A, y))
         assert exact_log_z(A, y, h=0.1) == pytest.approx(log_z, abs=1e-12)
         with pytest.raises(ValueError, match="too coarse"):
             exact_log_z(A, y, h=0.3)
@@ -305,6 +304,22 @@ class TestExactZ:
         prob, log_z = _exact_design(n)
         _, want, tol = EXACT_LOG_Z[n]
         assert log_z == pytest.approx(want, abs=tol)
+        l = pl.solve_fista(prob).x
+        for seed in (0, 1, 2):
+            est = {"polar": lambda: pl.estimate_z_polar(prob, 100_000, seed),
+                   "naive": lambda: pl.estimate_z_naive(prob, 100_000, seed),
+                   "shifted": lambda: pl.estimate_z_shifted(prob, l, 2048, seed)}[route]()
+            assert abs(est.z - math.exp(log_z)) <= 4.0 * est.std_err, (seed, est.z, est.std_err)
+
+    @pytest.mark.parametrize("n, p, route", [
+        pytest.param(n, p, route, id=f"{n}x{p}-{route}",
+                     marks=HEAVY_TAIL if (n, p) == (20, 50) and route != "naive" else ())
+        for n, p in ((7, 7), (20, 20), (50, 50), (20, 50)) for route in ("polar", "naive", "shifted")])
+    def test_routes_cover_separable_z(self, n, p, route):
+        # ROADMAP item 10's p <= 50 cells against the closed form; the 20 x 50
+        # design has 30 zero columns
+        prob, _ = separable_instance(n, p, 2.0, 3)
+        log_z = separable_log_z(prob)
         l = pl.solve_fista(prob).x
         for seed in (0, 1, 2):
             est = {"polar": lambda: pl.estimate_z_polar(prob, 100_000, seed),
